@@ -3,7 +3,8 @@
 Second-order central differences on a uniform grid give a symmetric
 tridiagonal matrix whose lowest eigenpairs come from LAPACK's bisection
 solver.  Refinement doubles the interval count (keeping the endpoints on the
-same grid family) until the requested levels stop moving.
+same grid family) and Romberg-extrapolates the levels in h^2, whose error
+expansion is even in the spacing, until the extrapolated levels stop moving.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ __all__ = ["GridSolution", "bound_states", "converged_bound_states"]
 
 @dataclass(frozen=True)
 class GridSolution:
-    levels: np.ndarray
-    grid: np.ndarray
+    levels: np.ndarray  # Romberg-extrapolated levels
+    grid: np.ndarray  # the finest grid
     states: np.ndarray  # column k is the k-th eigenvector on the grid
     n_points: int
     max_rel_change: float
@@ -74,24 +75,32 @@ def converged_bound_states(
     max_refinements: int = 6,
     wall_tol: float = 1e-6,
 ) -> GridSolution:
-    """Refine the grid by doubling until the levels move less than rtol.
+    """Refine the grid by doubling and Romberg-extrapolate until the levels move less than rtol.
 
-    The relative change is floored at ``scale`` so levels near zero do not
-    stall the refinement.  Wavefunction amplitude at the walls above
-    ``wall_tol`` of the peak raises GridDomainError: the domain, not the grid
-    spacing, is the problem then.
+    Each doubling extends a Romberg row, R_j = R_{j-1} + (R_{j-1} - R'_{j-1})
+    / (4^j - 1) with R' the row of the previous grid, and the newest diagonal
+    entry is the estimate.  The returned ``levels`` are that estimate;
+    ``grid``, ``states`` and ``n_points`` belong to the finest grid.  The
+    relative change is floored at ``scale`` so levels near zero do not stall
+    the refinement.  Wavefunction amplitude at the walls above ``wall_tol`` of
+    the peak raises GridDomainError: the domain, not the grid spacing, is the
+    problem then.
     """
     levels, x, states = bound_states(potential, x_min, x_max, n_points, kinetic_coef, n_levels)
     _check_walls(states, wall_tol)  # domain problems surface regardless of spacing
+    row = [levels]
     change = np.inf
     for _ in range(max_refinements):
         n_points = 2 * n_points - 1  # same endpoints, halved spacing
         refined, x, states = bound_states(potential, x_min, x_max, n_points, kinetic_coef, n_levels)
         _check_walls(states, wall_tol)
-        change = float(np.max(np.abs(refined - levels) / np.maximum(scale, np.abs(refined))))
-        levels = refined
+        new_row = [refined]
+        for j, coarse in enumerate(row, start=1):
+            new_row.append(new_row[-1] + (new_row[-1] - coarse) / (4**j - 1))
+        change = float(np.max(np.abs(new_row[-1] - row[-1]) / np.maximum(scale, np.abs(new_row[-1]))))
+        row = new_row
         if change < rtol:
-            return GridSolution(levels=levels, grid=x, states=states, n_points=n_points, max_rel_change=change)
+            return GridSolution(levels=row[-1], grid=x, states=states, n_points=n_points, max_rel_change=change)
     raise ConvergenceError(
         f"grid levels not converged at {n_points} points: relative change {change}",
         residual=change,

@@ -8,10 +8,12 @@ sector {n_k} reduces to a single-mode problem
 
 with the sector constants C = sum cos(k a), S = sum sin(k a) over occupied
 momenta k a = 2 pi n / M (the lattice constant cancels).  Two independent
-solvers are provided: a Fock-basis build from closed-form matrix elements of
-the displacement operator (generalized Laguerre polynomials) and a real-space
-finite-difference solve.  Compressing C cos - S sin into a single shifted
-cosine maps each sector exactly onto a flux-biased junction circuit
+solvers are provided: a Fock-basis build from the closed-form matrix
+elements (generalized Laguerre polynomials) of the displacement operator,
+whose real and imaginary parts are the cosine and sine matrices, and a
+real-space finite-difference solve, Romberg-extrapolated over grid doublings.
+Compressing C cos - S sin into a single shifted cosine maps each sector
+exactly onto a flux-biased junction circuit
 
     4 E_C n_phi^2 + (E_L / 2)(phi - phi_ext)^2 - E_J cos(phi),
 
@@ -25,6 +27,7 @@ occupied sector rather than fabrication.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -117,36 +120,48 @@ def sector_constants(occupied: Iterable[int], m_sites: int) -> TBSector:
     )
 
 
-def _displacement_band(delta_idx: int, lam: float, count: int) -> np.ndarray:
-    """Magnitudes m_l = e^(-lam^2/2) lam^D sqrt(l!/(l+D)!) L_l^(D)(lam^2), l < count.
+# Past this e^(-lam^2/2) is subnormal or zero, and every band seeded from it loses its digits.
+_MAX_HALF_LAM_SQ = -math.log(sys.float_info.min)
 
-    Computed by upward recursion on the *normalized* values, whose
-    coefficients are all O(1); this stays stable where factorial-ratio
-    evaluation overflows (indices beyond ~170).  The seed uses log-gamma.
+
+def _displacement_bands(lam: float, bands: np.ndarray, size: int) -> np.ndarray:
+    """Magnitudes m[l, j] = e^(-lam^2/2) lam^D sqrt(l!/(l+D)!) L_l^(D)(lam^2), D = bands[j].
+
+    Filled where l + D < size, i.e. on the |0..size-1> block; the rest stays 0.
+    ``bands`` ascends.  Computed by upward recursion in l on the *normalized*
+    values, whose coefficients are all O(1), for every band at once; this
+    stays stable where factorial-ratio evaluation overflows (indices beyond
+    ~170).  Each band's seed uses log-gamma.
     """
-    out = np.empty(count)
-    x = lam * lam
+    if 0.5 * lam * lam > _MAX_HALF_LAM_SQ:
+        raise ValueError(f"lam = {lam} too large: the e^(-lam^2/2) seed underflows past lam ~ 37.6")
+    out = np.zeros((size - int(bands[0]), bands.size))
     if lam == 0.0:
-        out.fill(0.0)
-        if delta_idx == 0:
-            out.fill(1.0)
+        out[:, bands == 0] = 1.0
         return out
-    out[0] = math.exp(-0.5 * x + delta_idx * math.log(lam) - 0.5 * math.lgamma(delta_idx + 1))
-    prev2 = 0.0
-    prev1 = out[0]
-    for l in range(count - 1):
-        denom = math.sqrt((l + 1.0) * (l + 1.0 + delta_idx))
-        cur = ((2 * l + 1 + delta_idx - x) * prev1 - math.sqrt(l * (l + delta_idx)) * prev2) / denom
-        out[l + 1] = cur
-        prev2, prev1 = prev1, cur
+    x = lam * lam
+    log_lam = math.log(lam)
+    out[0] = [math.exp(-0.5 * x + d * log_lam - 0.5 * math.lgamma(d + 1)) for d in bands.tolist()]
+    for l in range(out.shape[0] - 1):
+        k = int(np.searchsorted(bands, size - 1 - l))  # bands that still have a row l + 1
+        d = bands[:k]
+        prev2 = out[l - 1, :k] if l else 0.0
+        denom = np.sqrt((l + 1.0) * (l + 1.0 + d))
+        out[l + 1, :k] = ((2 * l + 1 + d - x) * out[l, :k] - np.sqrt(l * (l + d)) * prev2) / denom
     return out
+
+
+def _phase(delta_idx: int, sign: int) -> complex:
+    """(sign * i)^delta_idx, exact for every exponent."""
+    return (1, sign * 1j, -1, -sign * 1j)[delta_idx % 4]
 
 
 def displacement_matrix_element(m: int, n: int, lam: float, sign: int = 1) -> complex:
     """Closed-form <m| exp(sign * i * lam * (a + a^dag)) |n>.
 
     Equals e^(-lam^2/2) sqrt(min!/max!) (sign*i*lam)^|m-n| L_min^(|m-n|)(lam^2);
-    lam = 0 gives the identity.
+    lam = 0 gives the identity.  Raises ValueError past lam ~ 37.6, where
+    e^(-lam^2/2) underflows.
     """
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be non-negative")
@@ -155,62 +170,33 @@ def displacement_matrix_element(m: int, n: int, lam: float, sign: int = 1) -> co
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     delta_idx = abs(m - n)
-    low = min(m, n)
-    magnitude = _displacement_band(delta_idx, lam, low + 1)[low]
-    return complex((sign * 1j) ** delta_idx * magnitude)
+    magnitude = _displacement_bands(lam, np.array([delta_idx]), max(m, n) + 1)[min(m, n), 0]
+    return complex(_phase(delta_idx, sign) * magnitude)
 
 
 def displacement_operator(lam: float, cutoff: int, sign: int = 1) -> np.ndarray:
     """Dense matrix of exp(sign*i*lam*(a+a^dag)) on |0..cutoff>.
 
     Unitary up to truncation: column n is numerically unit-norm once the
-    cutoff exceeds roughly n + 20 lam^2 + 40.
+    cutoff exceeds roughly n + 20 lam^2 + 40.  Even |m-n| bands are real and
+    odd bands imaginary, so the real and imaginary parts are the real
+    symmetric matrices of cos and sign * sin of lam (a + a^dag).
     """
     dim = cutoff + 1
+    mags = _displacement_bands(lam, np.arange(dim), dim)
+    phases = np.array([_phase(delta_idx, sign) for delta_idx in range(4)])[np.arange(dim) % 4]
     op = np.zeros((dim, dim), dtype=complex)
-    for delta_idx in range(dim):
-        vals = _displacement_band(delta_idx, lam, dim - delta_idx)
-        phase = (sign * 1j) ** delta_idx
-        idx = np.arange(dim - delta_idx)
-        op[idx + delta_idx, idx] = phase * vals
-        op[idx, idx + delta_idx] = phase * vals
+    for l in range(dim):
+        entries = phases[: dim - l] * mags[l, : dim - l]  # entries (l + D, l) for D = 0..cutoff - l
+        op[l:, l] = entries
+        op[l, l:] = entries
     return op
 
 
-def _cos_sin_matrices(lam: float, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Real symmetric matrices of cos(eta x) and sin(eta x), lam = eta/sqrt(2).
-
-    Even |m-n| bands feed the cosine (sign alternating every two bands), odd
-    bands the sine; everything else is zero, so both matrices are real and the
-    sector Hamiltonian is Hermitian by construction.
-    """
-    dim = cutoff + 1
-    cos_m = np.zeros((dim, dim))
-    sin_m = np.zeros((dim, dim))
-    for delta_idx in range(dim):
-        vals = _displacement_band(delta_idx, lam, dim - delta_idx)
-        idx = np.arange(dim - delta_idx)
-        r = delta_idx % 4
-        if r == 0:
-            cos_m[idx + delta_idx, idx] = vals
-            cos_m[idx, idx + delta_idx] = vals
-        elif r == 2:
-            cos_m[idx + delta_idx, idx] = -vals
-            cos_m[idx, idx + delta_idx] = -vals
-        elif r == 1:
-            sin_m[idx + delta_idx, idx] = vals
-            sin_m[idx, idx + delta_idx] = vals
-        else:
-            sin_m[idx + delta_idx, idx] = -vals
-            sin_m[idx, idx + delta_idx] = -vals
-    return cos_m, sin_m
-
-
 def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int, n_levels: int) -> np.ndarray:
-    lam = eta / math.sqrt(2.0)
-    cos_m, sin_m = _cos_sin_matrices(lam, cutoff)
+    d = displacement_operator(eta / math.sqrt(2.0), cutoff)  # cos(eta x) + i sin(eta x)
     h = hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
-    h -= 2.0 * t * (sector.c_sum * cos_m - sector.s_sum * sin_m)
+    h -= 2.0 * t * (sector.c_sum * d.real - sector.s_sum * d.imag)
     return eigh(h, eigvals_only=True)[:n_levels]
 
 
@@ -256,7 +242,7 @@ def sector_spectrum_xrep(
     hbar_omega: float,
     x_min: float = -14.0,
     x_max: float = 14.0,
-    n_points: int = 8193,
+    n_points: int = 513,
     n_levels: int = 5,
     rtol: float = 5e-7,
     return_solution: bool = False,
@@ -264,11 +250,11 @@ def sector_spectrum_xrep(
     """Same sector levels from the real-space representation, ascending.
 
     Solves (hw/2)(-d^2/dX^2 + X^2) - 2t [C cos(eta X) - S sin(eta X)] with
-    second-order central differences and hard walls, refining the grid until
-    the levels are stationary.  This operator carries the +hw/2 zero point
-    that the Fock form drops; subtract hbar_omega/2 before comparing the two
-    solvers.  Raises GridDomainError when a requested state presses against
-    the walls.
+    second-order central differences and hard walls, doubling the grid and
+    Romberg-extrapolating the levels until they are stationary.  This
+    operator carries the +hw/2 zero point that the Fock form drops; subtract
+    hbar_omega/2 before comparing the two solvers.  Raises GridDomainError
+    when a requested state presses against the walls.
     """
     if n_points < 512:
         raise ValueError(f"n_points must be >= 512, got {n_points}")
@@ -315,7 +301,7 @@ def rf_squid_spectrum(
     params: RfSquidParams,
     n_levels: int = 5,
     half_span: Optional[float] = None,
-    n_points: int = 8193,
+    n_points: int = 513,
     rtol: float = 5e-7,
     return_solution: bool = False,
 ):

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -133,6 +134,36 @@ def test_operator_large_index_stability():
     assert abs(op[600, 0]) < 1e-200
 
 
+def test_operator_band_phases_exact():
+    # (sign i)^D: even bands real, odd bands imaginary, exactly, at any band index
+    cutoff = 300
+    rows, cols = np.indices((cutoff + 1, cutoff + 1))
+    odd = (rows - cols) % 2 == 1
+    for sign in (1, -1):
+        op = displacement_operator(0.9, cutoff, sign)
+        assert np.all(op.real[odd] == 0.0)
+        assert np.all(op.imag[~odd] == 0.0)
+    assert displacement_matrix_element(101, 0, 0.9).real == 0.0
+
+
+def test_element_matches_mpmath_at_large_lam():
+    import mpmath
+
+    mpmath.mp.dps = 50
+    for lam in (30.0, 37.0):
+        x = mpmath.mpf(lam) ** 2
+        want = float(mpmath.exp(-x / 2) * mpmath.laguerre(1600, 0, x))
+        got = displacement_matrix_element(1600, 1600, lam)
+        assert got.imag == 0.0
+        assert abs(got.real - want) <= 1e-12 * abs(want)
+
+
+def test_element_rejects_underflowing_lam():
+    for lam in (40.0, 45.0):
+        with pytest.raises(ValueError, match=f"lam = {lam}"):
+            displacement_matrix_element(1600, 1600, lam)
+
+
 # --- sector spectra -------------------------------------------------------------
 
 
@@ -155,6 +186,19 @@ def test_dual_solver_agreement_single_case():
     xrep = sector_spectrum_xrep(sector, t, eta, hw, n_levels=5)
     rel = np.abs((xrep - hw / 2) - fock) / np.maximum(hw, np.abs(fock))
     assert np.max(rel) <= 1e-6
+
+
+def test_dual_solvers_agree_tightly():
+    # the acceptance criterion-8 cases, bounded well below its 1e-6
+    hw = 1.0
+    sectors = [sector_constants(occ, 6) for occ in ((0,), (0, 1), (1, 2, 4))]
+    for sector, t, eta in itertools.product(sectors, (0.4, 1.0, 1.6), (0.6, 1.0, 1.4)):
+        fock = sector_spectrum_fock(sector, t, eta, hw, n_levels=5)
+        xrep = sector_spectrum_xrep(sector, t, eta, hw, n_levels=5)
+        squid = rf_squid_spectrum(rf_squid_map(sector, t, eta, hw), n_levels=5)
+        scale = np.maximum(hw, np.abs(fock))
+        assert np.max(np.abs((xrep - hw / 2) - fock) / scale) <= 1e-8
+        assert np.max(np.abs((squid - hw / 2) - fock) / scale) <= 1e-8
 
 
 def test_xrep_bare_oscillator_carries_zero_point():

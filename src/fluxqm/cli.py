@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -58,7 +59,7 @@ class ParamSet:
         self.raw = dict(raw)
         self.used: set = set()
 
-    def _fetch(self, key, default, required):
+    def _fetch(self, key, required):
         self.used.add(key)
         if key not in self.raw:
             if required:
@@ -67,16 +68,19 @@ class ParamSet:
         return self.raw[key]
 
     def float(self, key, default=None, required=False):
-        text = self._fetch(key, default, required)
+        text = self._fetch(key, required)
         if text is None:
             return default
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise UsageError(f"parameter '{key}' must be a number, got {text!r}") from None
+        if not math.isfinite(value):
+            raise UsageError(f"parameter '{key}' must be finite, got {text!r}")
+        return value
 
     def int(self, key, default=None, required=False):
-        text = self._fetch(key, default, required)
+        text = self._fetch(key, required)
         if text is None:
             return default
         try:
@@ -85,11 +89,11 @@ class ParamSet:
             raise UsageError(f"parameter '{key}' must be an integer, got {text!r}") from None
 
     def str(self, key, default=None, required=False):
-        text = self._fetch(key, default, required)
+        text = self._fetch(key, required)
         return default if text is None else text
 
     def int_list(self, key, default=None, required=False):
-        text = self._fetch(key, default, required)
+        text = self._fetch(key, required)
         if text is None:
             return default
         try:
@@ -609,6 +613,8 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
     cmd = _COMMANDS[command]
     if cmd.fixed_cases is not None and scan_param is not None:
         raise UsageError(f"command {command!r} runs a fixed suite and does not accept a scan")
+    if cmd.fixed_cases is not None and "case" in params:
+        raise UsageError(f"command {command!r} runs every case of its suite; 'case' cannot be set")
     if scan_param is None:
         if any(v is not None for v in (scan_min, scan_max, scan_steps)):
             raise UsageError("scan_min/scan_max/scan_steps require scan_param")
@@ -616,10 +622,8 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
     else:
         if scan_min is None or scan_max is None or scan_steps is None:
             raise UsageError("a scan needs all of scan_param, scan_min, scan_max, scan_steps")
-        try:
-            lo, hi, steps = float(scan_min), float(scan_max), int(scan_steps)
-        except ValueError:
-            raise UsageError("scan_min/scan_max must be numbers and scan_steps an integer") from None
+        scan = ParamSet({"scan_min": scan_min, "scan_max": scan_max, "scan_steps": scan_steps})
+        lo, hi, steps = scan.float("scan_min"), scan.float("scan_max"), scan.int("scan_steps")
         if steps < 1:
             raise UsageError(f"scan_steps must be >= 1, got {steps}")
         if lo > hi:

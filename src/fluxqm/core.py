@@ -115,6 +115,9 @@ class ModelParams:
     eta: float = 0.0
 
     def __post_init__(self):
+        for name in ("g", "g_eff", "phi", "hbar_omega", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.g <= 0:
             raise ValueError(f"g must be positive, got {self.g}")
         if self.g_eff <= 0:

@@ -49,6 +49,9 @@ class DiracParams:
     d_eff: float = 0.0
 
     def __post_init__(self):
+        for name in ("eps0", "hbar_omega", "phi", "berry_shift", "d_eff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eps0 <= 0:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if self.hbar_omega <= 0:

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .core import ModelParams
-from .errors import ConvergenceError
+from .gridsolve import _refine
 
 __all__ = [
     "QuarticSector",
@@ -183,20 +183,11 @@ def anharmonic_spectrum(
         basis_cutoff = max(4 * n_levels, 48)
     if basis_cutoff < 4 * n_levels:
         raise ValueError(f"basis_cutoff must be >= 4*n_levels, got {basis_cutoff}")
+    cutoffs = (basis_cutoff << k for k in range(max_doublings + 1))
+    estimates = ((cutoff, _oscillator_levels(sector, n_levels, cutoff)) for cutoff in cutoffs)
     spacing = gaussian_frequency(sector)
-    levels = _oscillator_levels(sector, n_levels, basis_cutoff)
-    change = math.inf
-    for _ in range(max_doublings):
-        basis_cutoff *= 2
-        refined = _oscillator_levels(sector, n_levels, basis_cutoff)
-        change = float(np.max(np.abs(refined - levels) / np.maximum(spacing, np.abs(refined))))
-        levels = refined
-        if change < rtol:
-            return levels
-    raise ConvergenceError(
-        f"anharmonic levels not converged at cutoff {basis_cutoff}: relative change {change}",
-        residual=change,
-    )
+    levels, _, _ = _refine(estimates, rtol, spacing, "anharmonic levels not converged at cutoff {size}")
+    return levels
 
 
 def full_levels(sector: QuarticSector, p: ModelParams, s2: int, n_levels: int = 6, **kwargs) -> np.ndarray:

@@ -10,8 +10,10 @@ with the sector constants C = sum cos(k a), S = sum sin(k a) over occupied
 momenta k a = 2 pi n / M (the lattice constant cancels).  Two independent
 solvers are provided: a Fock-basis build from the closed-form matrix
 elements (generalized Laguerre polynomials) of the displacement operator,
-whose real and imaginary parts are the cosine and sine matrices, and a
-real-space finite-difference solve, Romberg-extrapolated over grid doublings.
+whose real and imaginary parts are the cosine and sine matrices, with the
+cutoff doubled until the levels are stationary, and a real-space
+finite-difference solve, Romberg-extrapolated over grid doublings.  Both
+refinements stop by the one rule of ``gridsolve._refine``.
 Compressing C cos - S sin into a single shifted cosine maps each sector
 exactly onto a flux-biased junction circuit
 
@@ -29,13 +31,12 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 from scipy.linalg import eigh
 
-from .errors import ConvergenceError
-from .gridsolve import GridSolution, converged_bound_states
+from .gridsolve import _refine, converged_bound_states
 
 __all__ = [
     "TBSector",
@@ -48,6 +49,12 @@ __all__ = [
     "rf_squid_map",
     "rf_squid_spectrum",
 ]
+
+_FOCK_CUTOFF = 128  # first Fock-basis cutoff, doubled at most _FOCK_DOUBLINGS times
+_FOCK_DOUBLINGS = 4
+_FOCK_RTOL = 1e-9
+_GRID_POINTS = 513  # first real-space grid; refinement doubles its interval count
+_SQUID_HALF_SPAN = 14.0  # phi-grid half-width in oscillator lengths of the inductive well
 
 
 @dataclass(frozen=True)
@@ -200,39 +207,23 @@ def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cuto
     return eigh(h, eigvals_only=True)[:n_levels]
 
 
-def sector_spectrum_fock(
-    sector: TBSector,
-    t: float,
-    eta: float,
-    hbar_omega: float,
-    cutoff: int = 128,
-    n_levels: int = 5,
-    rtol: float = 1e-9,
-    max_doublings: int = 4,
-) -> np.ndarray:
+def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: float, n_levels: int = 5) -> np.ndarray:
     """Lowest sector levels from the closed-form Fock-basis build, ascending.
 
     Zero-point convention: the cavity term is hbar_omega * a^dag a (no 1/2),
-    so at t = 0 the levels are exactly 0, hw, 2hw, ...  The cutoff is doubled
-    until the requested levels are stationary to ``rtol`` relative.
+    so at t = 0 the levels are exactly 0, hw, 2hw, ...  The cutoff starts at
+    128 and is doubled, at most four times, until the requested levels are
+    stationary to 1e-9 relative (floored at hbar_omega); failing that, a
+    ConvergenceError carries the residual that was reached.
     """
-    if cutoff < 4 * n_levels:
-        raise ValueError(f"cutoff must be >= 4*n_levels, got {cutoff}")
+    if _FOCK_CUTOFF < 4 * n_levels:
+        raise ValueError(f"n_levels must be <= {_FOCK_CUTOFF // 4}, got {n_levels}")
     if eta < 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
-    levels = _fock_levels(sector, t, eta, hbar_omega, cutoff, n_levels)
-    change = math.inf
-    for _ in range(max_doublings):
-        cutoff *= 2
-        refined = _fock_levels(sector, t, eta, hbar_omega, cutoff, n_levels)
-        change = float(np.max(np.abs(refined - levels) / np.maximum(hbar_omega, np.abs(refined))))
-        levels = refined
-        if change < rtol:
-            return levels
-    raise ConvergenceError(
-        f"Fock-basis levels not converged at cutoff {cutoff}: relative change {change}",
-        residual=change,
-    )
+    cutoffs = (_FOCK_CUTOFF << k for k in range(_FOCK_DOUBLINGS + 1))
+    estimates = ((cutoff, _fock_levels(sector, t, eta, hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)
+    levels, _, _ = _refine(estimates, _FOCK_RTOL, hbar_omega, "Fock-basis levels not converged at cutoff {size}")
+    return levels
 
 
 def sector_spectrum_xrep(
@@ -242,11 +233,9 @@ def sector_spectrum_xrep(
     hbar_omega: float,
     x_min: float = -14.0,
     x_max: float = 14.0,
-    n_points: int = 513,
+    n_points: int = _GRID_POINTS,
     n_levels: int = 5,
-    rtol: float = 5e-7,
-    return_solution: bool = False,
-):
+) -> np.ndarray:
     """Same sector levels from the real-space representation, ascending.
 
     Solves (hw/2)(-d^2/dX^2 + X^2) - 2t [C cos(eta X) - S sin(eta X)] with
@@ -264,17 +253,15 @@ def sector_spectrum_xrep(
             sector.c_sum * np.cos(eta * x) - sector.s_sum * np.sin(eta * x)
         )
 
-    solution = converged_bound_states(
+    return converged_bound_states(
         potential,
         x_min,
         x_max,
         n_points,
         kinetic_coef=0.5 * hbar_omega,
         n_levels=n_levels,
-        rtol=rtol,
         scale=hbar_omega,
-    )
-    return solution if return_solution else solution.levels
+    ).levels
 
 
 def rf_squid_map(sector: TBSector, t: float, eta: float, hbar_omega: float) -> RfSquidParams:
@@ -297,35 +284,25 @@ def rf_squid_map(sector: TBSector, t: float, eta: float, hbar_omega: float) -> R
     )
 
 
-def rf_squid_spectrum(
-    params: RfSquidParams,
-    n_levels: int = 5,
-    half_span: Optional[float] = None,
-    n_points: int = 513,
-    rtol: float = 5e-7,
-    return_solution: bool = False,
-):
+def rf_squid_spectrum(params: RfSquidParams, n_levels: int = 5) -> np.ndarray:
     """Levels of 4 E_C n_phi^2 + (E_L/2)(phi - phi_ext)^2 - E_J cos(phi).
 
-    Solved on a phi grid centered at the bias; the default span scales with
-    the oscillator length (8 E_C / E_L)^(1/4) of the inductive well.  Matches
+    Solved on a phi grid centered at the bias whose half-width is 14
+    oscillator lengths (8 E_C / E_L)^(1/4) of the inductive well.  Matches
     the Fock-basis sector spectrum up to one additive constant (the
     quadrature-form zero point hbar_omega/2).
     """
-    if half_span is None:
-        half_span = 14.0 * (8.0 * params.e_c / params.e_l) ** 0.25
+    half_span = _SQUID_HALF_SPAN * (8.0 * params.e_c / params.e_l) ** 0.25
 
     def potential(y):
         return 0.5 * params.e_l * (y - params.phi_ext) ** 2 - params.e_j * np.cos(y)
 
-    solution = converged_bound_states(
+    return converged_bound_states(
         potential,
         params.phi_ext - half_span,
         params.phi_ext + half_span,
-        n_points,
+        _GRID_POINTS,
         kinetic_coef=4.0 * params.e_c,
         n_levels=n_levels,
-        rtol=rtol,
         scale=params.hbar_omega,
-    )
-    return solution if return_solution else solution.levels
+    ).levels

@@ -63,6 +63,22 @@ def test_bad_scan_bounds_are_usage_errors(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 2
 
 
+@pytest.mark.parametrize("args, key", [
+    (("phase-scan", "--set", "n_particles=3", "--set", "g=nan"), "g"),
+    (("dirac-scan", "--set", "n_electrons=8", "--set", "eps0=inf"), "eps0"),
+    (("phase-scan", "--set", "n_particles=3", "--set", "scan_param=phi", "--set", "scan_min=nan",
+      "--set", "scan_max=1.0", "--set", "scan_steps=5"), "scan_min"),
+    (("phase-scan", "--set", "n_particles=3", "--set", "scan_param=phi", "--set", "scan_min=0.0",
+      "--set", "scan_max=-inf", "--set", "scan_steps=5"), "scan_max"),
+    (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "t=nan"), "t"),
+])
+def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
+    out = tmp_path / "x.csv"
+    assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
+    assert f"parameter '{key}' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     assert run_cli("frobnicate", "--out", str(tmp_path / "x.csv")) == 2
 
@@ -155,6 +171,12 @@ def test_oracle_check_rejects_scan(tmp_path):
                    "--set", "scan_max=1", "--set", "scan_steps=2",
                    "--out", str(tmp_path / "x.csv"))
     assert code == 2
+
+
+def test_oracle_check_rejects_case(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run_cli("oracle-check", "--set", "case=3", "--out", str(out), "--jobs", "1") == 2
+    assert not out.exists()
 
 
 def test_config_file_with_set_override(tmp_path):

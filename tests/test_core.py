@@ -121,3 +121,11 @@ def test_config_requires_particles():
 def test_model_params_validation(kwargs):
     with pytest.raises(ValueError):
         ModelParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["g", "g_eff", "phi", "hbar_omega", "eta"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_model_params_reject_non_finite(field, value):
+    kwargs = {"g": 1.0, "g_eff": 1.0, "phi": 0.0, "n_particles": 1, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        ModelParams(**kwargs)

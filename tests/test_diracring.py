@@ -251,3 +251,11 @@ def test_params_validation():
         DiracParams(eps0=-1.0, hbar_omega=1.0, phi=0.0, n_electrons=4)
     with pytest.raises(ValueError):
         ChiralSector(-1, 2)
+
+
+@pytest.mark.parametrize("field", ["eps0", "hbar_omega", "phi", "berry_shift", "d_eff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_params_reject_non_finite(field, value):
+    kwargs = {"eps0": 1.0, "hbar_omega": 1.0, "phi": 0.0, "n_electrons": 4, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        DiracParams(**kwargs)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluxqm import ConvergenceError
-from fluxqm.gridsolve import converged_bound_states
+from fluxqm.gridsolve import _refine, converged_bound_states
 
 
 def harmonic(x):
@@ -14,11 +14,41 @@ def test_romberg_harmonic_levels():
     solution = converged_bound_states(harmonic, -14.0, 14.0, 513, kinetic_coef=0.5, n_levels=5)
     assert solution.n_points <= 4097
     assert np.max(np.abs(solution.levels - (np.arange(5) + 0.5))) <= 1e-9
-    assert solution.grid.size == solution.n_points
-    assert solution.states.shape == (solution.n_points, 5)
 
 
 def test_refinement_limit_raises():
     with pytest.raises(ConvergenceError) as info:
         converged_bound_states(harmonic, -14.0, 14.0, 513, kinetic_coef=0.5, n_levels=5, max_refinements=1)
     assert info.value.residual > 5e-7
+
+
+def test_refine_returns_first_stationary_estimate():
+    sequence = [(1, np.array([1.0, 3.0])), (2, np.array([1.5, 3.0])), (4, np.array([1.5 + 1e-8, 3.0])),
+                (8, np.array([1.5 + 2e-8, 3.0]))]
+    consumed = []
+
+    def estimates():
+        for size, levels in sequence:
+            consumed.append(size)
+            yield size, levels
+
+    levels, size, change = _refine(estimates(), 1e-6, 1.0, "not converged at {size}")
+    assert size == 4 and levels is sequence[2][1]
+    moved = sequence[2][1][0]
+    assert change == (moved - 1.5) / moved
+    assert consumed == [1, 2, 4]  # finer estimates are never computed
+
+
+def test_refine_change_floored_at_scale():
+    # relative to |levels| alone the change is 1; floored at scale = 1 it is 1e-7
+    sequence = [(1, np.array([0.0])), (2, np.array([1e-7]))]
+    assert _refine(iter(sequence), 1e-6, 1.0, "{size}")[1:] == (2, 1e-7)
+    with pytest.raises(ConvergenceError):
+        _refine(iter(sequence), 1e-6, 1e-9, "{size}")
+
+
+def test_refine_exhausted_raises_last_change():
+    sequence = [(10, np.array([1.0])), (20, np.array([2.0])), (40, np.array([2.5]))]
+    with pytest.raises(ConvergenceError, match=r"^not converged at 40: relative change 0\.2$") as info:
+        _refine(iter(sequence), 1e-6, 1.0, "not converged at {size}")
+    assert info.value.residual == 0.5 / 2.5

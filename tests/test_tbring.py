@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fluxqm import (
+    ConvergenceError,
     GridDomainError,
     RfSquidParams,
     displacement_matrix_element,
@@ -14,7 +15,9 @@ from fluxqm import (
     sector_constants,
     sector_spectrum_fock,
     sector_spectrum_xrep,
+    tbring,
 )
+from fluxqm.gridsolve import bound_states
 
 
 def series_displacement_element(m, n, lam, sign=1, terms=30, margin=60):
@@ -179,6 +182,14 @@ def test_fock_spectrum_zero_eta_rigid_shift():
     assert np.allclose(levels, np.arange(4) - 2 * 0.7 * sector.c_sum, atol=1e-12)
 
 
+def test_fock_spectrum_unconverged_raises(monkeypatch):
+    monkeypatch.setattr(tbring, "_FOCK_RTOL", 0.0)
+    monkeypatch.setattr(tbring, "_FOCK_DOUBLINGS", 1)
+    with pytest.raises(ConvergenceError, match="Fock-basis levels not converged at cutoff 256") as info:
+        sector_spectrum_fock(sector_constants([0, 1], 6), t=0.7, eta=1.0, hbar_omega=1.0, n_levels=4)
+    assert 0.0 <= info.value.residual < 1e-9
+
+
 def test_dual_solver_agreement_single_case():
     sector = sector_constants([0, 1], 6)
     t, eta, hw = 1.0, 1.0, 1.0
@@ -208,12 +219,16 @@ def test_xrep_bare_oscillator_carries_zero_point():
 
 
 def test_xrep_parity_alternates_for_symmetric_potential():
-    # S = 0 keeps the potential even; eigenfunctions alternate even/odd
+    # S = 0 keeps the real-space sector potential even; eigenfunctions alternate even/odd
     sector = sector_constants([0], 4)  # C = 1, S = 0
-    solution = sector_spectrum_xrep(sector, t=0.8, eta=1.1, hbar_omega=1.0,
-                                    n_levels=4, return_solution=True)
+    t, eta = 0.8, 1.1
+
+    def potential(x):
+        return 0.5 * x * x - 2.0 * t * sector.c_sum * np.cos(eta * x)
+
+    _, _, states = bound_states(potential, -14.0, 14.0, 4097, kinetic_coef=0.5, n_levels=4)
     for k in range(4):
-        psi = solution.states[:, k]
+        psi = states[:, k]
         parity = (-1) ** k
         assert np.max(np.abs(psi - parity * psi[::-1])) <= 1e-6
 

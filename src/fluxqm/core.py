@@ -33,6 +33,13 @@ __all__ = [
 ]
 
 
+def _check_finite(**values: float) -> None:
+    """Raise ValueError naming the first keyword whose value is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LCParams:
     """Derived quantities of a lumped LC resonator (all SI).
@@ -115,9 +122,7 @@ class ModelParams:
     eta: float = 0.0
 
     def __post_init__(self):
-        for name in ("g", "g_eff", "phi", "hbar_omega", "eta"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_finite(g=self.g, g_eff=self.g_eff, phi=self.phi, hbar_omega=self.hbar_omega, eta=self.eta)
         if self.g <= 0:
             raise ValueError(f"g must be positive, got {self.g}")
         if self.g_eff <= 0:

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from .core import _check_finite
 from .errors import NoTransitionError
 
 __all__ = [
@@ -49,9 +50,9 @@ class DiracParams:
     d_eff: float = 0.0
 
     def __post_init__(self):
-        for name in ("eps0", "hbar_omega", "phi", "berry_shift", "d_eff"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_finite(
+            eps0=self.eps0, hbar_omega=self.hbar_omega, phi=self.phi, berry_shift=self.berry_shift, d_eff=self.d_eff
+        )
         if self.eps0 <= 0:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if self.hbar_omega <= 0:

@@ -31,7 +31,8 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh
 
-from .core import ModelParams
+from .core import ModelParams, _check_finite
+from .errors import ConvergenceError
 from .gridsolve import _refine
 
 __all__ = [
@@ -43,6 +44,7 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-10
+_ROOT_ITERATIONS = 200
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,15 @@ def _monotone_cubic_root(b_coef: float, alpha4: float, rhs: float) -> float:
     Safeguarded Newton iteration: the bracket endpoints are updated from the
     sign of the residual and any Newton step leaving the bracket falls back to
     bisection.  The cubic is strictly increasing, so the bracket always
-    contains exactly one root.
+    contains exactly one root.  Raises ConvergenceError, carrying the last
+    cubic residual, if the steps have not settled after 200 iterations.
     """
     if alpha4 == 0.0:
         return rhs / (2.0 * b_coef)
     span = max(abs(rhs) / (2.0 * b_coef), (abs(rhs) / (4.0 * alpha4)) ** (1.0 / 3.0)) + 1.0
     lo, hi = -span, span
     x = rhs / (2.0 * b_coef)  # harmonic guess
-    for _ in range(200):
+    for _ in range(_ROOT_ITERATIONS):
         f = 4.0 * alpha4 * x**3 + 2.0 * b_coef * x - rhs
         if f > 0.0:
             hi = x
@@ -105,7 +108,9 @@ def _monotone_cubic_root(b_coef: float, alpha4: float, rhs: float) -> float:
         if abs(x_next - x) <= 4.0 * np.finfo(float).eps * max(1.0, abs(x_next)):
             return x_next
         x = x_next
-    return x
+    raise ConvergenceError(
+        f"stationarity cubic not solved in {_ROOT_ITERATIONS} iterations: residual {f}", residual=f
+    )
 
 
 def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSector:
@@ -115,6 +120,7 @@ def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSec
     it.  ``p.hbar_omega`` plays the role of the bare quantum hbar_omega_p of
     the nonlinear mode.
     """
+    _check_finite(alpha4=alpha4)
     if alpha4 < 0:
         raise ValueError(f"alpha4 must be non-negative, got {alpha4}")
     a_coef = 0.25 * p.hbar_omega

@@ -36,6 +36,7 @@ from typing import Iterable
 import numpy as np
 from scipy.linalg import eigh
 
+from .core import _check_finite
 from .gridsolve import _refine, converged_bound_states
 
 __all__ = [
@@ -216,6 +217,7 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
     stationary to 1e-9 relative (floored at hbar_omega); failing that, a
     ConvergenceError carries the residual that was reached.
     """
+    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
     if _FOCK_CUTOFF < 4 * n_levels:
         raise ValueError(f"n_levels must be <= {_FOCK_CUTOFF // 4}, got {n_levels}")
     if eta < 0:
@@ -245,6 +247,7 @@ def sector_spectrum_xrep(
     hbar_omega/2 before comparing the two solvers.  Raises GridDomainError
     when a requested state presses against the walls.
     """
+    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
     if n_points < 512:
         raise ValueError(f"n_points must be >= 512, got {n_points}")
 
@@ -270,6 +273,7 @@ def rf_squid_map(sector: TBSector, t: float, eta: float, hbar_omega: float) -> R
     The phase variable is phi = eta x + delta with conjugate charge p/eta, so
     eta = 0 is singular (infinite inductive energy) and is rejected.
     """
+    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
     if eta == 0.0:
         raise ValueError("eta must be nonzero: the phase-variable map degenerates at eta = 0")
     e_j = 2.0 * t * sector.e_j_amp

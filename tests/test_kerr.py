@@ -13,6 +13,7 @@ from fluxqm import (
     dressed_frequency,
     full_levels,
     gaussian_frequency,
+    kerr,
 )
 
 
@@ -81,6 +82,21 @@ def test_root_residual_bound_randomized():
         scale = max(1.0, abs(sector.c_coef * sector.m_total))
         assert abs(sector.cubic_residual()) <= 1e-10 * scale
         assert 2 * sector.b_coef + 12 * sector.alpha4 * sector.x0**2 > 0
+
+
+@pytest.mark.parametrize("alpha4", [math.nan, math.inf, -math.inf])
+def test_root_rejects_non_finite_alpha4(alpha4):
+    with pytest.raises(ValueError, match="alpha4 must be finite"):
+        displacement_root(2, ModelParams(g=1.0, g_eff=1.0, phi=0.3, n_particles=3), alpha4)
+
+
+def test_root_iteration_limit_raises(monkeypatch):
+    # x^3 + x = 3 from the harmonic guess x = 3: one step leaves residual 27 unsettled
+    monkeypatch.setattr(kerr, "_ROOT_ITERATIONS", 1)
+    p = ModelParams(g=0.25, g_eff=0.25, phi=1.0, n_particles=1, hbar_omega=1.0)
+    with pytest.raises(ConvergenceError, match="not solved in 1 iterations") as info:
+        displacement_root(6, p, 0.25)
+    assert info.value.residual == pytest.approx(27.0, rel=1e-15)
 
 
 def test_sector_validation_rejects_inconsistent_root():

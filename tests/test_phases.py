@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fluxqm import (
     induced_coupling,
     sector_energy,
 )
+from fluxqm.phases import _sector_table
 
 
 def test_balanced_config_examples():
@@ -196,3 +198,51 @@ def test_search_brackets_critical_flux():
     assert len(flips) == 1
     lo, hi = grid[flips[0]], grid[flips[0] + 1]
     assert lo <= phi_c <= hi
+
+
+def brute_force_ground_state(p, m_max):
+    """Oracle: min over every configuration keyed by (energy, |M|, orbitals)."""
+    chi = induced_coupling(p)
+    combos = list(itertools.combinations(range(-m_max, m_max + 1), p.n_particles))
+
+    def key(orbs):
+        m, w = sum(orbs), sum(v * v for v in orbs)
+        return p.g_eff * float(w) - chi * float(m * m), abs(m), orbs
+
+    best = min(combos, key=key)
+    w_ref = min(sum(v * v for v in orbs) for orbs in combos)
+    m_ref = min(abs(sum(orbs)) for orbs in combos if sum(v * v for v in orbs) == w_ref)
+    balanced = sum(v * v for v in best) == w_ref and abs(sum(best)) == m_ref
+    return best, "balanced" if balanced else "polarized"
+
+
+def _search_cases():
+    rng = np.random.default_rng(21)
+    for n in range(1, 7):
+        for m_max in sorted({n // 2, n // 2 + 1, 4}):  # n // 2 fills the window for odd N
+            if 2 * m_max + 1 < n:
+                continue
+            g, g_eff = float(rng.uniform(1.2, 3.0)), float(rng.uniform(0.3, 1.0))
+            phi_c = critical_flux(ModelParams(g=g, g_eff=g_eff, phi=0.0, n_particles=n))
+            for phi in (0.0, phi_c, *rng.uniform(0.0, 3.0 * phi_c, size=6)):
+                yield ModelParams(g=g, g_eff=g_eff, phi=float(phi), n_particles=n), m_max
+
+
+def test_search_matches_brute_force():
+    cases = list(_search_cases())
+    assert any(2 * m_max + 1 == p.n_particles for p, m_max in cases)
+    for p, m_max in cases:
+        gs = ground_state_search(p, m_max)
+        orbs, label = brute_force_ground_state(p, m_max)
+        assert gs.config.orbitals == orbs, (p, m_max)
+        assert gs.energy == sector_energy(p, FermionConfig(orbs), 0)
+        assert gs.phase_label == label
+        assert gs.boundary_contact == (max(abs(v) for v in orbs) == m_max)
+
+
+@pytest.mark.parametrize("n, m_max", [(1, 0), (1, 3), (3, 1), (4, 3), (5, 4), (6, 3), (1, 128), (2, 127)])
+def test_sector_table_rows_distinct_and_ordered(n, m_max):
+    configs = [tuple(int(v) for v in row) for row in _sector_table(n, m_max)[0]]
+    assert len(configs) == len(set(configs)) == math.comb(2 * m_max + 1, n)
+    assert all(list(row) == sorted(set(row)) and max(map(abs, row)) <= m_max for row in configs)
+    assert configs == sorted(configs, key=lambda row: (abs(sum(row)), row))

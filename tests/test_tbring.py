@@ -275,6 +275,16 @@ def test_squid_map_rejects_zero_eta():
         rf_squid_map(sector_constants([0], 2), t=1.0, eta=0.0, hbar_omega=1.0)
 
 
+@pytest.mark.parametrize("solver", [sector_spectrum_fock, sector_spectrum_xrep, rf_squid_map])
+@pytest.mark.parametrize("name", ["t", "eta", "hbar_omega"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_entry_points_reject_non_finite(solver, name, value):
+    args = dict(t=1.0, eta=1.0, hbar_omega=1.0)
+    args[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        solver(sector_constants([0, 1], 6), **args)
+
+
 def test_squid_params_validation():
     with pytest.raises(ValueError):
         RfSquidParams(e_j=1.0, phi_ext=0.0, e_l=1.0, e_c=1.0, beta_ratio=1.0, hbar_omega=1.0)

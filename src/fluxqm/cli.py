@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -495,6 +496,8 @@ class _Command:
     summary: Optional[Callable] = None
     integer_scan: frozenset = frozenset()
     fixed_cases: Optional[Callable] = None
+    # modules the rows load: imported once before the pool forks, so workers share them
+    pool_imports: tuple = ()
 
 
 _COMMANDS = {
@@ -506,11 +509,13 @@ _COMMANDS = {
     "dirac-scan": _Command(_parse_dirac_scan, lambda parsed: list(_DIRAC_COLUMNS),
                            _row_dirac_scan, _summary_dirac_scan),
     "nonlinear": _Command(_parse_nonlinear, _columns_nonlinear, _row_nonlinear,
-                          integer_scan=frozenset({"m_total", "n_particles"})),
-    "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj),
+                          integer_scan=frozenset({"m_total", "n_particles"}),
+                          pool_imports=("scipy.linalg",)),
+    "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, pool_imports=("scipy.linalg",)),
     "oracle-check": _Command(_parse_oracle_check, lambda parsed: list(_ORACLE_COLUMNS),
                              _row_oracle_check,
-                             fixed_cases=lambda parsed: list(range(len(_ORACLE_SUITE)))),
+                             fixed_cases=lambda parsed: list(range(len(_ORACLE_SUITE))),
+                             pool_imports=("scipy.linalg",)),
 }
 
 
@@ -672,6 +677,8 @@ def run(config: RunConfig) -> int:
     if jobs == 1 or len(tasks) == 1:
         results = [_eval_point(task) for task in tasks]
     else:
+        for module in cmd.pool_imports:
+            importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 

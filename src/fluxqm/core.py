@@ -5,6 +5,9 @@ are measured in a reference quantum E0 (by default the cavity quantum, so
 ``hbar_omega = 1``), and angular momenta are integer multiples of hbar.  The
 only place SI quantities appear is in the two derivation helpers here, which
 map a physical LC circuit and ring geometry onto the dimensionless couplings.
+Their two SI constants, ``HBAR`` and ``ELECTRON_MASS``, are CODATA 2022
+literals, written out here (equal to ``scipy.constants.hbar`` and ``m_e``,
+which a test checks) so that importing the package does not load scipy.
 
 Conventions used throughout the package:
 
@@ -21,8 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from scipy.constants import hbar as HBAR  # J s
-from scipy.constants import m_e as ELECTRON_MASS  # kg
+HBAR = 1.0545718176461565e-34  # J s, exact in the 2019 SI (h / 2 pi)
+ELECTRON_MASS = 9.1093837139e-31  # kg, CODATA 2022
 
 __all__ = [
     "LCParams",

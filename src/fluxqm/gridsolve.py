@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError, GridDomainError
 
@@ -60,6 +59,8 @@ def bound_states(
     n_levels: int,
 ):
     """One fixed-grid solve; returns (levels, grid, states)."""
+    from scipy.linalg import eigh_tridiagonal
+
     if n_points < 8:
         raise ValueError(f"n_points must be >= 8, got {n_points}")
     if x_max <= x_min:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import ModelParams, _check_finite
 from .errors import ConvergenceError
@@ -156,6 +155,8 @@ def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.
     s = (A/B_eff)^(1/4) and the quadratic part is diagonal with spacing
     4 sqrt(A B_eff).
     """
+    from scipy.linalg import eigh
+
     s = (sector.a_coef / sector.b_eff) ** 0.25
     spacing = 4.0 * math.sqrt(sector.a_coef * sector.b_eff)
     q = np.zeros((cutoff + 1, cutoff + 1))
@@ -182,9 +183,12 @@ def anharmonic_spectrum(
 
     The cutoff is doubled until the requested levels move by less than
     ``rtol`` relative (floored at the Gaussian spacing); failing that, a
-    ConvergenceError carries the residual that was reached.  Full sector
+    ConvergenceError carries the residual that was reached.  A NaN, infinite
+    or negative ``rtol`` raises ValueError before any eigensolve.  Full sector
     energies are obtained by adding ``g S2 + v_eff`` (see full_levels).
     """
+    if not 0 <= rtol < math.inf:
+        raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
     if basis_cutoff is None:
         basis_cutoff = max(4 * n_levels, 48)
     if basis_cutoff < 4 * n_levels:

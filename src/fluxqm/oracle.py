@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import FermionConfig, ModelParams
 
@@ -113,6 +112,8 @@ def oracle_spectrum(
     the cutoff and the relative movement of the reported levels is recorded;
     non-convergence is flagged in the report, never raised.
     """
+    from scipy.linalg import eigh
+
     if cutoff < 50:
         raise ValueError(f"cutoff must be >= 50, got {cutoff}")
     if n_levels < 1 or n_levels > cutoff:
@@ -138,6 +139,8 @@ def oracle_spectrum(
 
 def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) -> GroundStateMoments:
     """Quadrature moments of the sector ground state, from the raw eigenvector."""
+    from scipy.linalg import eigh
+
     h = _assemble(p, cfg, cutoff)
     _, vecs = eigh(h, subset_by_index=(0, 0))
     gs = vecs[:, 0]

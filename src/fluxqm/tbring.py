@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .core import _check_finite
 from .gridsolve import _refine, converged_bound_states
@@ -92,6 +91,7 @@ class RfSquidParams:
     hbar_omega: float
 
     def __post_init__(self):
+        _check_finite(**vars(self))
         if not math.isclose(self.e_c * self.e_l, self.hbar_omega**2 / 8.0, rel_tol=1e-12):
             raise ValueError("E_C * E_L must equal (hbar_omega)^2 / 8")
         if self.e_l <= 0 or self.e_c <= 0:
@@ -202,6 +202,8 @@ def displacement_operator(lam: float, cutoff: int, sign: int = 1) -> np.ndarray:
 
 
 def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int, n_levels: int) -> np.ndarray:
+    from scipy.linalg import eigh
+
     d = displacement_operator(eta / math.sqrt(2.0), cutoff)  # cos(eta x) + i sin(eta x)
     h = hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
     h -= 2.0 * t * (sector.c_sum * d.real - sector.s_sum * d.imag)
@@ -247,7 +249,7 @@ def sector_spectrum_xrep(
     hbar_omega/2 before comparing the two solvers.  Raises GridDomainError
     when a requested state presses against the walls.
     """
-    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
+    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega, x_min=x_min, x_max=x_max)
     if n_points < 512:
         raise ValueError(f"n_points must be >= 512, got {n_points}")
 

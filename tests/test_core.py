@@ -2,9 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.constants
 from scipy.constants import hbar
 
-from fluxqm import FermionConfig, LCParams, ModelParams, derive_lc, derive_ring
+from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_lc, derive_ring
+
+
+def test_si_constants_equal_scipy():
+    assert core.HBAR == scipy.constants.hbar
+    assert core.ELECTRON_MASS == scipy.constants.m_e
 
 
 def test_unit_lc_values():

@@ -192,3 +192,13 @@ def test_cutoff_guard_and_convergence_error():
     with pytest.raises(ConvergenceError) as excinfo:
         anharmonic_spectrum(sector, n_levels=2, rtol=0.0, max_doublings=2)
     assert excinfo.value.residual is not None
+
+
+@pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_spectrum_rejects_bad_rtol_before_solving(monkeypatch, rtol):
+    def no_solve(*args):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(kerr, "_oscillator_levels", no_solve)
+    with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
+        anharmonic_spectrum(displacement_root(0, _p(), 0.02), n_levels=2, rtol=rtol)

@@ -1,0 +1,93 @@
+"""What ``fluxqm`` imports at start-up and before its worker pool forks.
+
+pytest itself loads scipy, so every check runs in a fresh interpreter.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+LAYERS = ("cli", "phases", "spinorbit", "diracring", "linearmode", "kerr", "oracle", "tbring", "gridsolve")
+
+
+def run_python(code, cwd):
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"},
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_loads_every_layer_and_no_scipy(tmp_path):
+    loaded = run_python(
+        "import json, sys, fluxqm.cli; print(json.dumps(sorted(sys.modules)))", tmp_path
+    )
+    assert [name for name in loaded if name.startswith("scipy")] == []
+    assert [layer for layer in LAYERS if f"fluxqm.{layer}" not in loaded] == []
+
+
+# Closed-form commands, each a 3-point scan.
+_CLOSED_FORM = {
+    "phase-scan": ["--set", "n_particles=3", "--set", "g=2.0", "--set", "scan_param=phi",
+                   "--set", "scan_min=0.0", "--set", "scan_max=1.0", "--set", "scan_steps=3"],
+    "spin-phase": ["--set", "n_particles=4", "--set", "eta=0.3", "--set", "scan_param=phi",
+                   "--set", "scan_min=0.0", "--set", "scan_max=0.5", "--set", "scan_steps=3"],
+    "dirac-scan": ["--set", "n_electrons=8", "--set", "scan_param=phi",
+                   "--set", "scan_min=0.0", "--set", "scan_max=1.0", "--set", "scan_steps=3"],
+    "spectrum": ["--set", "orbitals=0,1", "--set", "n_levels=3", "--set", "scan_param=phi",
+                 "--set", "scan_min=0.0", "--set", "scan_max=0.5", "--set", "scan_steps=3"],
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(_CLOSED_FORM))
+def test_closed_form_commands_never_load_scipy(tmp_path, command, jobs):
+    # With scipy blocked, an import of it here or in a forked worker fails the row.
+    argv = [command, *_CLOSED_FORM[command], "--out", "out.csv", "--jobs", jobs]
+    result = run_python(
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from fluxqm import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'scipy': sorted(m for m in sys.modules if m.startswith('scipy.'))}))",
+        tmp_path,
+    )
+    assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
+
+
+# Commands whose rows diagonalise, each run as a 2-point pool.
+_DIAGONALISING = {
+    "nonlinear": ["--set", "n_particles=5", "--set", "g=0.2", "--set", "g_eff=0.2", "--set", "phi=0.5",
+                  "--set", "alpha4=0.05", "--set", "n_levels=2", "--set", "scan_param=m_total",
+                  "--set", "scan_min=0", "--set", "scan_max=1", "--set", "scan_steps=2"],
+    "tbjj": ["--set", "m_sites=6", "--set", "occupied=0,1", "--set", "n_levels=2",
+             "--set", "scan_param=t", "--set", "scan_min=0.5", "--set", "scan_max=1.0", "--set", "scan_steps=2"],
+    "oracle-check": ["--set", "n_levels=2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DIAGONALISING))
+def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, command):
+    argv = [command, *_DIAGONALISING[command], "--out", "out.csv", "--jobs", "2"]
+    result = run_python(
+        "import json, sys\n"
+        "from fluxqm import cli\n"
+        "seen = []\n"
+        "pool = cli.ProcessPoolExecutor\n"
+        "def recording_pool(*args, **kwargs):\n"
+        "    seen.append('scipy.linalg' in sys.modules)\n"
+        "    return pool(*args, **kwargs)\n"
+        "cli.ProcessPoolExecutor = recording_pool\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'seen': seen}))",
+        tmp_path,
+    )
+    assert result == {"code": 0, "seen": [True]}, (tmp_path / "out.csv").read_text()

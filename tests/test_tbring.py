@@ -285,6 +285,22 @@ def test_entry_points_reject_non_finite(solver, name, value):
         solver(sector_constants([0, 1], 6), **args)
 
 
+@pytest.mark.parametrize("name", ["x_min", "x_max"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_xrep_rejects_non_finite_domain(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        sector_spectrum_xrep(sector_constants([0, 1], 6), t=1.0, eta=1.0, hbar_omega=1.0, **{name: value})
+
+
+@pytest.mark.parametrize("name", ["e_j", "phi_ext", "e_l", "e_c", "beta_ratio", "hbar_omega"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_squid_params_reject_non_finite(name, value):
+    fields = dict(e_j=2.0, phi_ext=0.0, e_l=1.0, e_c=0.125, beta_ratio=2.0, hbar_omega=1.0)
+    fields[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RfSquidParams(**fields)
+
+
 def test_squid_params_validation():
     with pytest.raises(ValueError):
         RfSquidParams(e_j=1.0, phi_ext=0.0, e_l=1.0, e_c=1.0, beta_ratio=1.0, hbar_omega=1.0)

@@ -203,6 +203,8 @@ def _parse_phase_scan(params):
     m_max = ps.int("m_max", 8)
     p = _model_params(ps, n)
     ps.finish()
+    if 2 * m_max + 1 < n:
+        raise UsageError(f"m_max must satisfy 2*m_max+1 >= n_particles = {n}, got {m_max}")
     return {"p": p, "m_max": m_max}
 
 
@@ -288,6 +290,8 @@ def _parse_dirac_scan(params):
     )
     j_max = ps.int("j_max", p.n_electrons)
     ps.finish()
+    if not 0 <= j_max <= p.n_electrons:
+        raise UsageError(f"j_max must lie in [0, n_electrons = {p.n_electrons}], got {j_max}")
     return {"p": p, "j_max": j_max}
 
 
@@ -384,8 +388,8 @@ def _parse_tbjj(params):
     ps.finish()
     if solver not in ("fock", "both"):
         raise UsageError(f"solver must be 'fock' or 'both', got {solver!r}")
-    if n_levels < 1:
-        raise UsageError("n_levels must be >= 1")
+    if not 1 <= n_levels <= tbring._FOCK_CUTOFF // 4:
+        raise UsageError(f"n_levels must lie in [1, {tbring._FOCK_CUTOFF // 4}], got {n_levels}")
     sector = tbring.sector_constants(occupied, m_sites)
     return {"sector": sector, "t": t, "eta": eta, "hbar_omega": hbar_omega,
             "n_levels": n_levels, "solver": solver}
@@ -450,6 +454,10 @@ def _parse_oracle_check(params):
     n_levels = ps.int("n_levels", 6)
     hbar_omega = ps.float("hbar_omega", 1.0)
     ps.finish()
+    if cutoff < 50:
+        raise UsageError(f"cutoff must be >= 50, got {cutoff}")
+    if not 1 <= n_levels <= cutoff:
+        raise UsageError(f"n_levels must lie in [1, cutoff = {cutoff}], got {n_levels}")
     return {"case": case, "tol": tol, "cutoff": cutoff, "n_levels": n_levels,
             "hbar_omega": hbar_omega}
 
@@ -496,8 +504,8 @@ class _Command:
     summary: Optional[Callable] = None
     integer_scan: frozenset = frozenset()
     fixed_cases: Optional[Callable] = None
-    # modules the rows load: imported once before the pool forks, so workers share them
-    pool_imports: tuple = ()
+    # modules the rows of a parsed config load: imported once before the pool forks, so workers share them
+    pool_imports: Callable = lambda parsed: ()
 
 
 _COMMANDS = {
@@ -510,12 +518,12 @@ _COMMANDS = {
                            _row_dirac_scan, _summary_dirac_scan),
     "nonlinear": _Command(_parse_nonlinear, _columns_nonlinear, _row_nonlinear,
                           integer_scan=frozenset({"m_total", "n_particles"}),
-                          pool_imports=("scipy.linalg",)),
-    "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, pool_imports=("scipy.linalg",)),
+                          pool_imports=lambda parsed: ("scipy.linalg",) if parsed["n_levels"] else ()),
+    "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, pool_imports=lambda parsed: ("scipy.linalg",)),
     "oracle-check": _Command(_parse_oracle_check, lambda parsed: list(_ORACLE_COLUMNS),
                              _row_oracle_check,
                              fixed_cases=lambda parsed: list(range(len(_ORACLE_SUITE))),
-                             pool_imports=("scipy.linalg",)),
+                             pool_imports=lambda parsed: ("scipy.linalg",)),
 }
 
 
@@ -677,7 +685,7 @@ def run(config: RunConfig) -> int:
     if jobs == 1 or len(tasks) == 1:
         results = [_eval_point(task) for task in tasks]
     else:
-        for module in cmd.pool_imports:
+        for module in cmd.pool_imports(first_parsed):
             importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))

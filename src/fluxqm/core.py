@@ -45,50 +45,44 @@ def _check_finite(**values: float) -> None:
 
 @dataclass(frozen=True)
 class LCParams:
-    """Derived quantities of a lumped LC resonator (all SI).
+    """A lumped LC resonator (all SI), stored as its inductance and capacitance.
 
-    ``phi_zpf * q_zpf == hbar / 2`` holds by construction; the constructor
-    rejects values that violate it beyond floating-point rounding.
+    The properties ``omega`` (resonance frequency ``1/sqrt(LC)``),
+    ``impedance`` (``sqrt(L/C)``), ``phi_zpf`` (``sqrt(hbar Z/2)``) and
+    ``q_zpf`` (``sqrt(hbar/(2Z))``) follow from them, so
+    ``phi_zpf * q_zpf == hbar / 2`` up to rounding.
     """
 
     inductance: float  # H
     capacitance: float  # F
-    omega: float  # rad/s
-    impedance: float  # ohm
-    phi_zpf: float  # Wb
-    q_zpf: float  # C
 
     def __post_init__(self):
-        if self.omega <= 0 or self.impedance <= 0:
-            raise ValueError("omega and impedance must be positive")
-        product = self.phi_zpf * self.q_zpf
-        if not math.isclose(product, HBAR / 2, rel_tol=1e-12):
-            raise ValueError(
-                f"zero-point amplitudes inconsistent: phi_zpf*q_zpf = {product!r}, "
-                f"expected hbar/2 = {HBAR / 2!r}"
-            )
+        _check_finite(inductance=self.inductance, capacitance=self.capacitance)
+        if self.inductance <= 0:
+            raise ValueError(f"inductance must be positive, got {self.inductance}")
+        if self.capacitance <= 0:
+            raise ValueError(f"capacitance must be positive, got {self.capacitance}")
+
+    @property
+    def omega(self) -> float:  # rad/s
+        return 1.0 / math.sqrt(self.inductance * self.capacitance)
+
+    @property
+    def impedance(self) -> float:  # ohm
+        return math.sqrt(self.inductance / self.capacitance)
+
+    @property
+    def phi_zpf(self) -> float:  # Wb
+        return math.sqrt(HBAR * self.impedance / 2.0)
+
+    @property
+    def q_zpf(self) -> float:  # C
+        return math.sqrt(HBAR / (2.0 * self.impedance))
 
 
 def derive_lc(inductance: float, capacitance: float) -> LCParams:
-    """Quantize a lumped LC circuit.
-
-    Returns the resonance frequency ``1/sqrt(LC)``, characteristic impedance
-    ``sqrt(L/C)`` and the zero-point flux/charge amplitudes ``sqrt(hbar Z/2)``
-    and ``sqrt(hbar/(2Z))``.
-    """
-    if inductance <= 0:
-        raise ValueError(f"inductance must be positive, got {inductance}")
-    if capacitance <= 0:
-        raise ValueError(f"capacitance must be positive, got {capacitance}")
-    impedance = math.sqrt(inductance / capacitance)
-    return LCParams(
-        inductance=inductance,
-        capacitance=capacitance,
-        omega=1.0 / math.sqrt(inductance * capacitance),
-        impedance=impedance,
-        phi_zpf=math.sqrt(HBAR * impedance / 2.0),
-        q_zpf=math.sqrt(HBAR / (2.0 * impedance)),
-    )
+    """Quantize a lumped LC circuit; raises ValueError unless L and C are finite and positive."""
+    return LCParams(inductance, capacitance)
 
 
 def derive_ring(radius: float, m_eff_ratio: float, energy_unit: float) -> tuple[float, float]:

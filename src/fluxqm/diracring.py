@@ -46,13 +46,10 @@ class DiracParams:
     phi: float
     n_electrons: int
     degeneracy: int = 4
-    berry_shift: float = 0.5
     d_eff: float = 0.0
 
     def __post_init__(self):
-        _check_finite(
-            eps0=self.eps0, hbar_omega=self.hbar_omega, phi=self.phi, berry_shift=self.berry_shift, d_eff=self.d_eff
-        )
+        _check_finite(eps0=self.eps0, hbar_omega=self.hbar_omega, phi=self.phi, d_eff=self.d_eff)
         if self.eps0 <= 0:
             raise ValueError(f"eps0 must be positive, got {self.eps0}")
         if self.hbar_omega <= 0:

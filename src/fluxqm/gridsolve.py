@@ -21,6 +21,7 @@ from .errors import ConvergenceError, GridDomainError
 __all__ = ["GridSolution", "bound_states", "converged_bound_states"]
 
 _RTOL = 5e-7  # relative stationarity of the extrapolated levels
+_MAX_REFINEMENTS = 6  # grid doublings after the first solve
 _WALL_TOL = 1e-6  # wall amplitude, relative to the peak, that flags a too-small domain
 
 
@@ -94,7 +95,6 @@ def converged_bound_states(
     kinetic_coef: float,
     n_levels: int,
     scale: float = 1.0,
-    max_refinements: int = 6,
 ) -> GridSolution:
     """Refine the grid by doubling and Romberg-extrapolate until the levels move less than 5e-7.
 
@@ -109,7 +109,7 @@ def converged_bound_states(
 
     def romberg(n_points):
         row = []
-        for _ in range(max_refinements + 1):
+        for _ in range(_MAX_REFINEMENTS + 1):
             levels, _, states = bound_states(potential, x_min, x_max, n_points, kinetic_coef, n_levels)
             _check_walls(states)
             new_row = [levels]

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,15 +43,18 @@ __all__ = [
 
 _ROOT_TOL = 1e-10
 _ROOT_ITERATIONS = 200
+_BASIS_CUTOFF = 48  # first oscillator-basis cutoff (at least 4 n_levels), doubled at most _MAX_DOUBLINGS times
+_MAX_DOUBLINGS = 5
+_RTOL = 1e-9  # relative level change that ends the doublings
 
 
 @dataclass(frozen=True)
 class QuarticSector:
     """Displaced-frame coefficients of one fermion sector of the quartic cavity.
 
-    ``x0`` satisfies the stationarity cubic to within 1e-10 (checked);
-    ``b_eff = B + 6 alpha4 x0^2``, ``beta3 = 4 alpha4 x0`` and
-    ``v_eff = B x0^2 - C M x0 + alpha4 x0^4`` is the sector offset.
+    ``x0`` satisfies the stationarity cubic to within 1e-10 (checked).  The
+    properties ``b_eff = B + 6 alpha4 x0^2``, ``beta3 = 4 alpha4 x0`` and the
+    sector offset ``v_eff = B x0^2 - C M x0 + alpha4 x0^4`` follow from it.
     """
 
     m_total: int
@@ -61,9 +63,6 @@ class QuarticSector:
     b_coef: float
     c_coef: float
     x0: float
-    b_eff: float
-    beta3: float
-    v_eff: float
 
     def __post_init__(self):
         if self.alpha4 < 0:
@@ -78,6 +77,18 @@ class QuarticSector:
 
     def cubic_residual(self) -> float:
         return 4.0 * self.alpha4 * self.x0**3 + 2.0 * self.b_coef * self.x0 - self.c_coef * self.m_total
+
+    @property
+    def b_eff(self) -> float:
+        return self.b_coef + 6.0 * self.alpha4 * self.x0**2
+
+    @property
+    def beta3(self) -> float:
+        return 4.0 * self.alpha4 * self.x0
+
+    @property
+    def v_eff(self) -> float:
+        return self.b_coef * self.x0**2 - self.c_coef * self.m_total * self.x0 + self.alpha4 * self.x0**4
 
 
 def _monotone_cubic_root(b_coef: float, alpha4: float, rhs: float) -> float:
@@ -126,17 +137,7 @@ def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSec
     b_coef = 0.25 * p.hbar_omega + p.g * p.phi**2 * p.n_particles
     c_coef = 2.0 * p.g * p.phi
     x0 = 0.0 if m_total == 0 else _monotone_cubic_root(b_coef, alpha4, c_coef * m_total)
-    return QuarticSector(
-        m_total=m_total,
-        alpha4=alpha4,
-        a_coef=a_coef,
-        b_coef=b_coef,
-        c_coef=c_coef,
-        x0=x0,
-        b_eff=b_coef + 6.0 * alpha4 * x0**2,
-        beta3=4.0 * alpha4 * x0,
-        v_eff=b_coef * x0**2 - c_coef * m_total * x0 + alpha4 * x0**4,
-    )
+    return QuarticSector(m_total=m_total, alpha4=alpha4, a_coef=a_coef, b_coef=b_coef, c_coef=c_coef, x0=x0)
 
 
 def gaussian_frequency(sector: QuarticSector) -> float:
@@ -172,35 +173,24 @@ def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.
     return eigh(h, eigvals_only=True)[:n_levels]
 
 
-def anharmonic_spectrum(
-    sector: QuarticSector,
-    n_levels: int = 6,
-    basis_cutoff: Optional[int] = None,
-    rtol: float = 1e-9,
-    max_doublings: int = 5,
-) -> np.ndarray:
+def anharmonic_spectrum(sector: QuarticSector, n_levels: int = 6) -> np.ndarray:
     """Nonperturbative levels of the residual anharmonic block, ascending.
 
-    The cutoff is doubled until the requested levels move by less than
-    ``rtol`` relative (floored at the Gaussian spacing); failing that, a
-    ConvergenceError carries the residual that was reached.  A NaN, infinite
-    or negative ``rtol`` raises ValueError before any eigensolve.  Full sector
-    energies are obtained by adding ``g S2 + v_eff`` (see full_levels).
+    The cutoff starts at max(4 n_levels, 48) and is doubled, at most five
+    times, until the requested levels move by less than 1e-9 relative
+    (floored at the Gaussian spacing); failing that, a ConvergenceError
+    carries the residual that was reached.  Full sector energies are obtained
+    by adding ``g S2 + v_eff`` (see full_levels).
     """
-    if not 0 <= rtol < math.inf:
-        raise ValueError(f"rtol must be finite and non-negative, got {rtol}")
-    if basis_cutoff is None:
-        basis_cutoff = max(4 * n_levels, 48)
-    if basis_cutoff < 4 * n_levels:
-        raise ValueError(f"basis_cutoff must be >= 4*n_levels, got {basis_cutoff}")
-    cutoffs = (basis_cutoff << k for k in range(max_doublings + 1))
+    basis_cutoff = max(4 * n_levels, _BASIS_CUTOFF)
+    cutoffs = (basis_cutoff << k for k in range(_MAX_DOUBLINGS + 1))
     estimates = ((cutoff, _oscillator_levels(sector, n_levels, cutoff)) for cutoff in cutoffs)
     spacing = gaussian_frequency(sector)
-    levels, _, _ = _refine(estimates, rtol, spacing, "anharmonic levels not converged at cutoff {size}")
+    levels, _, _ = _refine(estimates, _RTOL, spacing, "anharmonic levels not converged at cutoff {size}")
     return levels
 
 
-def full_levels(sector: QuarticSector, p: ModelParams, s2: int, n_levels: int = 6, **kwargs) -> np.ndarray:
+def full_levels(sector: QuarticSector, p: ModelParams, s2: int, n_levels: int = 6) -> np.ndarray:
     """Sector energies g S2 + V_eff + eps_n (bare g multiplies the kinetic sum here)."""
-    eps = anharmonic_spectrum(sector, n_levels=n_levels, **kwargs)
+    eps = anharmonic_spectrum(sector, n_levels=n_levels)
     return p.g * s2 + sector.v_eff + eps

@@ -39,13 +39,13 @@ __all__ = [
 class AnalyticSolution:
     """Exact normal-mode data of the linear model at fixed couplings.
 
-    ``omega_dressed`` is the dressed quantum hbar*Omega in E0, ``x0_per_m``
-    the quadrature displacement per unit of total angular momentum.
+    ``x0_per_m`` is the quadrature displacement per unit of total angular
+    momentum.  The properties ``omega_dressed = sqrt(alpha beta)`` (the
+    dressed quantum hbar*Omega in E0) and ``squeeze_r = ln(beta/alpha)/4``
+    follow from ``alpha`` and ``beta``.
     """
 
-    omega_dressed: float
     chi: float
-    squeeze_r: float
     alpha: float
     beta: float
     x0_per_m: float
@@ -57,10 +57,14 @@ class AnalyticSolution:
             raise ValueError(f"beta >= alpha required, got beta={self.beta}, alpha={self.alpha}")
         if self.chi < 0:
             raise ValueError(f"chi must be non-negative, got {self.chi}")
-        if not math.isclose(self.omega_dressed, math.sqrt(self.alpha * self.beta), rel_tol=1e-12):
-            raise ValueError("omega_dressed inconsistent with sqrt(alpha*beta)")
-        if not math.isclose(self.squeeze_r, 0.25 * math.log(self.beta / self.alpha), abs_tol=1e-12):
-            raise ValueError("squeeze_r inconsistent with ln(beta/alpha)/4")
+
+    @property
+    def omega_dressed(self) -> float:
+        return math.sqrt(self.alpha * self.beta)
+
+    @property
+    def squeeze_r(self) -> float:
+        return 0.25 * math.log(self.beta / self.alpha)
 
     def variance_x(self) -> float:
         """Ground-state variance of x = (a + a^dag)/sqrt(2): squeezed below 1/2."""
@@ -94,9 +98,7 @@ def squeeze_solution(p: ModelParams) -> AnalyticSolution:
     alpha = p.hbar_omega
     beta = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
     return AnalyticSolution(
-        omega_dressed=math.sqrt(alpha * beta),
         chi=induced_coupling(p),
-        squeeze_r=0.25 * math.log(beta / alpha),
         alpha=alpha,
         beta=beta,
         x0_per_m=2.0 * math.sqrt(2.0) * p.g * p.phi / beta,

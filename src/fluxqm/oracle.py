@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _HERMITICITY_TOL = 1e-12
+_RTOL = 1e-9  # relative level change between cutoff and 2 * cutoff that counts as converged
 
 
 @dataclass(frozen=True)
@@ -37,8 +38,8 @@ class OracleReport:
     """Eigenvalues of one brute-force diagonalization plus convergence data.
 
     ``converged`` means doubling the Fock cutoff moved the reported levels by
-    less than the requested relative tolerance; ``max_rel_change`` is the
-    observed change (NaN when the check was skipped).
+    less than 1e-9 relative; ``max_rel_change`` is the observed change (NaN
+    when the check was skipped).
     """
 
     levels: tuple[float, ...]
@@ -104,13 +105,13 @@ def oracle_spectrum(
     cutoff: int = 400,
     n_levels: int = 6,
     check_convergence: bool = True,
-    rtol: float = 1e-9,
 ) -> OracleReport:
     """Lowest eigenvalues of the full sector Hamiltonian in a truncated Fock space.
 
     When ``check_convergence`` is set, the diagonalization is repeated at twice
     the cutoff and the relative movement of the reported levels is recorded;
-    non-convergence is flagged in the report, never raised.
+    a movement of 1e-9 or more is flagged in the report as non-convergence,
+    never raised.
     """
     from scipy.linalg import eigh
 
@@ -126,7 +127,7 @@ def oracle_spectrum(
         return OracleReport(
             levels=tuple(float(v) for v in refined),
             cutoff_used=2 * cutoff,
-            converged=max_change < rtol,
+            converged=max_change < _RTOL,
             max_rel_change=max_change,
         )
     return OracleReport(

@@ -42,19 +42,27 @@ class GroundState:
     """Result of an exhaustive sector minimization.
 
     ``displacement_a`` is the coherent cavity amplitude <a> of the winning
-    sector and ``photon_number`` its displaced-vacuum value |<a>|^2.
-    ``boundary_contact`` warns that the optimum touches the orbital cutoff,
-    which is expected in the polarized phase (the polarization is
-    cutoff-limited) but means the reported M is not converged in m_max.
+    sector.  ``boundary_contact`` warns that the optimum touches the orbital
+    cutoff, which is expected in the polarized phase (the polarization is
+    cutoff-limited) but means the reported M is not converged in m_max.  The
+    properties ``order_m``, the winner's total angular momentum M, and
+    ``photon_number``, its displaced-vacuum value |<a>|^2, follow from the
+    stored fields.
     """
 
     config: FermionConfig
     energy: float
-    order_m: int
     displacement_a: float
-    photon_number: float
     phase_label: str
     boundary_contact: bool
+
+    @property
+    def order_m(self) -> int:
+        return self.config.m_total
+
+    @property
+    def photon_number(self) -> float:
+        return self.displacement_a**2
 
 
 def balanced_config(n: int) -> FermionConfig:
@@ -156,13 +164,10 @@ def ground_state_search(p: ModelParams, m_max: int) -> GroundState:
     best = rows[int(np.argmin(p.g_eff * w - chi * m2))]
     cfg = FermionConfig(configs[best])
     balanced = cfg.w_kinetic == w_ref and abs(cfg.m_total) == m_ref
-    displacement = mode_displacement(p, cfg.m_total)
     return GroundState(
         config=cfg,
         energy=sector_energy(p, cfg, 0),
-        order_m=cfg.m_total,
-        displacement_a=displacement,
-        photon_number=displacement**2,
+        displacement_a=mode_displacement(p, cfg.m_total),
         phase_label="balanced" if balanced else "polarized",
         boundary_contact=max(abs(m) for m in cfg.orbitals) == m_max,
     )

@@ -39,15 +39,14 @@ class HessianReport:
     """Stability data of the balanced state in the (M, Sigma) plane.
 
     ``soft_vector`` is the unit eigenvector of the smallest eigenvalue, i.e.
-    the direction in which order develops first; ``stable`` is true while both
-    curvatures are positive.
+    the direction in which order develops first.  The properties
+    ``determinant`` of ``matrix`` and ``stable``, true while both curvatures
+    are positive, follow from the stored fields.
     """
 
     matrix: np.ndarray
-    determinant: float
     eigenvalues: tuple[float, float]
     soft_vector: tuple[float, float]
-    stable: bool
 
     def __post_init__(self):
         if self.matrix.shape != (2, 2):
@@ -59,8 +58,15 @@ class HessianReport:
         norm = math.hypot(*self.soft_vector)
         if not math.isclose(norm, 1.0, rel_tol=1e-9):
             raise ValueError("soft_vector must be normalized")
-        if self.stable != (self.eigenvalues[0] > 0):
-            raise ValueError("stable flag inconsistent with eigenvalues")
+
+    @property
+    def determinant(self) -> float:
+        mat = self.matrix
+        return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+
+    @property
+    def stable(self) -> bool:
+        return self.eigenvalues[0] > 0
 
 
 def spin_sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
@@ -115,10 +121,8 @@ def hessian(p: ModelParams) -> HessianReport:
         soft = -soft
     return HessianReport(
         matrix=mat,
-        determinant=float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0]),
         eigenvalues=(float(eigvals[0]), float(eigvals[1])),
         soft_vector=(float(soft[0]), float(soft[1])),
-        stable=bool(eigvals[0] > 0),
     )
 
 

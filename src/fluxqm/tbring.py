@@ -59,45 +59,67 @@ _SQUID_HALF_SPAN = 14.0  # phi-grid half-width in oscillator lengths of the indu
 
 @dataclass(frozen=True)
 class TBSector:
-    """Occupation sector of the ring, reduced to its two trigonometric moments."""
+    """Occupation sector of the ring, reduced to its two trigonometric moments.
+
+    The properties ``e_j_amp = sqrt(C^2 + S^2)`` and ``delta = atan2(S, C)``
+    follow from the stored moments ``c_sum`` and ``s_sum``.
+    """
 
     occupations: tuple[int, ...]
     m_sites: int
     c_sum: float
     s_sum: float
-    e_j_amp: float  # sqrt(C^2 + S^2)
-    delta: float  # atan2(S, C)
 
     def __post_init__(self):
         if abs(self.c_sum) > len(self.occupations) + 1e-12:
             raise ValueError("|C| cannot exceed the particle count")
-        if not math.isclose(self.e_j_amp**2, self.c_sum**2 + self.s_sum**2, rel_tol=1e-12, abs_tol=1e-15):
-            raise ValueError("amplitude inconsistent with (C, S)")
+
+    @property
+    def e_j_amp(self) -> float:
+        return math.hypot(self.c_sum, self.s_sum)
+
+    @property
+    def delta(self) -> float:
+        return math.atan2(self.s_sum, self.c_sum)
 
 
 @dataclass(frozen=True)
 class RfSquidParams:
     """Flux-biased junction-circuit parameters of one ring sector.
 
-    ``e_c * e_l == hbar_omega^2 / 8`` holds identically (checked); the
-    double-well criterion is governed by ``beta_ratio = e_j / e_l``.
+    Stores ``e_j``, ``phi_ext``, the phase scale ``eta`` and ``hbar_omega``.
+    The properties ``e_l = hbar_omega / eta^2`` and
+    ``e_c = hbar_omega eta^2 / 8`` follow, so ``e_c * e_l == hbar_omega^2 / 8``
+    up to rounding; the double-well criterion is governed by the property
+    ``beta_ratio = e_j / e_l``.  The phase variable is phi = eta x + phi_ext
+    with conjugate charge p/eta, so eta = 0 is singular (infinite inductive
+    energy) and is rejected.
     """
 
     e_j: float
     phi_ext: float
-    e_l: float
-    e_c: float
-    beta_ratio: float
+    eta: float
     hbar_omega: float
 
     def __post_init__(self):
         _check_finite(**vars(self))
-        if not math.isclose(self.e_c * self.e_l, self.hbar_omega**2 / 8.0, rel_tol=1e-12):
-            raise ValueError("E_C * E_L must equal (hbar_omega)^2 / 8")
-        if self.e_l <= 0 or self.e_c <= 0:
-            raise ValueError("E_L and E_C must be positive")
-        if self.e_j != 0.0 and not math.isclose(self.beta_ratio, self.e_j / self.e_l, rel_tol=1e-12):
-            raise ValueError("beta_ratio must equal E_J / E_L")
+        if self.eta == 0.0:
+            raise ValueError("eta must be nonzero: the phase-variable map degenerates at eta = 0")
+        if self.hbar_omega <= 0:
+            raise ValueError(f"hbar_omega must be positive, got {self.hbar_omega}")
+        _check_finite(e_l=self.e_l)  # hbar_omega / eta^2 overflows once |eta| falls below ~1e-154
+
+    @property
+    def e_l(self) -> float:
+        return self.hbar_omega / self.eta**2
+
+    @property
+    def e_c(self) -> float:
+        return self.hbar_omega * self.eta**2 / 8.0
+
+    @property
+    def beta_ratio(self) -> float:
+        return self.e_j / self.e_l
 
 
 def sector_constants(occupied: Iterable[int], m_sites: int) -> TBSector:
@@ -118,14 +140,7 @@ def sector_constants(occupied: Iterable[int], m_sites: int) -> TBSector:
     angles = [2.0 * math.pi * n / m_sites for n in occ]
     c_sum = math.fsum(math.cos(t) for t in angles)
     s_sum = math.fsum(math.sin(t) for t in angles)
-    return TBSector(
-        occupations=occ,
-        m_sites=m_sites,
-        c_sum=c_sum,
-        s_sum=s_sum,
-        e_j_amp=math.hypot(c_sum, s_sum),
-        delta=math.atan2(s_sum, c_sum),
-    )
+    return TBSector(occupations=occ, m_sites=m_sites, c_sum=c_sum, s_sum=s_sum)
 
 
 # Past this e^(-lam^2/2) is subnormal or zero, and every band seeded from it loses its digits.
@@ -237,21 +252,18 @@ def sector_spectrum_xrep(
     hbar_omega: float,
     x_min: float = -14.0,
     x_max: float = 14.0,
-    n_points: int = _GRID_POINTS,
     n_levels: int = 5,
 ) -> np.ndarray:
     """Same sector levels from the real-space representation, ascending.
 
     Solves (hw/2)(-d^2/dX^2 + X^2) - 2t [C cos(eta X) - S sin(eta X)] with
-    second-order central differences and hard walls, doubling the grid and
-    Romberg-extrapolating the levels until they are stationary.  This
-    operator carries the +hw/2 zero point that the Fock form drops; subtract
-    hbar_omega/2 before comparing the two solvers.  Raises GridDomainError
-    when a requested state presses against the walls.
+    second-order central differences and hard walls, doubling the grid from
+    513 points and Romberg-extrapolating the levels until they are
+    stationary.  This operator carries the +hw/2 zero point that the Fock
+    form drops; subtract hbar_omega/2 before comparing the two solvers.
+    Raises GridDomainError when a requested state presses against the walls.
     """
     _check_finite(t=t, eta=eta, hbar_omega=hbar_omega, x_min=x_min, x_max=x_max)
-    if n_points < 512:
-        raise ValueError(f"n_points must be >= 512, got {n_points}")
 
     def potential(x):
         return 0.5 * hbar_omega * x * x - 2.0 * t * (
@@ -262,7 +274,7 @@ def sector_spectrum_xrep(
         potential,
         x_min,
         x_max,
-        n_points,
+        _GRID_POINTS,
         kinetic_coef=0.5 * hbar_omega,
         n_levels=n_levels,
         scale=hbar_omega,
@@ -270,24 +282,9 @@ def sector_spectrum_xrep(
 
 
 def rf_squid_map(sector: TBSector, t: float, eta: float, hbar_omega: float) -> RfSquidParams:
-    """Exact junction-circuit parameters of the sector.
-
-    The phase variable is phi = eta x + delta with conjugate charge p/eta, so
-    eta = 0 is singular (infinite inductive energy) and is rejected.
-    """
+    """Exact junction-circuit parameters of the sector, with phi_ext = delta."""
     _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
-    if eta == 0.0:
-        raise ValueError("eta must be nonzero: the phase-variable map degenerates at eta = 0")
-    e_j = 2.0 * t * sector.e_j_amp
-    e_l = hbar_omega / eta**2
-    return RfSquidParams(
-        e_j=e_j,
-        phi_ext=sector.delta,
-        e_l=e_l,
-        e_c=hbar_omega * eta**2 / 8.0,
-        beta_ratio=e_j / e_l,
-        hbar_omega=hbar_omega,
-    )
+    return RfSquidParams(e_j=2.0 * t * sector.e_j_amp, phi_ext=sector.delta, eta=eta, hbar_omega=hbar_omega)
 
 
 def rf_squid_spectrum(params: RfSquidParams, n_levels: int = 5) -> np.ndarray:

@@ -16,6 +16,7 @@ from fluxqm import (
     sector_spectrum_fock,
     squeeze_solution,
 )
+from fluxqm import cli
 from fluxqm.cli import main
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -76,6 +77,26 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     out = tmp_path / "x.csv"
     assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
     assert f"parameter '{key}' must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, key", [
+    (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "n_levels=33"), "n_levels"),
+    (("oracle-check", "--set", "cutoff=49"), "cutoff"),
+    (("oracle-check", "--set", "n_levels=0"), "n_levels"),
+    (("oracle-check", "--set", "cutoff=60", "--set", "n_levels=61"), "n_levels"),
+    (("phase-scan", "--set", "n_particles=5", "--set", "m_max=1"), "m_max"),
+    (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=9"), "j_max"),
+    (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=-1"), "j_max"),
+])
+def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
+    def no_row(task):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cli, "_eval_point", no_row)
+    out = tmp_path / "x.csv"
+    assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
+    assert f"{key} must" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -39,9 +39,12 @@ def test_lc_rejects_nonpositive(L, C):
         derive_lc(L, C)
 
 
-def test_lcparams_rejects_inconsistent_zpf():
-    with pytest.raises(ValueError):
-        LCParams(1.0, 1.0, omega=1.0, impedance=1.0, phi_zpf=1.0, q_zpf=1.0)
+@pytest.mark.parametrize("name", ["inductance", "capacitance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_lcparams_rejects_non_finite(name, value):
+    kwargs = {"inductance": 1.0, "capacitance": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LCParams(**kwargs)
 
 
 def test_ring_mass_scaling():

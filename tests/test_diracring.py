@@ -253,7 +253,7 @@ def test_params_validation():
         ChiralSector(-1, 2)
 
 
-@pytest.mark.parametrize("field", ["eps0", "hbar_omega", "phi", "berry_shift", "d_eff"])
+@pytest.mark.parametrize("field", ["eps0", "hbar_omega", "phi", "d_eff"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_params_reject_non_finite(field, value):
     kwargs = {"eps0": 1.0, "hbar_omega": 1.0, "phi": 0.0, "n_electrons": 4, field: value}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxqm import ConvergenceError
+from fluxqm import ConvergenceError, gridsolve
 from fluxqm.gridsolve import _refine, converged_bound_states
 
 
@@ -16,9 +16,10 @@ def test_romberg_harmonic_levels():
     assert np.max(np.abs(solution.levels - (np.arange(5) + 0.5))) <= 1e-9
 
 
-def test_refinement_limit_raises():
+def test_refinement_limit_raises(monkeypatch):
+    monkeypatch.setattr(gridsolve, "_MAX_REFINEMENTS", 1)
     with pytest.raises(ConvergenceError) as info:
-        converged_bound_states(harmonic, -14.0, 14.0, 513, kinetic_coef=0.5, n_levels=5, max_refinements=1)
+        converged_bound_states(harmonic, -14.0, 14.0, 513, kinetic_coef=0.5, n_levels=5)
     assert info.value.residual > 5e-7
 
 

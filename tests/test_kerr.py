@@ -101,8 +101,7 @@ def test_root_iteration_limit_raises(monkeypatch):
 
 def test_sector_validation_rejects_inconsistent_root():
     with pytest.raises(ValueError):
-        QuarticSector(m_total=1, alpha4=0.1, a_coef=0.25, b_coef=0.5, c_coef=1.0,
-                      x0=5.0, b_eff=0.5 + 6 * 0.1 * 25, beta3=2.0, v_eff=0.0)
+        QuarticSector(m_total=1, alpha4=0.1, a_coef=0.25, b_coef=0.5, c_coef=1.0, x0=5.0)
 
 
 def test_gaussian_frequency_matches_linear_model_at_zero_momentum():
@@ -148,9 +147,8 @@ def test_perturbative_quartic_shift():
 
 
 def test_pure_quartic_against_grid_oracle():
-    sector = QuarticSector(m_total=0, alpha4=0.1, a_coef=1.0, b_coef=1.0, c_coef=0.0,
-                           x0=0.0, b_eff=1.0, beta3=0.0, v_eff=0.0)
-    eps = anharmonic_spectrum(sector, n_levels=5, basis_cutoff=128)
+    sector = QuarticSector(m_total=0, alpha4=0.1, a_coef=1.0, b_coef=1.0, c_coef=0.0, x0=0.0)
+    eps = anharmonic_spectrum(sector, n_levels=5)
     oracle = fd_oracle_levels(1.0, 1.0, 0.0, 0.1, 5)
     assert np.max(np.abs(eps - oracle) / np.maximum(1.0, np.abs(oracle))) <= 1e-6
 
@@ -185,20 +183,13 @@ def test_full_levels_offsets():
     assert np.allclose(total, p.g * 9 + sector.v_eff + eps, rtol=1e-15)
 
 
-def test_cutoff_guard_and_convergence_error():
+def test_cutoff_guard_and_convergence_error(monkeypatch):
+    # the first cutoff is at least 4 n_levels; an unreachable tolerance ends the doublings
+    monkeypatch.setattr(kerr, "_RTOL", 0.0)
+    monkeypatch.setattr(kerr, "_MAX_DOUBLINGS", 2)
     sector = displacement_root(0, _p(), 0.02)
-    with pytest.raises(ValueError):
-        anharmonic_spectrum(sector, n_levels=10, basis_cutoff=16)
-    with pytest.raises(ConvergenceError) as excinfo:
-        anharmonic_spectrum(sector, n_levels=2, rtol=0.0, max_doublings=2)
+    with pytest.raises(ConvergenceError, match="not converged at cutoff 192") as excinfo:
+        anharmonic_spectrum(sector, n_levels=2)
     assert excinfo.value.residual is not None
-
-
-@pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, -1e-9])
-def test_spectrum_rejects_bad_rtol_before_solving(monkeypatch, rtol):
-    def no_solve(*args):
-        raise AssertionError("eigensolve reached")
-
-    monkeypatch.setattr(kerr, "_oscillator_levels", no_solve)
-    with pytest.raises(ValueError, match="rtol must be finite and non-negative"):
-        anharmonic_spectrum(displacement_root(0, _p(), 0.02), n_levels=2, rtol=rtol)
+    with pytest.raises(ConvergenceError, match="not converged at cutoff 320"):
+        anharmonic_spectrum(sector, n_levels=20)

@@ -34,8 +34,11 @@ def test_cli_import_loads_every_layer_and_no_scipy(tmp_path):
     assert [layer for layer in LAYERS if f"fluxqm.{layer}" not in loaded] == []
 
 
-# Closed-form commands, each a 3-point scan.
+# Commands whose rows only evaluate closed forms, each a 3-point scan; nonlinear
+# diagonalises only when n_levels > 0.
 _CLOSED_FORM = {
+    "nonlinear": ["--set", "n_particles=5", "--set", "g=0.2", "--set", "phi=0.5", "--set", "alpha4=0.05",
+                  "--set", "scan_param=m_total", "--set", "scan_min=0", "--set", "scan_max=2", "--set", "scan_steps=3"],
     "phase-scan": ["--set", "n_particles=3", "--set", "g=2.0", "--set", "scan_param=phi",
                    "--set", "scan_min=0.0", "--set", "scan_max=1.0", "--set", "scan_steps=3"],
     "spin-phase": ["--set", "n_particles=4", "--set", "eta=0.3", "--set", "scan_param=phi",

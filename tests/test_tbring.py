@@ -240,12 +240,6 @@ def test_xrep_grid_too_small_raises():
                              x_min=-2.0, x_max=2.0, n_levels=5)
 
 
-def test_xrep_rejects_coarse_grid():
-    sector = sector_constants([0], 4)
-    with pytest.raises(ValueError):
-        sector_spectrum_xrep(sector, t=0.0, eta=1.0, hbar_omega=1.0, n_points=100)
-
-
 # --- junction-circuit map --------------------------------------------------------
 
 
@@ -292,18 +286,23 @@ def test_xrep_rejects_non_finite_domain(name, value):
         sector_spectrum_xrep(sector_constants([0, 1], 6), t=1.0, eta=1.0, hbar_omega=1.0, **{name: value})
 
 
-@pytest.mark.parametrize("name", ["e_j", "phi_ext", "e_l", "e_c", "beta_ratio", "hbar_omega"])
+@pytest.mark.parametrize("name", ["e_j", "phi_ext", "eta", "hbar_omega"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_squid_params_reject_non_finite(name, value):
-    fields = dict(e_j=2.0, phi_ext=0.0, e_l=1.0, e_c=0.125, beta_ratio=2.0, hbar_omega=1.0)
+    fields = dict(e_j=2.0, phi_ext=0.0, eta=1.0, hbar_omega=1.0)
     fields[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         RfSquidParams(**fields)
 
 
-def test_squid_params_validation():
-    with pytest.raises(ValueError):
-        RfSquidParams(e_j=1.0, phi_ext=0.0, e_l=1.0, e_c=1.0, beta_ratio=1.0, hbar_omega=1.0)
+@pytest.mark.parametrize(
+    "eta,hbar_omega,message",
+    [(0.0, 1.0, "eta must be nonzero"), (1.0, 0.0, "hbar_omega must be positive"),
+     (1.0, -1.0, "hbar_omega must be positive"), (1e-160, 1.0, "e_l must be finite")],
+)
+def test_squid_params_reject_degenerate_scales(eta, hbar_omega, message):
+    with pytest.raises(ValueError, match=message):
+        RfSquidParams(e_j=1.0, phi_ext=0.0, eta=eta, hbar_omega=hbar_omega)
 
 
 def test_squid_spectrum_matches_fock_up_to_constant():

@@ -3,11 +3,14 @@
 This module assembles the full sector Hamiltonian directly from raw oscillator
 matrix elements and diagonalizes it, providing ground truth for every closed
 form in the package.  It deliberately shares no code with the analytic
-modules: the position quadrature X = a + a^dag is built as an explicit
-tridiagonal matrix, X^2 by matrix multiplication, and the spectrum comes from
-a dense symmetric eigensolver.  Within a fermion sector the occupation numbers
-enter only through the integers (M, Sigma, W), which is exact because the
-total angular momentum and total spin commute with the cavity operators.
+modules: the position quadrature X = a + a^dag enters only through its raw
+elements <m|X|m+1> = sqrt(m+1), X^2 through the band-restricted products of
+those elements, and the pentadiagonal sector matrix is kept in LAPACK upper
+band storage and handed to the banded symmetric eigensolver ``dsbevx``
+(through ``scipy.linalg.eig_banded``), which computes only the requested
+levels.  Within a fermion sector the occupation numbers enter only through
+the integers (M, Sigma, W), which is exact because the total angular momentum
+and total spin commute with the cavity operators.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ __all__ = [
     "compare_spectra",
 ]
 
-_HERMITICITY_TOL = 1e-12
 _RTOL = 1e-9  # relative level change between cutoff and 2 * cutoff that counts as converged
 
 
@@ -73,30 +75,36 @@ class GroundStateMoments:
     photon_number: float
 
 
-def _position_matrix(cutoff: int) -> np.ndarray:
-    """X = a + a^dag on Fock states |0..cutoff>: <m|X|m+1> = sqrt(m+1)."""
-    x = np.zeros((cutoff + 1, cutoff + 1))
-    k = np.arange(cutoff)
-    x[k, k + 1] = np.sqrt(k + 1.0)
-    x[k + 1, k] = x[k, k + 1]
-    return x
+def _x_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands of X and X^2 on Fock states |0..cutoff>, from x_m = <m|X|m+1> = sqrt(m+1).
+
+    Returns (x, x2_diag, x2_second): x_m for m < cutoff, the X^2 diagonal
+    x_{m-1}^2 + x_m^2 (x_{-1} = 0, and x_cutoff = 0 at the truncation edge, as
+    in the product of the truncated X with itself), and the X^2 second band
+    <m|X^2|m+2> = x_m x_{m+1}.  The first band of X^2 vanishes.
+    """
+    x = np.sqrt(np.arange(1, cutoff + 1, dtype=float))
+    sq = x * x
+    x2_diag = np.zeros(cutoff + 1)
+    x2_diag[1:] += sq
+    x2_diag[:-1] += sq
+    return x, x2_diag, x[:-1] * x[1:]
 
 
 def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
-    x = _position_matrix(cutoff)
-    x2 = x @ x  # pentadiagonal, exact
-    n_diag = np.arange(cutoff + 1, dtype=float)
+    """Upper band storage (3, cutoff + 1) of the sector matrix.
+
+    Row 2 holds the diagonal, row 1 the first superdiagonal from column 1 and
+    row 0 the second superdiagonal from column 2, so ab[2 + i - j, j] = h[i, j].
+    """
+    x, x2_diag, x2_second = _x_bands(cutoff)
+    quad = p.g * p.n_particles * p.phi**2
     drive = 2.0 * p.g * p.phi * cfg.m_total + p.eta * cfg.sigma_total
-    h = (
-        p.hbar_omega * np.diag(n_diag)
-        + p.g * p.n_particles * p.phi**2 * x2
-        - drive * x
-    )
-    h += p.g_eff * cfg.w_kinetic * np.eye(cutoff + 1)
-    asym = np.abs(h - h.T).max()
-    if asym > _HERMITICITY_TOL:
-        raise AssertionError(f"assembled matrix not symmetric: deviation {asym}")
-    return h
+    ab = np.zeros((3, cutoff + 1))
+    ab[2] = p.hbar_omega * np.arange(cutoff + 1, dtype=float) + quad * x2_diag + p.g_eff * cfg.w_kinetic
+    ab[1, 1:] = -drive * x
+    ab[0, 2:] = quad * x2_second
+    return ab
 
 
 def oracle_spectrum(
@@ -113,15 +121,19 @@ def oracle_spectrum(
     a movement of 1e-9 or more is flagged in the report as non-convergence,
     never raised.
     """
-    from scipy.linalg import eigh
+    from scipy.linalg import eig_banded
 
     if cutoff < 50:
         raise ValueError(f"cutoff must be >= 50, got {cutoff}")
     if n_levels < 1 or n_levels > cutoff:
         raise ValueError(f"n_levels must be in [1, cutoff], got {n_levels}")
-    levels = eigh(_assemble(p, cfg, cutoff), eigvals_only=True)[:n_levels]
+
+    def lowest(c):
+        return eig_banded(_assemble(p, cfg, c), eigvals_only=True, select="i", select_range=(0, n_levels - 1))
+
+    levels = lowest(cutoff)
     if check_convergence:
-        refined = eigh(_assemble(p, cfg, 2 * cutoff), eigvals_only=True)[:n_levels]
+        refined = lowest(2 * cutoff)
         scale = np.maximum(p.hbar_omega, np.abs(refined))
         max_change = float(np.max(np.abs(levels - refined) / scale))
         return OracleReport(
@@ -140,14 +152,13 @@ def oracle_spectrum(
 
 def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) -> GroundStateMoments:
     """Quadrature moments of the sector ground state, from the raw eigenvector."""
-    from scipy.linalg import eigh
+    from scipy.linalg import eig_banded
 
-    h = _assemble(p, cfg, cutoff)
-    _, vecs = eigh(h, subset_by_index=(0, 0))
+    _, vecs = eig_banded(_assemble(p, cfg, cutoff), select="i", select_range=(0, 0))
     gs = vecs[:, 0]
-    x = _position_matrix(cutoff)
-    mean_big_x = float(gs @ x @ gs)
-    mean_big_x2 = float(gs @ (x @ x) @ gs)
+    x, x2_diag, x2_second = _x_bands(cutoff)
+    mean_big_x = float(2.0 * np.dot(gs[:-1] * x, gs[1:]))
+    mean_big_x2 = float(np.dot(x2_diag * gs, gs) + 2.0 * np.dot(gs[:-2] * x2_second, gs[2:]))
     n_op = np.arange(cutoff + 1, dtype=float)
     return GroundStateMoments(
         mean_x=mean_big_x / math.sqrt(2.0),

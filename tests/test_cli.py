@@ -88,6 +88,7 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("phase-scan", "--set", "n_particles=5", "--set", "m_max=1"), "m_max"),
     (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=9"), "j_max"),
     (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=-1"), "j_max"),
+    (("oracle-check", "--set", "hbar_omega=-1"), "hbar_omega"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
     def no_row(task):
@@ -185,6 +186,16 @@ def test_oracle_check_default_suite_passes(tmp_path):
     _, header, rows = read_csv(out)
     passed_idx = header.index("passed")
     assert rows and all(r[passed_idx] == "true" for r in rows)
+
+
+def test_oracle_check_flags_unconverged_cutoff(tmp_path, monkeypatch):
+    # no level change passes a zero threshold, so every row fails its own cutoff check
+    monkeypatch.setattr(cli.oracle, "_RTOL", 0.0)
+    out = tmp_path / "oracle.csv"
+    assert run_cli("oracle-check", "--set", "cutoff=60", "--out", str(out), "--jobs", "1") == 1
+    _, header, rows = read_csv(out)
+    passed_idx = header.index("passed")
+    assert rows and all(r[passed_idx] == "false" for r in rows)
 
 
 def test_oracle_check_rejects_scan(tmp_path):

@@ -1,11 +1,24 @@
-"""Identities between stored fields and the properties derived from them, over drawn valid inputs."""
+"""Identities between stored fields and the properties derived from them, over drawn valid inputs,
+and the closed-form sector levels against the brute-force oracle on drawn sectors."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fluxqm import ModelParams, derive_lc, dressed_frequency, hessian, rf_squid_map, sector_constants, squeeze_solution
+from fluxqm import (
+    FermionConfig,
+    ModelParams,
+    compare_spectra,
+    derive_lc,
+    dressed_frequency,
+    hessian,
+    oracle_spectrum,
+    rf_squid_map,
+    sector_constants,
+    sector_energy,
+    squeeze_solution,
+)
 from fluxqm.core import HBAR
 
 PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
@@ -57,3 +70,21 @@ def test_hessian_determinant_is_eigenvalue_product(p):
     rep = hessian(p)
     low, high = rep.eigenvalues
     assert math.isclose(rep.determinant, low * high, abs_tol=1e-12 * max(abs(low), abs(high)) ** 2)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=7, unique=True),
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.8, max_value=1.25),
+)
+def test_sector_levels_match_the_oracle(orbitals, g, g_eff, phi, hbar_omega):
+    cfg = FermionConfig(orbitals)
+    p = ModelParams(g=g, g_eff=g_eff, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
+    report = oracle_spectrum(p, cfg, n_levels=6, check_convergence=True)
+    assert report.converged, report.max_rel_change
+    analytic = [sector_energy(p, cfg, k) for k in range(6)]
+    result = compare_spectra(analytic, report, tol=1e-8, scale=hbar_omega)
+    assert result.passed, result.max_rel_error

@@ -1,13 +1,91 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from fluxqm import (
     FermionConfig,
     ModelParams,
     compare_spectra,
     ground_state_moments,
+    oracle,
     oracle_spectrum,
 )
+
+
+# --- dense brute-force reference ----------------------------------------------
+# The oracle keeps only the bands of the sector matrix.  This reference builds
+# the whole matrix the plain way, X^2 included as a dense product, and
+# diagonalizes it with a full symmetric eigensolver.
+
+
+def dense_position(cutoff):
+    x = np.zeros((cutoff + 1, cutoff + 1))
+    k = np.arange(cutoff)
+    x[k, k + 1] = np.sqrt(k + 1.0)
+    x[k + 1, k] = x[k, k + 1]
+    return x
+
+
+def dense_sector_matrix(p, cfg, cutoff):
+    x = dense_position(cutoff)
+    drive = 2.0 * p.g * p.phi * cfg.m_total + p.eta * cfg.sigma_total
+    h = (
+        p.hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
+        + p.g * p.n_particles * p.phi**2 * (x @ x)
+        - drive * x
+    )
+    return h + p.g_eff * cfg.w_kinetic * np.eye(cutoff + 1)
+
+
+def expand_bands(ab):
+    """Full symmetric matrix from upper band storage ab[u + i - j, j] = h[i, j]."""
+    u = ab.shape[0] - 1
+    h = np.diag(ab[u])
+    for k in range(1, u + 1):
+        h = h + np.diag(ab[u - k, k:], k) + np.diag(ab[u - k, k:], -k)
+    return h
+
+
+# spinless sectors, and spin sectors with eta != 0 (the Sigma drive)
+REFERENCE_SECTORS = [
+    (ModelParams(g=0.8, g_eff=1.0, phi=1.1, n_particles=2), FermionConfig([0, 1])),
+    (ModelParams(g=2.0, g_eff=0.7, phi=0.8, n_particles=3, hbar_omega=1.25), FermionConfig([0, 1, 2])),
+    (ModelParams(g=0.5, g_eff=1.3, phi=0.4, n_particles=1, hbar_omega=0.8), FermionConfig([-2])),
+    (ModelParams(g=1.0, g_eff=0.9, phi=0.6, n_particles=3, eta=0.4), FermionConfig([-1, 0, 1], spins=[1, 1, -1])),
+    (ModelParams(g=1.5, g_eff=1.0, phi=1.2, n_particles=2, hbar_omega=0.9, eta=-0.7),
+     FermionConfig([1, 2], spins=[1, 1])),
+]
+
+
+@pytest.mark.parametrize("cutoff", [50, 120])
+@pytest.mark.parametrize("p, cfg", REFERENCE_SECTORS)
+def test_band_storage_equals_dense_assembly(p, cfg, cutoff):
+    # symmetric by construction; every stored element must match the dense build to rounding
+    ab = oracle._assemble(p, cfg, cutoff)
+    assert ab.shape == (3, cutoff + 1)
+    np.testing.assert_allclose(expand_bands(ab), dense_sector_matrix(p, cfg, cutoff), rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("cutoff", [50, 120, 300])
+@pytest.mark.parametrize("p, cfg", REFERENCE_SECTORS)
+def test_banded_levels_match_dense_eigh(p, cfg, cutoff):
+    dense = eigh(dense_sector_matrix(p, cfg, cutoff), eigvals_only=True)[:6]
+    report = oracle_spectrum(p, cfg, cutoff=cutoff, n_levels=6, check_convergence=False)
+    np.testing.assert_allclose(report.levels, dense, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("p, cfg", REFERENCE_SECTORS)
+def test_ground_state_moments_match_dense_eigenvector(p, cfg):
+    cutoff = 120
+    _, vecs = eigh(dense_sector_matrix(p, cfg, cutoff), subset_by_index=(0, 0))
+    gs = vecs[:, 0]
+    x = dense_position(cutoff)
+    mean_big_x = gs @ x @ gs
+    moments = ground_state_moments(p, cfg, cutoff=cutoff)
+    assert moments.mean_x == pytest.approx(mean_big_x / np.sqrt(2.0), rel=1e-12, abs=1e-12)
+    assert moments.var_x == pytest.approx((gs @ (x @ x) @ gs - mean_big_x**2) / 2.0, rel=1e-12, abs=1e-12)
+    assert moments.displacement == pytest.approx(mean_big_x / 2.0, rel=1e-12, abs=1e-12)
+    assert moments.photon_number == pytest.approx(gs @ (np.arange(cutoff + 1) * gs), rel=1e-12, abs=1e-12)
 
 
 def test_decoupled_levels_are_exact():

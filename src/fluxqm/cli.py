@@ -7,11 +7,13 @@ Usage:
 Run configurations are flat, typed key=value assignments; ``--set`` pairs
 override the config file.  A scan is declared with the four keys
 ``scan_param``, ``scan_min``, ``scan_max``, ``scan_steps`` and produces one
-output row per grid point, dispatched to a process pool but always written in
-scan order with shortest round-trip float formatting, so output files are
-byte-identical for any worker count.  A numeric failure at one point flags
-that row and the run continues (exit code 1 at the end); malformed
-configurations exit 2 before any work starts.
+output row per grid point.  Rows that only evaluate closed forms run in the
+main process whatever ``--jobs`` says; rows that diagonalise (``tbjj``,
+``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are dispatched to a
+process pool.  Rows are always written in scan order with shortest round-trip
+float formatting, so output files are byte-identical for any worker count.
+A numeric failure at one point flags that row and the run continues (exit
+code 1 at the end); malformed configurations exit 2 before any work starts.
 
 Commands: spectrum, phase-scan, spin-phase, dirac-scan, nonlinear, tbjj,
 oracle-check.
@@ -507,7 +509,8 @@ class _Command:
     summary: Optional[Callable] = None
     integer_scan: frozenset = frozenset()
     fixed_cases: Optional[Callable] = None
-    # modules the rows of a parsed config load: imported once before the pool forks, so workers share them
+    # modules the rows of a parsed config load; a run uses the worker pool only when this is non-empty,
+    # and imports them once before the pool forks, so workers share them
     pool_imports: Callable = lambda parsed: ()
 
 
@@ -535,11 +538,11 @@ _COMMANDS = {
 
 
 def _eval_point(task):
-    """Worker entry: returns the computed row, or a flagged stub on failure."""
-    command, params_items = task
+    """Row evaluation, in the main process or a worker: the row, or a flagged stub on failure."""
+    command, params = task
     cmd = _COMMANDS[command]
     try:
-        parsed = cmd.parse(dict(params_items))
+        parsed = cmd.parse(params)
         row = cmd.row(parsed)
         row.setdefault("_status", "ok")
         return row
@@ -683,12 +686,14 @@ def run(config: RunConfig) -> int:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))
     columns.append(("status", "ok, or the error that flagged this point"))
 
-    tasks = [(config.command, tuple(sorted(p.items()))) for p in points]
+    tasks = [(config.command, p) for p in points]
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
-    if jobs == 1 or len(tasks) == 1:
+    # closed-form rows take microseconds: a pool would only add start-up and pickling
+    pool_imports = cmd.pool_imports(first_parsed)
+    if not pool_imports or jobs == 1 or len(tasks) == 1:
         results = [_eval_point(task) for task in tasks]
     else:
-        for module in cmd.pool_imports(first_parsed):
+        for module in pool_imports:
             importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
@@ -726,7 +731,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: available parallelism)")
+                        help="worker processes for rows that diagonalise (default: available "
+                             "parallelism); closed-form commands run in the main process")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -132,14 +132,19 @@ def _sector_table(n_particles: int, m_max: int):
     dtype = np.min_scalar_type(-m_max - 1)  # smallest signed type that holds -m_max..m_max
     flat = np.fromiter(itertools.chain.from_iterable(combos), dtype, count * n_particles)
     configs = flat.reshape(count, n_particles)  # lexicographic, as combinations yields them
-    m = configs.sum(axis=1, dtype=np.int64)
-    order = np.argsort(np.abs(m), kind="stable")
-    configs, m = configs[order], m[order]
-    w = np.einsum("ij,ij->i", configs, configs, dtype=np.int64)
+    # |M| <= N m_max and W <= N m_max^2, so the (M, W) key below and M^2 are at most key_max;
+    # m, w and key share the smallest signed type that holds it (int32 for N = 5, m_max = 16)
+    w_stride = n_particles * m_max * m_max + 1
+    key_max = 2 * n_particles * m_max * w_stride + w_stride - 1
+    key_dtype = np.min_scalar_type(-key_max - 1)
+    m = configs.sum(axis=1, dtype=key_dtype)
+    configs = configs[np.argsort(np.abs(m), kind="stable")]
+    m = configs.sum(axis=1, dtype=key_dtype)  # summed again: keeping the int64 permutation costs peak memory
+    w = np.einsum("ij,ij->i", configs, configs, dtype=key_dtype)
     # kinetic-optimal reference: what "balanced" means for this (N, m_max)
     w_ref = int(w.min())
     m_ref = int(np.abs(m[w == w_ref]).min())
-    key = (m + n_particles * m_max) * (w.max() + 1) + w
+    key = (m + n_particles * m_max) * w_stride + w
     rows = np.sort(np.unique(key, return_index=True)[1])
     return configs, rows, w[rows].astype(float), (m[rows] * m[rows]).astype(float), w_ref, m_ref
 

@@ -259,10 +259,18 @@ def test_tbjj_dual_solver_columns(tmp_path):
     assert float(row["xrep_e0"]) - 0.5 == pytest.approx(float(row["fock_e0"]), abs=1e-5)
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
-    args = ["dirac-scan", "--set", "n_electrons=8", "--set", "d_eff=0.05",
-            "--set", "scan_param=phi", "--set", "scan_min=0",
-            "--set", "scan_max=0.6", "--set", "scan_steps=25"]
+@pytest.mark.parametrize("args", [
+    # closed form: runs in the main process for any --jobs
+    ["dirac-scan", "--set", "n_electrons=8", "--set", "d_eff=0.05",
+     "--set", "scan_param=phi", "--set", "scan_min=0",
+     "--set", "scan_max=0.6", "--set", "scan_steps=25"],
+    # diagonalises: --jobs 3 runs the worker pool
+    ["nonlinear", "--set", "n_particles=5", "--set", "g=0.2", "--set", "g_eff=0.2",
+     "--set", "phi=0.5", "--set", "alpha4=0.05", "--set", "n_levels=2",
+     "--set", "scan_param=m_total", "--set", "scan_min=-3",
+     "--set", "scan_max=3", "--set", "scan_steps=7"],
+], ids=["dirac-scan", "nonlinear"])
+def test_worker_count_does_not_change_bytes(tmp_path, args):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(*args, "--out", str(out1), "--jobs", "1") == 0
     assert run_cli(*args, "--out", str(out2), "--jobs", "3") == 0

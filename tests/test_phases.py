@@ -246,3 +246,17 @@ def test_sector_table_rows_distinct_and_ordered(n, m_max):
     assert len(configs) == len(set(configs)) == math.comb(2 * m_max + 1, n)
     assert all(list(row) == sorted(set(row)) and max(map(abs, row)) <= m_max for row in configs)
     assert configs == sorted(configs, key=lambda row: (abs(sum(row)), row))
+
+
+@pytest.mark.parametrize("n, m_max", [(5, 4), (4, 7), (1, 2897)])
+def test_sector_table_keeps_first_row_of_each_sector(n, m_max):
+    # For (1, 2897) the largest (M, W) key is 4.9e10; a key wrapped to 32 bits maps
+    # three pairs of distinct sectors onto one another and silently drops rows.
+    configs, rows, w, m2, _, _ = _sector_table(n, m_max)
+    first = {}
+    for index, row in enumerate(configs.tolist()):
+        first.setdefault((sum(row), sum(v * v for v in row)), index)
+    assert rows.tolist() == sorted(first.values())
+    sectors = sorted(first, key=first.get)
+    assert w.tolist() == [float(wk) for _, wk in sectors]
+    assert m2.tolist() == [float(mk * mk) for mk, _ in sectors]

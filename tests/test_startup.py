@@ -66,6 +66,30 @@ def test_closed_form_commands_never_load_scipy(tmp_path, command, jobs):
     assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
 
 
+def run_recording_pool(argv, cwd):
+    """Run the CLI, noting for each pool it constructs whether scipy.linalg was loaded by then."""
+    return run_python(
+        "import json, sys\n"
+        "from fluxqm import cli\n"
+        "seen = []\n"
+        "pool = cli.ProcessPoolExecutor\n"
+        "def recording_pool(*args, **kwargs):\n"
+        "    seen.append('scipy.linalg' in sys.modules)\n"
+        "    return pool(*args, **kwargs)\n"
+        "cli.ProcessPoolExecutor = recording_pool\n"
+        f"code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'seen': seen}))",
+        cwd,
+    )
+
+
+@pytest.mark.parametrize("command", sorted(_CLOSED_FORM))
+def test_closed_form_commands_run_without_a_pool(tmp_path, command):
+    argv = [command, *_CLOSED_FORM[command], "--out", "out.csv", "--jobs", "2"]
+    result = run_recording_pool(argv, tmp_path)
+    assert result == {"code": 0, "seen": []}, (tmp_path / "out.csv").read_text()
+
+
 # Commands whose rows diagonalise, each run as a 2-point pool.
 _DIAGONALISING = {
     "nonlinear": ["--set", "n_particles=5", "--set", "g=0.2", "--set", "g_eff=0.2", "--set", "phi=0.5",
@@ -80,17 +104,5 @@ _DIAGONALISING = {
 @pytest.mark.parametrize("command", sorted(_DIAGONALISING))
 def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, command):
     argv = [command, *_DIAGONALISING[command], "--out", "out.csv", "--jobs", "2"]
-    result = run_python(
-        "import json, sys\n"
-        "from fluxqm import cli\n"
-        "seen = []\n"
-        "pool = cli.ProcessPoolExecutor\n"
-        "def recording_pool(*args, **kwargs):\n"
-        "    seen.append('scipy.linalg' in sys.modules)\n"
-        "    return pool(*args, **kwargs)\n"
-        "cli.ProcessPoolExecutor = recording_pool\n"
-        f"code = cli.main({argv!r})\n"
-        "print(json.dumps({'code': code, 'seen': seen}))",
-        tmp_path,
-    )
+    result = run_recording_pool(argv, tmp_path)
     assert result == {"code": 0, "seen": [True]}, (tmp_path / "out.csv").read_text()

@@ -12,8 +12,9 @@ main process whatever ``--jobs`` says; rows that diagonalise (``tbjj``,
 ``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are dispatched to a
 process pool.  Rows are always written in scan order with shortest round-trip
 float formatting, so output files are byte-identical for any worker count.
-A numeric failure at one point flags that row and the run continues (exit
-code 1 at the end); malformed configurations exit 2 before any work starts.
+A numeric failure or an unusable scanned value flags its row and the run
+continues (exit code 1 at the end); malformed configurations, including a
+value that no point can use, exit 2 before any work starts.
 
 Commands: spectrum, phase-scan, spin-phase, dirac-scan, nonlinear, tbjj,
 oracle-check.
@@ -393,8 +394,8 @@ def _parse_tbjj(params):
     if not 1 <= n_levels <= tbring._FOCK_CUTOFF // 4:
         raise UsageError(f"n_levels must lie in [1, {tbring._FOCK_CUTOFF // 4}], got {n_levels}")
     sector = tbring.sector_constants(occupied, m_sites)
-    return {"sector": sector, "t": t, "eta": eta, "hbar_omega": hbar_omega,
-            "n_levels": n_levels, "solver": solver}
+    squid = tbring.rf_squid_map(sector, t, eta, hbar_omega)
+    return {"sector": sector, "squid": squid, "t": t, "n_levels": n_levels, "solver": solver}
 
 
 def _columns_tbjj(parsed):
@@ -417,8 +418,7 @@ def _columns_tbjj(parsed):
 
 
 def _row_tbjj(parsed):
-    sector, t, eta, hw = parsed["sector"], parsed["t"], parsed["eta"], parsed["hbar_omega"]
-    squid = tbring.rf_squid_map(sector, t, eta, hw)
+    sector, squid, t = parsed["sector"], parsed["squid"], parsed["t"]
     row = {
         "c_sum": sector.c_sum,
         "s_sum": sector.s_sum,
@@ -429,11 +429,11 @@ def _row_tbjj(parsed):
         "e_c": squid.e_c,
         "beta_ratio": squid.beta_ratio,
     }
-    fock = tbring.sector_spectrum_fock(sector, t, eta, hw, n_levels=parsed["n_levels"])
+    fock = tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega, n_levels=parsed["n_levels"])
     for k, value in enumerate(fock):
         row[f"fock_e{k}"] = float(value)
     if parsed["solver"] == "both":
-        xrep = tbring.sector_spectrum_xrep(sector, t, eta, hw, n_levels=parsed["n_levels"])
+        xrep = tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega, n_levels=parsed["n_levels"])
         for k, value in enumerate(xrep):
             row[f"xrep_e{k}"] = float(value)
     return row
@@ -675,12 +675,25 @@ def _point_params(config: RunConfig):
     return merged, list(config.scan_values)
 
 
+def _first_parse(cmd: _Command, points):
+    """Parsed config of the first point that parses; when none does, its first error as a UsageError."""
+    first_error = None
+    for params in points:
+        try:
+            return cmd.parse(params)
+        except UsageError:
+            raise
+        except Exception as exc:
+            first_error = first_error or exc
+    raise UsageError(str(first_error)) from first_error
+
+
 def run(config: RunConfig) -> int:
     """Execute the scan and write the output file.  Returns the exit code."""
     cmd = _COMMANDS[config.command]
     points, values = _point_params(config)
-    # validate configuration on the first point before spawning any workers
-    first_parsed = cmd.parse(points[0])
+    # validate the configuration before spawning any workers
+    first_parsed = _first_parse(cmd, points)
     columns = list(cmd.columns(first_parsed))
     if config.scan_param is not None and config.scan_param not in {name for name, _ in columns}:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))

@@ -23,7 +23,8 @@ with E_J = 2t sqrt(C^2 + S^2), phi_ext = atan2(S, C), E_L = hbar_omega/eta^2
 and E_C = hbar_omega eta^2 / 8, so E_C E_L = (hbar_omega)^2 / 8 always: eta
 only trades charge-like against flux-like regimes.  The junction element here
 is synthetic, generated by the ring electrons, and its parameters follow the
-occupied sector rather than fabrication.
+occupied sector rather than fabrication.  The real-space levels are this
+circuit's phi-grid solve, so a wrong map shows up against the Fock basis.
 """
 
 from __future__ import annotations
@@ -245,40 +246,18 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
     return levels
 
 
-def sector_spectrum_xrep(
-    sector: TBSector,
-    t: float,
-    eta: float,
-    hbar_omega: float,
-    x_min: float = -14.0,
-    x_max: float = 14.0,
-    n_levels: int = 5,
-) -> np.ndarray:
+def sector_spectrum_xrep(sector: TBSector, t: float, eta: float, hbar_omega: float, n_levels: int = 5) -> np.ndarray:
     """Same sector levels from the real-space representation, ascending.
 
-    Solves (hw/2)(-d^2/dX^2 + X^2) - 2t [C cos(eta X) - S sin(eta X)] with
-    second-order central differences and hard walls, doubling the grid from
-    513 points and Romberg-extrapolating the levels until they are
-    stationary.  This operator carries the +hw/2 zero point that the Fock
-    form drops; subtract hbar_omega/2 before comparing the two solvers.
-    Raises GridDomainError when a requested state presses against the walls.
+    The real-space operator (hw/2)(-d^2/dX^2 + X^2) - 2t [C cos(eta X) -
+    S sin(eta X)] is the sector's junction circuit under phi = eta X + delta,
+    so this is ``rf_squid_spectrum(rf_squid_map(...))``: the phi-grid solve,
+    whose +-14 oscillator lengths are X in [-14, 14].  It carries the +hw/2
+    zero point that the Fock form drops; subtract hbar_omega/2 before
+    comparing the two solvers.  eta = 0 raises ValueError, because the map
+    degenerates there.
     """
-    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega, x_min=x_min, x_max=x_max)
-
-    def potential(x):
-        return 0.5 * hbar_omega * x * x - 2.0 * t * (
-            sector.c_sum * np.cos(eta * x) - sector.s_sum * np.sin(eta * x)
-        )
-
-    return converged_bound_states(
-        potential,
-        x_min,
-        x_max,
-        _GRID_POINTS,
-        kinetic_coef=0.5 * hbar_omega,
-        n_levels=n_levels,
-        scale=hbar_omega,
-    ).levels
+    return rf_squid_spectrum(rf_squid_map(sector, t, eta, hbar_omega), n_levels=n_levels)
 
 
 def rf_squid_map(sector: TBSector, t: float, eta: float, hbar_omega: float) -> RfSquidParams:

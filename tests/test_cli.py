@@ -89,6 +89,11 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=9"), "j_max"),
     (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=-1"), "j_max"),
     (("oracle-check", "--set", "hbar_omega=-1"), "hbar_omega"),
+    # a parameter invalid at every scan point
+    (("dirac-scan", "--set", "n_electrons=8", "--set", "degeneracy=3"), "degeneracy"),
+    (("phase-scan", "--set", "n_particles=3", "--set", "g=-1"), "g"),
+    (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "eta=0",
+      "--set", "scan_param=t", "--set", "scan_min=0.5", "--set", "scan_max=1.5", "--set", "scan_steps=3"), "eta"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
     def no_row(task):
@@ -99,6 +104,22 @@ def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monke
     assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
     assert f"{key} must" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, error", [
+    (("nonlinear", "--set", "n_particles=3", "--set", "scan_param=phi", "--set", "scan_min=-1"),
+     "phi must be non-negative, got -1.0"),
+    (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "scan_param=eta", "--set", "scan_min=0"),
+     "eta must be nonzero"),
+], ids=["nonlinear", "tbjj"])
+def test_invalid_first_scan_point_flags_only_its_row(tmp_path, args, error):
+    out = tmp_path / "x.csv"
+    code = run_cli(*args, "--set", "scan_max=1", "--set", "scan_steps=3", "--out", str(out), "--jobs", "1")
+    assert code == 1
+    _, header, rows = read_csv(out)
+    status = [dict(zip(header, row))["status"] for row in rows]
+    assert status[0].startswith(f"error: ValueError: {error}")
+    assert status[1:] == ["ok", "ok"]
 
 
 def test_unknown_command_is_usage_error(tmp_path):
@@ -269,7 +290,10 @@ def test_tbjj_dual_solver_columns(tmp_path):
      "--set", "phi=0.5", "--set", "alpha4=0.05", "--set", "n_levels=2",
      "--set", "scan_param=m_total", "--set", "scan_min=-3",
      "--set", "scan_max=3", "--set", "scan_steps=7"],
-], ids=["dirac-scan", "nonlinear"])
+    ["tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "t=0.5",
+     "--set", "solver=both", "--set", "n_levels=2",
+     "--set", "scan_param=eta", "--set", "scan_min=0.6", "--set", "scan_max=1.4", "--set", "scan_steps=3"],
+], ids=["dirac-scan", "nonlinear", "tbjj"])
 def test_worker_count_does_not_change_bytes(tmp_path, args):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(*args, "--out", str(out1), "--jobs", "1") == 0

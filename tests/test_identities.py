@@ -1,5 +1,6 @@
 """Identities between stored fields and the properties derived from them, over drawn valid inputs,
-and the closed-form sector levels against the brute-force oracle on drawn sectors."""
+and the closed-form sector levels, spinless and Zeeman-coupled, against the brute-force oracle on
+drawn sectors."""
 
 import math
 
@@ -13,10 +14,12 @@ from fluxqm import (
     derive_lc,
     dressed_frequency,
     hessian,
+    ladder_offset,
     oracle_spectrum,
     rf_squid_map,
     sector_constants,
     sector_energy,
+    spin_sector_energy,
     squeeze_solution,
 )
 from fluxqm.core import HBAR
@@ -86,5 +89,25 @@ def test_sector_levels_match_the_oracle(orbitals, g, g_eff, phi, hbar_omega):
     report = oracle_spectrum(p, cfg, n_levels=6, check_convergence=True)
     assert report.converged, report.max_rel_change
     analytic = [sector_energy(p, cfg, k) for k in range(6)]
+    result = compare_spectra(analytic, report, tol=1e-8, scale=hbar_omega)
+    assert result.passed, result.max_rel_error
+
+
+@settings(PROPERTY, max_examples=50)
+@given(
+    st.lists(st.tuples(st.integers(min_value=-3, max_value=3), st.sampled_from([-1, 1])),
+             min_size=1, max_size=7, unique=True),
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.8, max_value=1.25),
+    st.floats(min_value=1e-3, max_value=1.0, exclude_min=True).flatmap(lambda eta: st.sampled_from([eta, -eta])),
+)
+def test_spin_ladder_matches_the_oracle(pairs, g, g_eff, phi, hbar_omega, eta):
+    cfg = FermionConfig([m for m, _ in pairs], spins=[s for _, s in pairs])
+    p = ModelParams(g=g, g_eff=g_eff, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega, eta=eta)
+    report = oracle_spectrum(p, cfg, n_levels=6, check_convergence=True)
+    assert report.converged, report.max_rel_change
+    analytic = [spin_sector_energy(p, cfg, k) - ladder_offset(p) for k in range(6)]
     result = compare_spectra(analytic, report, tol=1e-8, scale=hbar_omega)
     assert result.passed, result.max_rel_error

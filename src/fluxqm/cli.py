@@ -10,14 +10,16 @@ override the config file.  A scan is declared with the four keys
 output row per grid point.  Rows that only evaluate closed forms run in the
 main process whatever ``--jobs`` says; rows that diagonalise (``tbjj``,
 ``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are dispatched to a
-process pool.  Rows are always written in scan order with shortest round-trip
-float formatting, so output files are byte-identical for any worker count.
+process pool.  Each evaluated result becomes its output row once, a dict keyed
+in column order with ``status`` last, and both writers write those rows as
+given, in scan order with shortest round-trip float formatting, so output
+files are byte-identical for any worker count.
 A numeric failure or an unusable scanned value flags its row and the run
 continues (exit code 1 at the end); malformed configurations, including a
 value that no point can use, exit 2 before any work starts.
 
 Commands: spectrum, phase-scan, spin-phase, dirac-scan, nonlinear, tbjj,
-oracle-check.
+oracle-check.  ``oracle-check`` runs a fixed suite of cases and takes no scan.
 """
 
 from __future__ import annotations
@@ -450,7 +452,7 @@ _ORACLE_SUITE = tuple(
 
 def _parse_oracle_check(params):
     ps = ParamSet(params)
-    case = ps.int("case", -1)
+    case = ps.int("case", required=True)
     tol = ps.float("tol", 1e-8)
     cutoff = ps.int("cutoff", 300)
     n_levels = ps.int("n_levels", 6)
@@ -508,7 +510,7 @@ class _Command:
     row: Callable
     summary: Optional[Callable] = None
     integer_scan: frozenset = frozenset()
-    fixed_cases: Optional[Callable] = None
+    fixed_cases: tuple = ()  # a fixed suite of case indices replaces the scan
     # modules the rows of a parsed config load; a run uses the worker pool only when this is non-empty,
     # and imports them once before the pool forks, so workers share them
     pool_imports: Callable = lambda parsed: ()
@@ -528,7 +530,7 @@ _COMMANDS = {
     "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, pool_imports=lambda parsed: ("scipy.linalg",)),
     "oracle-check": _Command(_parse_oracle_check, lambda parsed: list(_ORACLE_COLUMNS),
                              _row_oracle_check,
-                             fixed_cases=lambda parsed: list(range(len(_ORACLE_SUITE))),
+                             fixed_cases=tuple(range(len(_ORACLE_SUITE))),
                              pool_imports=lambda parsed: ("scipy.linalg",)),
 }
 
@@ -544,12 +546,12 @@ def _eval_point(task):
     try:
         parsed = cmd.parse(params)
         row = cmd.row(parsed)
-        row.setdefault("_status", "ok")
+        row["status"] = "ok"
         return row
     except UsageError:
         raise  # configuration bugs must not be silently flagged
     except Exception as exc:
-        return {"_status": f"error: {type(exc).__name__}: {exc}"}
+        return {"status": f"error: {type(exc).__name__}: {exc}"}
 
 
 def _jump_summary(scan_param, values, rows, key):
@@ -592,7 +594,7 @@ def _write_csv(fh, config, columns, rows, summary):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([name for name, _ in columns])
     for row in rows:
-        writer.writerow([_format_cell(row.get(name)) for name, _ in columns])
+        writer.writerow(map(_format_cell, row.values()))
     for key in summary:
         fh.write(f"# summary {key} = {_format_cell(summary[key])}\n")
 
@@ -614,7 +616,7 @@ def _write_json(fh, config, columns, rows, summary):
             "columns": [{"name": name, "description": desc} for name, desc in columns],
             "summary": summary,
         },
-        "rows": [{name: row.get(name) for name, _ in columns} for row in rows],
+        "rows": rows,
     }
     json.dump(doc, fh, indent=2)
     fh.write("\n")
@@ -630,9 +632,9 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
     scan_max = params.pop("scan_max", None)
     scan_steps = params.pop("scan_steps", None)
     cmd = _COMMANDS[command]
-    if cmd.fixed_cases is not None and scan_param is not None:
+    if cmd.fixed_cases and scan_param is not None:
         raise UsageError(f"command {command!r} runs a fixed suite and does not accept a scan")
-    if cmd.fixed_cases is not None and "case" in params:
+    if cmd.fixed_cases and "case" in params:
         raise UsageError(f"command {command!r} runs every case of its suite; 'case' cannot be set")
     if scan_param is None:
         if any(v is not None for v in (scan_min, scan_max, scan_steps)):
@@ -661,18 +663,13 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
 
 
 def _point_params(config: RunConfig):
-    """Merged parameter dict for every scan point (or the single point)."""
-    cmd = _COMMANDS[config.command]
-    if cmd.fixed_cases is not None:
-        parsed = cmd.parse(config.params)  # validates user params
-        cases = cmd.fixed_cases(parsed)
-        return [dict(config.params, case=repr(c)) for c in cases], list(cases)
+    """Merged parameter dict for every scan point, suite case, or the single point."""
+    cases = _COMMANDS[config.command].fixed_cases
+    if cases:
+        return [dict(config.params, case=repr(c)) for c in cases]
     if config.scan_param is None:
-        return [dict(config.params)], [None]
-    merged = []
-    for value in config.scan_values:
-        merged.append(dict(config.params, **{config.scan_param: repr(value)}))
-    return merged, list(config.scan_values)
+        return [dict(config.params)]
+    return [dict(config.params, **{config.scan_param: repr(value)}) for value in config.scan_values]
 
 
 def _first_parse(cmd: _Command, points):
@@ -691,44 +688,44 @@ def _first_parse(cmd: _Command, points):
 def run(config: RunConfig) -> int:
     """Execute the scan and write the output file.  Returns the exit code."""
     cmd = _COMMANDS[config.command]
-    points, values = _point_params(config)
+    points = _point_params(config)
     # validate the configuration before spawning any workers
     first_parsed = _first_parse(cmd, points)
     columns = list(cmd.columns(first_parsed))
     if config.scan_param is not None and config.scan_param not in {name for name, _ in columns}:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))
     columns.append(("status", "ok, or the error that flagged this point"))
+    names = [name for name, _ in columns]
 
     tasks = [(config.command, p) for p in points]
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
     # closed-form rows take microseconds: a pool would only add start-up and pickling
     pool_imports = cmd.pool_imports(first_parsed)
     if not pool_imports or jobs == 1 or len(tasks) == 1:
-        results = [_eval_point(task) for task in tasks]
+        rows = [_eval_point(task) for task in tasks]
     else:
         for module in pool_imports:
             importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
 
-    rows = []
-    for value, row in zip(values, results):
-        if config.scan_param is not None and config.scan_param not in row:
-            row[config.scan_param] = value
-        row["status"] = row.pop("_status")
-        rows.append(row)
+    # each evaluated dict is replaced by its output row, keyed in column order, so one copy exists
+    failed = False
+    for i, row in enumerate(rows):
+        if config.scan_param is not None:
+            row.setdefault(config.scan_param, config.scan_values[i])
+        failed = failed or row["status"] != "ok" or row.get("_failed", False)
+        rows[i] = {name: row.get(name) for name in names}
 
     summary = {}
     if cmd.summary is not None and config.scan_param is not None and len(rows) > 1:
-        summary = cmd.summary(first_parsed, config.scan_param, values, rows) or {}
+        summary = cmd.summary(first_parsed, config.scan_param, config.scan_values, rows) or {}
 
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         if config.format == "csv":
             _write_csv(fh, config, columns, rows, summary)
         else:
             _write_json(fh, config, columns, rows, summary)
-
-    failed = any(row["status"] != "ok" or row.get("_failed") for row in rows)
     return 1 if failed else 0
 
 

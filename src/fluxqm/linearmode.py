@@ -75,14 +75,18 @@ class AnalyticSolution:
         return 0.5 * math.exp(2.0 * self.squeeze_r)
 
 
+def _stiffness(p: ModelParams) -> float:
+    """Mode stiffness beta = hbar_omega + 4 g N phi^2: the bare quantum plus the diamagnetic term."""
+    return p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+
+
 def dressed_frequency(p: ModelParams) -> float:
     """Dressed cavity quantum hbar*Omega = sqrt(hw (hw + 4 g N phi^2)).
 
     The quadratic flux term only stiffens the mode, so Omega >= omega with
     equality at phi = 0 (or g = 0 in the decoupled limit).
     """
-    hw = p.hbar_omega
-    return math.sqrt(hw * (hw + 4.0 * p.g * p.n_particles * p.phi**2))
+    return math.sqrt(p.hbar_omega * _stiffness(p))
 
 
 def induced_coupling(p: ModelParams) -> float:
@@ -90,13 +94,13 @@ def induced_coupling(p: ModelParams) -> float:
 
     Monotone in phi, saturating at g/N as phi grows.
     """
-    return 4.0 * p.g**2 * p.phi**2 / (p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2)
+    return 4.0 * p.g**2 * p.phi**2 / _stiffness(p)
 
 
 def squeeze_solution(p: ModelParams) -> AnalyticSolution:
     """Full normal-mode solution: dressed quantum, chi, squeeze parameter, displacement."""
     alpha = p.hbar_omega
-    beta = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    beta = _stiffness(p)
     return AnalyticSolution(
         chi=induced_coupling(p),
         alpha=alpha,
@@ -130,5 +134,5 @@ def mode_displacement(p: ModelParams, m_total: int) -> float:
     exactly zero in any balanced (M = 0) sector.  Positive M displaces the
     mode toward positive quadrature for this coupling sign.
     """
-    beta = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    beta = _stiffness(p)
     return 2.0 * p.g * p.phi * m_total / beta

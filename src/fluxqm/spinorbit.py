@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import FermionConfig, ModelParams
 from .errors import NoTransitionError
-from .linearmode import dressed_frequency
+from .linearmode import _stiffness, dressed_frequency
 
 __all__ = [
     "HessianReport",
@@ -84,7 +84,7 @@ def spin_sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
         raise ValueError("spin_sector_energy requires a spinful configuration")
     if n < 0:
         raise ValueError(f"photon index must be >= 0, got {n}")
-    d_stiff = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    d_stiff = _stiffness(p)
     drive = 2.0 * p.g * p.phi * cfg.m_total + p.eta * cfg.sigma_total
     return p.g_eff * cfg.w_kinetic - drive**2 / d_stiff + dressed_frequency(p) * (n + 0.5)
 
@@ -100,7 +100,7 @@ def ladder_offset(p: ModelParams) -> float:
 
 
 def _hessian_matrix(p: ModelParams) -> np.ndarray:
-    d_stiff = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    d_stiff = _stiffness(p)
     n = p.n_particles
     return np.array(
         [
@@ -171,7 +171,7 @@ def locking_ratio(p: ModelParams) -> float:
     vanishes at phi = 0 (pure spin mode).  A vanishing denominator signals a
     pure-orbital soft mode and is reported as a signed infinity, not raised.
     """
-    d_stiff = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    d_stiff = _stiffness(p)
     num = 2.0 * p.g * p.phi * p.eta
     den = p.g_eff * d_stiff / p.n_particles - 4.0 * p.g**2 * p.phi**2
     if den == 0.0:

@@ -233,15 +233,14 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
     so at t = 0 the levels are exactly 0, hw, 2hw, ...  The cutoff starts at
     128 and is doubled, at most four times, until the requested levels are
     stationary to 1e-9 relative (floored at hbar_omega); failing that, a
-    ConvergenceError carries the residual that was reached.
+    ConvergenceError carries the residual that was reached.  The levels are
+    even in eta: parity x -> -x maps H(-eta) onto H(eta), so |eta| is solved.
     """
     _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
     if _FOCK_CUTOFF < 4 * n_levels:
         raise ValueError(f"n_levels must be <= {_FOCK_CUTOFF // 4}, got {n_levels}")
-    if eta < 0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
     cutoffs = (_FOCK_CUTOFF << k for k in range(_FOCK_DOUBLINGS + 1))
-    estimates = ((cutoff, _fock_levels(sector, t, eta, hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)
+    estimates = ((cutoff, _fock_levels(sector, t, abs(eta), hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)
     levels, _, _ = _refine(estimates, _FOCK_RTOL, hbar_omega, "Fock-basis levels not converged at cutoff {size}")
     return levels
 

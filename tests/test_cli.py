@@ -122,6 +122,24 @@ def test_invalid_first_scan_point_flags_only_its_row(tmp_path, args, error):
     assert status[1:] == ["ok", "ok"]
 
 
+def test_csv_and_json_write_the_same_rows(tmp_path):
+    # row 0 (phi = -1) is flagged, so its cells are empty in CSV and null in JSON
+    args = ["nonlinear", "--set", "n_particles=3", "--set", "alpha4=0.05", "--set", "n_levels=2",
+            "--set", "scan_param=phi", "--set", "scan_min=-1", "--set", "scan_max=1",
+            "--set", "scan_steps=3", "--jobs", "1"]
+    csv_out, json_out = tmp_path / "rows.csv", tmp_path / "rows.json"
+    code = run_cli(*args, "--out", str(csv_out))
+    assert run_cli(*args, "--format", "json", "--out", str(json_out)) == code == 1
+    _, header, csv_rows = read_csv(csv_out)
+    doc = json.loads(json_out.read_text())
+    assert [c["name"] for c in doc["meta"]["columns"]] == header
+    assert len(doc["rows"]) == len(csv_rows) == 3
+    for csv_row, json_row in zip(csv_rows, doc["rows"]):
+        assert list(json_row) == header
+        assert csv_row == [cli._format_cell(value) for value in json_row.values()]
+    assert doc["rows"][0]["x0"] is None and csv_rows[0][header.index("x0")] == ""
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     assert run_cli("frobnicate", "--out", str(tmp_path / "x.csv")) == 2
 
@@ -278,6 +296,22 @@ def test_tbjj_dual_solver_columns(tmp_path):
     row = dict(zip(header, rows[0]))
     # the two routes agree once the quadrature zero point is removed
     assert float(row["xrep_e0"]) - 0.5 == pytest.approx(float(row["fock_e0"]), abs=1e-5)
+
+
+def test_tbjj_levels_are_even_in_eta(tmp_path):
+    # parity x -> -x maps H(-eta) onto H(eta): both solvers give the same levels at -eta
+    lines = {}
+    for eta in ("0.7", "-0.7"):
+        out = tmp_path / f"eta{eta}.csv"
+        code = run_cli("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", f"eta={eta}",
+                       "--set", "solver=both", "--set", "n_levels=3", "--set", "scan_param=t",
+                       "--set", "scan_min=0.2", "--set", "scan_max=1.0", "--set", "scan_steps=3",
+                       "--out", str(out), "--jobs", "1")
+        assert code == 0
+        lines[eta] = out.read_text().splitlines()
+    assert len(lines["0.7"]) == len(lines["-0.7"])
+    differing = [(a, b) for a, b in zip(lines["0.7"], lines["-0.7"]) if a != b]
+    assert differing == [("# param eta = 0.7", "# param eta = -0.7")]
 
 
 @pytest.mark.parametrize("args", [

@@ -1,10 +1,11 @@
 """Identities between stored fields and the properties derived from them, over drawn valid inputs,
-and the closed-form sector levels, spinless and Zeeman-coupled, against the brute-force oracle on
-drawn sectors."""
+the closed-form sector levels, spinless and Zeeman-coupled, against the brute-force oracle on
+drawn sectors, and the unitarity of the truncated displacement operator within its cutoff."""
 
 import math
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxqm import (
@@ -12,6 +13,7 @@ from fluxqm import (
     ModelParams,
     compare_spectra,
     derive_lc,
+    displacement_operator,
     dressed_frequency,
     hessian,
     ladder_offset,
@@ -111,3 +113,14 @@ def test_spin_ladder_matches_the_oracle(pairs, g, g_eff, phi, hbar_omega, eta):
     analytic = [spin_sector_energy(p, cfg, k) - ladder_offset(p) for k in range(6)]
     result = compare_spectra(analytic, report, tol=1e-8, scale=hbar_omega)
     assert result.passed, result.max_rel_error
+
+
+@PROPERTY
+@given(st.floats(min_value=0.0, max_value=3.0), st.integers(min_value=60, max_value=300))
+def test_displacement_operator_is_unitary_within_its_cutoff(lam, cutoff):
+    # documented truncation rule: column n is unit-norm once cutoff >= n + 20 lam^2 + 40
+    n_max = math.floor(cutoff - 20 * lam**2 - 40)
+    assume(n_max >= 0)
+    cols = displacement_operator(lam, cutoff)[:, : n_max + 1]
+    gram = cols.conj().T @ cols
+    assert np.max(np.abs(gram - np.eye(n_max + 1))) <= 1e-10

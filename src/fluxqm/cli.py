@@ -7,13 +7,16 @@ Usage:
 Run configurations are flat, typed key=value assignments; ``--set`` pairs
 override the config file.  A scan is declared with the four keys
 ``scan_param``, ``scan_min``, ``scan_max``, ``scan_steps`` and produces one
-output row per grid point.  Rows that only evaluate closed forms run in the
-main process whatever ``--jobs`` says; rows that diagonalise (``tbjj``,
-``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are dispatched to a
-process pool.  Each evaluated result becomes its output row once, a dict keyed
-in column order with ``status`` last, and both writers write those rows as
-given, in scan order with shortest round-trip float formatting, so output
-files are byte-identical for any worker count.
+output row per grid point.  A point is just its scan value: it is merged into
+the base parameters when its row runs.  The command's parse types the axis:
+a key it reads as an integer is an integer axis, whose grid is rounded to the
+nearest integers and written as integers.  Rows that only evaluate closed
+forms run in the main process whatever ``--jobs`` says; only rows that
+diagonalise (``tbjj``, ``oracle-check``, ``nonlinear`` with ``n_levels > 0``)
+are dispatched to a process pool.  Each evaluated result becomes its output
+row once, a dict keyed in column order with ``status`` last, and both writers
+write those rows as given, in scan order with shortest round-trip float
+formatting, so output files are byte-identical for any worker count.
 A numeric failure or an unusable scanned value flags its row and the run
 continues (exit code 1 at the end); malformed configurations, including a
 value that no point can use, exit 2 before any work starts.
@@ -26,13 +29,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,15 +57,17 @@ class UsageError(ValueError):
 
 
 class ParamSet:
-    """Typed access to a flat string-to-string parameter mapping.
+    """Typed access to a flat parameter mapping of user text and at most one scan value.
 
     Tracks which keys were consumed so unknown (likely misspelled) keys can be
-    rejected; all parse failures surface as UsageError.
+    rejected, and which were read as integers, which makes a scanned key an
+    integer axis; all parse failures surface as UsageError.
     """
 
     def __init__(self, raw: dict):
-        self.raw = dict(raw)
+        self.raw = raw
         self.used: set = set()
+        self.ints: set = set()
 
     def _fetch(self, key, required):
         self.used.add(key)
@@ -86,9 +90,12 @@ class ParamSet:
         return value
 
     def int(self, key, default=None, required=False):
+        self.ints.add(key)
         text = self._fetch(key, required)
         if text is None:
             return default
+        if isinstance(text, float):
+            return round(text)  # a point of a float grid: integer axes take the nearest integer
         try:
             return int(text)
         except ValueError:
@@ -96,12 +103,13 @@ class ParamSet:
 
     def str(self, key, default=None, required=False):
         text = self._fetch(key, required)
-        return default if text is None else text
+        return default if text is None else str(text)
 
     def int_list(self, key, default=None, required=False):
         text = self._fetch(key, required)
         if text is None:
             return default
+        text = str(text)
         try:
             return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
         except ValueError:
@@ -159,8 +167,7 @@ def _model_params(ps: ParamSet, n_particles: int) -> ModelParams:
     )
 
 
-def _parse_spectrum(params):
-    ps = ParamSet(params)
+def _parse_spectrum(ps):
     orbitals = ps.int_list("orbitals", required=True)
     spins = ps.int_list("spins")
     n_levels = ps.int("n_levels", 6)
@@ -202,8 +209,7 @@ def _row_spectrum(parsed):
     return row
 
 
-def _parse_phase_scan(params):
-    ps = ParamSet(params)
+def _parse_phase_scan(ps):
     n = ps.int("n_particles", required=True)
     m_max = ps.int("m_max", 8)
     p = _model_params(ps, n)
@@ -247,8 +253,7 @@ def _summary_phase_scan(parsed, scan_param, values, rows):
     return summary
 
 
-def _parse_spin_phase(params):
-    ps = ParamSet(params)
+def _parse_spin_phase(ps):
     n = ps.int("n_particles", required=True)
     p = _model_params(ps, n)
     ps.finish()
@@ -283,8 +288,7 @@ def _summary_spin_phase(parsed, scan_param, values, rows):
     return _jump_summary(scan_param, values, rows, "stable")
 
 
-def _parse_dirac_scan(params):
-    ps = ParamSet(params)
+def _parse_dirac_scan(ps):
     p = diracring.DiracParams(
         eps0=ps.float("eps0", 1.0),
         hbar_omega=ps.float("hbar_omega", 1.0),
@@ -336,8 +340,7 @@ def _summary_dirac_scan(parsed, scan_param, values, rows):
     return summary
 
 
-def _parse_nonlinear(params):
-    ps = ParamSet(params)
+def _parse_nonlinear(ps):
     n = ps.int("n_particles", required=True)
     m_total = ps.int("m_total", 0)
     alpha4 = ps.float("alpha4", 0.0)
@@ -381,8 +384,7 @@ def _row_nonlinear(parsed):
     return row
 
 
-def _parse_tbjj(params):
-    ps = ParamSet(params)
+def _parse_tbjj(ps):
     m_sites = ps.int("m_sites", required=True)
     occupied = ps.int_list("occupied", required=True)
     t = ps.float("t", 1.0)
@@ -450,8 +452,7 @@ _ORACLE_SUITE = tuple(
 )
 
 
-def _parse_oracle_check(params):
-    ps = ParamSet(params)
+def _parse_oracle_check(ps):
     case = ps.int("case", required=True)
     tol = ps.float("tol", 1e-8)
     cutoff = ps.int("cutoff", 300)
@@ -505,15 +506,13 @@ def _row_oracle_check(parsed):
 
 @dataclass(frozen=True)
 class _Command:
-    parse: Callable
+    parse: Callable  # ParamSet -> parsed config
     columns: Callable
     row: Callable
     summary: Optional[Callable] = None
-    integer_scan: frozenset = frozenset()
     fixed_cases: tuple = ()  # a fixed suite of case indices replaces the scan
-    # modules the rows of a parsed config load; a run uses the worker pool only when this is non-empty,
-    # and imports them once before the pool forks, so workers share them
-    pool_imports: Callable = lambda parsed: ()
+    # whether the rows of a parsed config diagonalise; only those runs use the worker pool
+    diagonalises: Callable = lambda parsed: False
 
 
 _COMMANDS = {
@@ -525,13 +524,12 @@ _COMMANDS = {
     "dirac-scan": _Command(_parse_dirac_scan, lambda parsed: list(_DIRAC_COLUMNS),
                            _row_dirac_scan, _summary_dirac_scan),
     "nonlinear": _Command(_parse_nonlinear, _columns_nonlinear, _row_nonlinear,
-                          integer_scan=frozenset({"m_total", "n_particles"}),
-                          pool_imports=lambda parsed: ("scipy.linalg",) if parsed["n_levels"] else ()),
-    "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, pool_imports=lambda parsed: ("scipy.linalg",)),
+                          diagonalises=lambda parsed: parsed["n_levels"] > 0),
+    "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, diagonalises=lambda parsed: True),
     "oracle-check": _Command(_parse_oracle_check, lambda parsed: list(_ORACLE_COLUMNS),
                              _row_oracle_check,
                              fixed_cases=tuple(range(len(_ORACLE_SUITE))),
-                             pool_imports=lambda parsed: ("scipy.linalg",)),
+                             diagonalises=lambda parsed: True),
 }
 
 
@@ -539,13 +537,17 @@ _COMMANDS = {
 # scan driver
 
 
+def _point(params, key, value):
+    """The parameters of one point: the base ones with the scanned key, or the suite case, set to its value."""
+    return ParamSet(params if key is None else {**params, key: value})
+
+
 def _eval_point(task):
     """Row evaluation, in the main process or a worker: the row, or a flagged stub on failure."""
-    command, params = task
+    command, params, key, value = task
     cmd = _COMMANDS[command]
     try:
-        parsed = cmd.parse(params)
-        row = cmd.row(parsed)
+        row = cmd.row(cmd.parse(_point(params, key, value)))
         row["status"] = "ok"
         return row
     except UsageError:
@@ -649,11 +651,7 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
             raise UsageError(f"scan_steps must be >= 1, got {steps}")
         if lo > hi:
             raise UsageError(f"scan_min must not exceed scan_max, got {lo} > {hi}")
-        grid = np.linspace(lo, hi, steps)
-        if scan_param in cmd.integer_scan:
-            values = tuple(int(round(v)) for v in grid)
-        else:
-            values = tuple(float(v) for v in grid)
+        values = tuple(float(v) for v in np.linspace(lo, hi, steps))
     if fmt not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {fmt!r}")
     if jobs is not None and jobs < 1:
@@ -662,22 +660,13 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
                      scan_values=values, out=out, format=fmt, jobs=jobs)
 
 
-def _point_params(config: RunConfig):
-    """Merged parameter dict for every scan point, suite case, or the single point."""
-    cases = _COMMANDS[config.command].fixed_cases
-    if cases:
-        return [dict(config.params, case=repr(c)) for c in cases]
-    if config.scan_param is None:
-        return [dict(config.params)]
-    return [dict(config.params, **{config.scan_param: repr(value)}) for value in config.scan_values]
-
-
-def _first_parse(cmd: _Command, points):
-    """Parsed config of the first point that parses; when none does, its first error as a UsageError."""
+def _first_parse(cmd: _Command, params, key, values):
+    """The ParamSet and parsed config of the first point that parses; when none does, its first error as a UsageError."""
     first_error = None
-    for params in points:
+    for value in values:
+        ps = _point(params, key, value)
         try:
-            return cmd.parse(params)
+            return ps, cmd.parse(ps)
         except UsageError:
             raise
         except Exception as exc:
@@ -688,26 +677,30 @@ def _first_parse(cmd: _Command, points):
 def run(config: RunConfig) -> int:
     """Execute the scan and write the output file.  Returns the exit code."""
     cmd = _COMMANDS[config.command]
-    points = _point_params(config)
+    # a point is its scan value, its suite case, or the single point of a run without a scan
+    key, values = ("case", cmd.fixed_cases) if cmd.fixed_cases else (config.scan_param, config.scan_values or (None,))
     # validate the configuration before spawning any workers
-    first_parsed = _first_parse(cmd, points)
+    ps, first_parsed = _first_parse(cmd, config.params, key, values)
+    if config.scan_param in ps.ints:
+        # the parse reads the scanned key as an integer, so the grid is rounded and written as integers
+        config = replace(config, scan_values=tuple(round(v) for v in config.scan_values))
+        values = config.scan_values
     columns = list(cmd.columns(first_parsed))
     if config.scan_param is not None and config.scan_param not in {name for name, _ in columns}:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))
     columns.append(("status", "ok, or the error that flagged this point"))
     names = [name for name, _ in columns]
 
-    tasks = [(config.command, p) for p in points]
+    tasks = ((config.command, config.params, key, value) for value in values)
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
     # closed-form rows take microseconds: a pool would only add start-up and pickling
-    pool_imports = cmd.pool_imports(first_parsed)
-    if not pool_imports or jobs == 1 or len(tasks) == 1:
-        rows = [_eval_point(task) for task in tasks]
+    if not cmd.diagonalises(first_parsed) or jobs == 1 or len(values) == 1:
+        rows = list(map(_eval_point, tasks))
     else:
-        for module in pool_imports:
-            importlib.import_module(module)
+        import scipy.linalg  # noqa: F401  loaded once before the pool forks, so workers share it
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(values) // (4 * jobs))))
 
     # each evaluated dict is replaced by its output row, keyed in column order, so one copy exists
     failed = False

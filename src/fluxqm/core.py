@@ -15,7 +15,9 @@ Conventions used throughout the package:
 * ``g_eff``  effective orbital scale hbar^2 / (2 m_eff R^2), in E0
 * ``phi``    dimensionless flux-coupling amplitude (free input parameter;
              its relation to loop geometry is not modeled here)
-* ``eta``    Zeeman coupling (g_s mu_B / 2) B_zpf, in E0
+* ``eta``    Zeeman coupling (g_s mu_B / 2) B_zpf, in E0: the cavity drive per
+             unit of the total spin S = Sigma / 2 (spins +-1/2, in hbar), so a
+             configuration with spin sum Sigma of its +-1 labels drives eta S
 """
 
 from __future__ import annotations

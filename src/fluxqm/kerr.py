@@ -182,6 +182,8 @@ def anharmonic_spectrum(sector: QuarticSector, n_levels: int = 6) -> np.ndarray:
     carries the residual that was reached.  Full sector energies are obtained
     by adding ``g S2 + v_eff`` (see full_levels).
     """
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     basis_cutoff = max(4 * n_levels, _BASIS_CUTOFF)
     cutoffs = (basis_cutoff << k for k in range(_MAX_DOUBLINGS + 1))
     estimates = ((cutoff, _oscillator_levels(sector, n_levels, cutoff)) for cutoff in cutoffs)

@@ -99,7 +99,7 @@ def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
     """
     x, x2_diag, x2_second = _x_bands(cutoff)
     quad = p.g * p.n_particles * p.phi**2
-    drive = 2.0 * p.g * p.phi * cfg.m_total + p.eta * cfg.sigma_total
+    drive = 2.0 * p.g * p.phi * cfg.m_total + 0.5 * p.eta * cfg.sigma_total
     ab = np.zeros((3, cutoff + 1))
     ab[2] = p.hbar_omega * np.arange(cutoff + 1, dtype=float) + quad * x2_diag + p.g_eff * cfg.w_kinetic
     ab[1, 1:] = -drive * x

@@ -1,12 +1,15 @@
 """Zeeman-coupled sectors and stability analysis of the balanced state.
 
 With spins coupled to the same quantized flux, each (M, Sigma) sector is
-still exactly solvable: the cavity sees a linear drive 2 g phi M + eta Sigma
-and the spectrum gains the collective shift -(2 g phi M + eta Sigma)^2 / D
-with D = hbar_omega + 4 g N phi^2.  Expanding the ground-state energy to
-quadratic order in the order parameters (M, Sigma), with Fermi-liquid
-stiffnesses 2 g_eff / N and g_eff N / 2, gives a 2x2 Hessian whose lowest
-eigenvalue crossing zero marks the instability.  The orbital channel screens
+still exactly solvable.  Sigma is the sum of the +-1 spin labels and
+S = Sigma / 2 the total spin in units of hbar; eta is the drive per unit S.
+The cavity sees a linear drive 2 g phi M + eta S and the spectrum gains the
+collective shift -(2 g phi M + eta S)^2 / D with D = hbar_omega + 4 g N phi^2.
+Expanding the ground-state energy to quadratic order in the order parameters
+(M, S), with Fermi-liquid stiffnesses 2 g_eff / N and g_eff N / 2, gives a 2x2
+Hessian whose lowest eigenvalue crossing zero marks the instability; on closed
+shells the exact spectrum leaves (M, Sigma) = (0, 0) at the same eta (checked
+by brute force in the tests).  The orbital channel screens
 the diamagnetic stiffening of the spin channel, so at g_eff = g the critical
 Zeeman coupling collapses to eta_c = sqrt(g N hbar_omega) / 2 independent of
 phi, and the soft mode is a locked spin-orbital combination.
@@ -36,7 +39,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HessianReport:
-    """Stability data of the balanced state in the (M, Sigma) plane.
+    """Stability data of the balanced state in the (M, S) plane, S = Sigma / 2.
 
     ``soft_vector`` is the unit eigenvector of the smallest eigenvalue, i.e.
     the direction in which order develops first.  The properties
@@ -72,8 +75,8 @@ class HessianReport:
 def spin_sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
     """Exact level of the Zeeman-coupled model in a fixed (M, Sigma) sector.
 
-    E = g_eff W - (2 g phi M + eta Sigma)^2 / (hbar_omega + 4 g N phi^2)
-        + hbar_Omega (n + 1/2).
+    E = g_eff W - (2 g phi M + eta S)^2 / (hbar_omega + 4 g N phi^2)
+        + hbar_Omega (n + 1/2),  with S = Sigma / 2.
 
     Note this ladder carries the +hbar_Omega/2 zero point but not the
     -hbar_omega/2 constant of the purely orbital convention; subtract
@@ -85,7 +88,7 @@ def spin_sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
     if n < 0:
         raise ValueError(f"photon index must be >= 0, got {n}")
     d_stiff = _stiffness(p)
-    drive = 2.0 * p.g * p.phi * cfg.m_total + p.eta * cfg.sigma_total
+    drive = 2.0 * p.g * p.phi * cfg.m_total + 0.5 * p.eta * cfg.sigma_total
     return p.g_eff * cfg.w_kinetic - drive**2 / d_stiff + dressed_frequency(p) * (n + 0.5)
 
 
@@ -111,7 +114,7 @@ def _hessian_matrix(p: ModelParams) -> np.ndarray:
 
 
 def hessian(p: ModelParams) -> HessianReport:
-    """Curvature of the sector energy around (M, Sigma) = (0, 0)."""
+    """Curvature of the sector energy around (M, S) = (0, 0), S = Sigma / 2."""
     mat = _hessian_matrix(p)
     eigvals, eigvecs = np.linalg.eigh(mat)
     soft = eigvecs[:, 0]
@@ -163,7 +166,7 @@ def critical_flux_spin(p: ModelParams) -> float:
 
 
 def locking_ratio(p: ModelParams) -> float:
-    """Ratio M/Sigma of the soft mode, evaluated at the given couplings.
+    """Ratio M/S of the soft mode (S = Sigma / 2), evaluated at the given couplings.
 
     ratio = 2 g phi eta / (g_eff D / N - 4 g^2 phi^2) with
     D = hbar_omega + 4 g N phi^2.  On the critical manifold this equals the

@@ -237,8 +237,8 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
     even in eta: parity x -> -x maps H(-eta) onto H(eta), so |eta| is solved.
     """
     _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
-    if _FOCK_CUTOFF < 4 * n_levels:
-        raise ValueError(f"n_levels must be <= {_FOCK_CUTOFF // 4}, got {n_levels}")
+    if not 1 <= n_levels <= _FOCK_CUTOFF // 4:
+        raise ValueError(f"n_levels must be in [1, {_FOCK_CUTOFF // 4}], got {n_levels}")
     cutoffs = (_FOCK_CUTOFF << k for k in range(_FOCK_DOUBLINGS + 1))
     estimates = ((cutoff, _fock_levels(sector, t, abs(eta), hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)
     levels, _, _ = _refine(estimates, _FOCK_RTOL, hbar_omega, "Fock-basis levels not converged at cutoff {size}")
@@ -273,6 +273,8 @@ def rf_squid_spectrum(params: RfSquidParams, n_levels: int = 5) -> np.ndarray:
     the Fock-basis sector spectrum up to one additive constant (the
     quadrature-form zero point hbar_omega/2).
     """
+    if n_levels < 1:
+        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     half_span = _SQUID_HALF_SPAN * (8.0 * params.e_c / params.e_l) ** 0.25
 
     def potential(y):

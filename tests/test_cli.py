@@ -327,12 +327,57 @@ def test_tbjj_levels_are_even_in_eta(tmp_path):
     ["tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "t=0.5",
      "--set", "solver=both", "--set", "n_levels=2",
      "--set", "scan_param=eta", "--set", "scan_min=0.6", "--set", "scan_max=1.4", "--set", "scan_steps=3"],
-], ids=["dirac-scan", "nonlinear", "tbjj"])
+    # the fixed suite of oracle-check
+    ["oracle-check", "--set", "n_levels=3"],
+    ["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=0.8", "--set", "n_levels=2",
+     "--set", "scan_param=t", "--set", "scan_min=0.2", "--set", "scan_max=0.6", "--set", "scan_steps=4",
+     "--format", "json"],
+    # an integer axis through the pool
+    ["nonlinear", "--set", "g=0.2", "--set", "g_eff=0.2", "--set", "phi=0.5", "--set", "alpha4=0.05",
+     "--set", "n_levels=2", "--set", "scan_param=n_particles", "--set", "scan_min=3",
+     "--set", "scan_max=6", "--set", "scan_steps=4", "--format", "json"],
+], ids=["dirac-scan", "nonlinear", "tbjj", "oracle-check", "tbjj-json", "nonlinear-n_particles"])
 def test_worker_count_does_not_change_bytes(tmp_path, args):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run_cli(*args, "--out", str(out1), "--jobs", "1") == 0
     assert run_cli(*args, "--out", str(out2), "--jobs", "3") == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("command, args, key", [
+    ("phase-scan", [], "n_particles"),
+    ("phase-scan", ["--set", "n_particles=7"], "m_max"),  # m_max = 2 would be a usage error
+    ("spin-phase", [], "n_particles"),
+    ("dirac-scan", [], "n_electrons"),
+    ("dirac-scan", ["--set", "n_electrons=8"], "j_max"),
+    # rows that diagonalise, run by the worker pool
+    ("nonlinear", ["--set", "g=0.2", "--set", "phi=0.5", "--set", "alpha4=0.05", "--set", "n_levels=1"],
+     "n_particles"),
+])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_integer_scan_axis_follows_the_parse(tmp_path, command, args, key, fmt):
+    # 2.6 .. 7.4 in three steps rounds to 3, 5, 7: the parse reads the key as an integer
+    out = tmp_path / f"int.{fmt}"
+    code = run_cli(command, *args, "--set", f"scan_param={key}", "--set", "scan_min=2.6",
+                   "--set", "scan_max=7.4", "--set", "scan_steps=3", "--format", fmt,
+                   "--out", str(out), "--jobs", "2")
+    assert code == 0
+    if fmt == "csv":
+        comments, header, rows = read_csv(out)
+        assert f"# scan {key}: 3 .. 7, 3 points" in comments
+        assert [row[header.index(key)] for row in rows] == ["3", "5", "7"]
+    else:
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["scan"] == {"param": key, "min": 3, "max": 7, "steps": 3}
+        cells = [row[key] for row in doc["rows"]]
+        assert cells == [3, 5, 7] and all(type(v) is int for v in cells)
+
+
+def test_fixed_integer_parameter_must_be_written_as_one(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run_cli("phase-scan", "--set", "n_particles=3.0", "--out", str(out)) == 2
+    assert "parameter 'n_particles' must be an integer, got '3.0'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -28,7 +28,7 @@ def dense_position(cutoff):
 
 def dense_sector_matrix(p, cfg, cutoff):
     x = dense_position(cutoff)
-    drive = 2.0 * p.g * p.phi * cfg.m_total + p.eta * cfg.sigma_total
+    drive = 2.0 * p.g * p.phi * cfg.m_total + 0.5 * p.eta * cfg.sigma_total
     h = (
         p.hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
         + p.g * p.n_particles * p.phi**2 * (x @ x)
@@ -132,7 +132,7 @@ def test_zeeman_sector_against_closed_form():
     for n, level in enumerate(report.levels):
         expected = (
             p.g_eff * cfg.w_kinetic
-            - (p.eta * cfg.sigma_total) ** 2 / p.hbar_omega
+            - (0.5 * p.eta * cfg.sigma_total) ** 2 / p.hbar_omega
             + p.hbar_omega * n
         )
         assert level == pytest.approx(expected, rel=1e-10, abs=1e-10)

@@ -157,32 +157,31 @@ def test_locking_ratio_equals_soft_eigenvector_slope():
         assert slope == pytest.approx(locking_ratio(p), rel=1e-8)
 
 
-def test_report_discrete_enumeration_vs_continuum_threshold():
-    """Continuum stiffness against brute-force small-N enumeration: reported only.
+@pytest.mark.parametrize("n_particles", [6, 10])
+def test_closed_shell_exact_ground_state_leaves_balance_at_critical_eta(n_particles):
+    """Brute-force spinful ground state against the Hessian threshold on closed shells.
 
-    The quadratic expansion uses large-N stiffness coefficients; how closely a
-    three-particle enumeration tracks the predicted threshold is informative
-    but not a contract, so this test prints the comparison without asserting
-    agreement.
+    At phi = 0 and g_eff = g, a closed shell (N = 2 mod 4, N >= 6) stays
+    balanced just below eta_c and polarizes just above it, so the exact
+    spectrum and hessian(p).stable put the transition at the same eta.
     """
-    p = _p(g=0.8, g_eff=0.8, phi=0.5, n_particles=3, hbar_omega=1.0)
+    p = _p(g=0.8, g_eff=0.8, phi=0.0, n_particles=n_particles, hbar_omega=1.0)
     eta_c = critical_eta(p)
-    window = range(-4, 5)
+    # the energy depends only on (M, Sigma, W): keep one smallest-W configuration per (M, Sigma)
+    lowest = {}
+    for orbs in itertools.combinations([(m, s) for m in range(-4, 5) for s in (-1, 1)], n_particles):
+        m_sigma = (sum(m for m, _ in orbs), sum(s for _, s in orbs))
+        w = sum(m * m for m, _ in orbs)
+        if m_sigma not in lowest or w < lowest[m_sigma][0]:
+            lowest[m_sigma] = (w, orbs)
+    lowest = [FermionConfig([m for m, _ in orbs], spins=[s for _, s in orbs]) for _, orbs in lowest.values()]
 
-    def discrete_ground_m_sigma(eta):
-        best = None
-        for orbs in itertools.combinations([(m, s) for m in window for s in (-1, 1)], 3):
-            cfg = FermionConfig([m for m, _ in orbs], spins=[s for _, s in orbs])
-            e = spin_sector_energy(replace(p, eta=eta), cfg, 0)
-            if best is None or e < best[0]:
-                best = (e, cfg.m_total, cfg.sigma_total)
-        return best
+    def ground_m_sigma(eta):
+        q = replace(p, eta=eta)
+        cfg = min(lowest, key=lambda c: spin_sector_energy(q, c, 0))
+        return cfg.m_total, cfg.sigma_total
 
-    below = discrete_ground_m_sigma(0.5 * eta_c)
-    above = discrete_ground_m_sigma(1.5 * eta_c)
-    print(
-        f"[report] discrete N=3 enumeration: at eta=0.5*eta_c ground (M, Sigma)="
-        f"({below[1]}, {below[2]}); at eta=1.5*eta_c ({above[1]}, {above[2]}); "
-        f"continuum threshold eta_c={eta_c:.6f}"
-    )
-    assert below is not None and above is not None
+    assert ground_m_sigma(eta_c * (1 - 1e-9)) == (0, 0)
+    assert ground_m_sigma(eta_c * (1 + 1e-9))[1] != 0
+    assert hessian(replace(p, eta=eta_c * (1 - 1e-9))).stable
+    assert not hessian(replace(p, eta=eta_c * (1 + 1e-9))).stable

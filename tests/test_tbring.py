@@ -7,6 +7,7 @@ import pytest
 from fluxqm import (
     ConvergenceError,
     GridDomainError,
+    ModelParams,
     RfSquidParams,
     displacement_matrix_element,
     displacement_operator,
@@ -15,6 +16,7 @@ from fluxqm import (
     sector_constants,
     sector_spectrum_fock,
     sector_spectrum_xrep,
+    kerr,
     tbring,
 )
 from fluxqm.gridsolve import bound_states
@@ -278,6 +280,23 @@ def test_entry_points_reject_non_finite(solver, name, value):
     args[name] = value
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         solver(sector_constants([0, 1], 6), **args)
+
+
+def _kerr_levels(n_levels):
+    sector = kerr.displacement_root(0, ModelParams(g=1.0, g_eff=1.0, phi=0.3, n_particles=3), 0.05)
+    return kerr.anharmonic_spectrum(sector, n_levels=n_levels)
+
+
+@pytest.mark.parametrize("spectrum", [
+    lambda n: sector_spectrum_fock(sector_constants([0, 1], 6), 0.5, 1.0, 1.0, n_levels=n),
+    lambda n: sector_spectrum_xrep(sector_constants([0, 1], 6), 0.5, 1.0, 1.0, n_levels=n),
+    lambda n: rf_squid_spectrum(RfSquidParams(e_j=1.0, phi_ext=0.0, eta=1.0, hbar_omega=1.0), n_levels=n),
+    _kerr_levels,
+], ids=["fock", "xrep", "rf_squid", "kerr"])
+@pytest.mark.parametrize("n_levels", [0, -1])
+def test_spectra_reject_n_levels_below_one(spectrum, n_levels):
+    with pytest.raises(ValueError, match=f"n_levels must .*got {n_levels}$"):
+        spectrum(n_levels)
 
 
 @pytest.mark.parametrize("name", ["e_j", "phi_ext", "eta", "hbar_omega"])

@@ -175,7 +175,7 @@ def _parse_spectrum(ps):
     ps.finish()
     if n_levels < 1:
         raise UsageError("n_levels must be >= 1")
-    return {"p": p, "orbitals": orbitals, "spins": spins, "n_levels": n_levels}
+    return {"p": p, "cfg": FermionConfig(orbitals, spins), "n_levels": n_levels}
 
 
 def _columns_spectrum(parsed):
@@ -185,15 +185,14 @@ def _columns_spectrum(parsed):
         ("squeeze_r", "squeeze parameter of the cavity ground state"),
         ("var_x", "ground-state variance of x = (a+a^dag)/sqrt(2)"),
     ]
-    ladder = "spin-sector" if parsed["spins"] else "sector"
+    ladder = "spin-sector" if parsed["cfg"].spins else "sector"
     for k in range(parsed["n_levels"]):
         cols.append((f"e{k}", f"{ladder} level {k} (photon index {k})"))
     return cols
 
 
 def _row_spectrum(parsed):
-    p = parsed["p"]
-    cfg = FermionConfig(parsed["orbitals"], parsed["spins"])
+    p, cfg = parsed["p"], parsed["cfg"]
     sol = linearmode.squeeze_solution(p)
     row = {
         "omega_dressed": sol.omega_dressed,
@@ -202,7 +201,7 @@ def _row_spectrum(parsed):
         "var_x": sol.variance_x(),
     }
     for k in range(parsed["n_levels"]):
-        if parsed["spins"]:
+        if cfg.spins:
             row[f"e{k}"] = spinorbit.spin_sector_energy(p, cfg, k)
         else:
             row[f"e{k}"] = linearmode.sector_energy(p, cfg, k)
@@ -248,7 +247,7 @@ def _row_phase_scan(parsed):
 def _summary_phase_scan(parsed, scan_param, values, rows):
     summary = _jump_summary(scan_param, values, rows, "phase")
     p = parsed["p"]
-    if p.g > p.g_eff:
+    if scan_param == "phi" and p.g > p.g_eff:  # on any other axis phi_c varies from point to point
         summary["phi_c_closed_form"] = phases.critical_flux(p)
     return summary
 
@@ -261,13 +260,13 @@ def _parse_spin_phase(ps):
 
 
 _SPIN_COLUMNS = (
-    ("determinant", "determinant of the (M, Sigma) stability Hessian"),
+    ("determinant", "determinant of the (M, S) stability Hessian, S = Sigma/2"),
     ("eig_low", "smallest Hessian eigenvalue"),
     ("eig_high", "largest Hessian eigenvalue"),
     ("stable", "true while the balanced state is a local minimum"),
     ("soft_m", "M component of the unit soft-mode vector"),
-    ("soft_sigma", "Sigma component of the unit soft-mode vector"),
-    ("locking_ratio", "closed-form M/Sigma ratio of the soft mode"),
+    ("soft_sigma", "S component of the unit soft-mode vector"),
+    ("locking_ratio", "closed-form M/S ratio of the soft mode"),
 )
 
 
@@ -333,10 +332,11 @@ def _row_dirac_scan(parsed):
 
 def _summary_dirac_scan(parsed, scan_param, values, rows):
     summary = _jump_summary(scan_param, values, rows, "phase")
-    try:
-        summary["phi_c_closed_form"] = diracring.critical_flux_dirac(parsed["p"])
-    except NoTransitionError:
-        pass
+    if scan_param == "phi":  # on any other axis phi_c varies from point to point
+        try:
+            summary["phi_c_closed_form"] = diracring.critical_flux_dirac(parsed["p"])
+        except NoTransitionError:
+            pass
     return summary
 
 
@@ -349,7 +349,7 @@ def _parse_nonlinear(ps):
     ps.finish()
     if n_levels < 0:
         raise UsageError("n_levels must be >= 0")
-    return {"p": p, "m_total": m_total, "alpha4": alpha4, "n_levels": n_levels}
+    return {"p": p, "sector": kerr.displacement_root(m_total, p, alpha4), "n_levels": n_levels}
 
 
 def _columns_nonlinear(parsed):
@@ -367,8 +367,7 @@ def _columns_nonlinear(parsed):
 
 
 def _row_nonlinear(parsed):
-    p = parsed["p"]
-    sector = kerr.displacement_root(parsed["m_total"], p, parsed["alpha4"])
+    p, sector = parsed["p"], parsed["sector"]
     row = {
         "m_total": sector.m_total,
         "x0": sector.x0,
@@ -465,6 +464,8 @@ def _parse_oracle_check(ps):
         raise UsageError(f"n_levels must lie in [1, cutoff = {cutoff}], got {n_levels}")
     if hbar_omega <= 0:
         raise UsageError(f"hbar_omega must be positive, got {hbar_omega}")
+    if tol < 0:
+        raise UsageError(f"tol must be non-negative, got {tol}")
     return {"case": case, "tol": tol, "cutoff": cutoff, "n_levels": n_levels,
             "hbar_omega": hbar_omega}
 
@@ -697,7 +698,9 @@ def run(config: RunConfig) -> int:
     if not cmd.diagonalises(first_parsed) or jobs == 1 or len(values) == 1:
         rows = list(map(_eval_point, tasks))
     else:
-        import scipy.linalg  # noqa: F401  loaded once before the pool forks, so workers share it
+        # oracle-check and the tbjj solver=both grid solve load scipy.linalg: import it once
+        # before the pool forks, so workers share it instead of each importing it
+        import scipy.linalg  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(values) // (4 * jobs))))

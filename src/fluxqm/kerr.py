@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ModelParams, _check_finite
-from .errors import ConvergenceError
 from .gridsolve import _refine
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
 ]
 
 _ROOT_TOL = 1e-10
-_ROOT_ITERATIONS = 200
 _BASIS_CUTOFF = 48  # first oscillator-basis cutoff (at least 4 n_levels), doubled at most _MAX_DOUBLINGS times
 _MAX_DOUBLINGS = 5
 _RTOL = 1e-9  # relative level change that ends the doublings
@@ -70,7 +68,7 @@ class QuarticSector:
         if self.a_coef <= 0:
             raise ValueError(f"kinetic coefficient must be positive, got {self.a_coef}")
         residual = self.cubic_residual()
-        if abs(residual) > _ROOT_TOL * max(1.0, abs(self.c_coef * self.m_total)):
+        if not abs(residual) <= _ROOT_TOL * max(1.0, abs(self.c_coef * self.m_total)):  # NaN fails too
             raise ValueError(f"x0 does not satisfy the stationarity cubic: residual {residual}")
         if 2.0 * self.b_coef + 12.0 * self.alpha4 * self.x0**2 <= 0:
             raise ValueError("displaced potential must have positive curvature")
@@ -91,44 +89,13 @@ class QuarticSector:
         return self.b_coef * self.x0**2 - self.c_coef * self.m_total * self.x0 + self.alpha4 * self.x0**4
 
 
-def _monotone_cubic_root(b_coef: float, alpha4: float, rhs: float) -> float:
-    """Unique real root of 4 alpha4 x^3 + 2 B x = rhs for B > 0, alpha4 >= 0.
-
-    Safeguarded Newton iteration: the bracket endpoints are updated from the
-    sign of the residual and any Newton step leaving the bracket falls back to
-    bisection.  The cubic is strictly increasing, so the bracket always
-    contains exactly one root.  Raises ConvergenceError, carrying the last
-    cubic residual, if the steps have not settled after 200 iterations.
-    """
-    if alpha4 == 0.0:
-        return rhs / (2.0 * b_coef)
-    span = max(abs(rhs) / (2.0 * b_coef), (abs(rhs) / (4.0 * alpha4)) ** (1.0 / 3.0)) + 1.0
-    lo, hi = -span, span
-    x = rhs / (2.0 * b_coef)  # harmonic guess
-    for _ in range(_ROOT_ITERATIONS):
-        f = 4.0 * alpha4 * x**3 + 2.0 * b_coef * x - rhs
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = f / (12.0 * alpha4 * x**2 + 2.0 * b_coef)
-        x_next = x - step
-        if not lo < x_next < hi:
-            x_next = 0.5 * (lo + hi)
-        if abs(x_next - x) <= 4.0 * np.finfo(float).eps * max(1.0, abs(x_next)):
-            return x_next
-        x = x_next
-    raise ConvergenceError(
-        f"stationarity cubic not solved in {_ROOT_ITERATIONS} iterations: residual {f}", residual=f
-    )
-
-
 def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSector:
     """Solve the stationarity cubic of sector M and package the shifted coefficients.
 
-    For M = 0 the displacement vanishes identically and the cubic term with
-    it.  ``p.hbar_omega`` plays the role of the bare quantum hbar_omega_p of
-    the nonlinear mode.
+    x0 is the closed-form real root of the cubic, which is strictly
+    increasing for B > 0 and alpha4 >= 0.  For M = 0 the displacement
+    vanishes identically and the cubic term with it.  ``p.hbar_omega``
+    plays the role of the bare quantum hbar_omega_p of the nonlinear mode.
     """
     _check_finite(alpha4=alpha4)
     if alpha4 < 0:
@@ -136,7 +103,10 @@ def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSec
     a_coef = 0.25 * p.hbar_omega
     b_coef = 0.25 * p.hbar_omega + p.g * p.phi**2 * p.n_particles
     c_coef = 2.0 * p.g * p.phi
-    x0 = 0.0 if m_total == 0 else _monotone_cubic_root(b_coef, alpha4, c_coef * m_total)
+    x_h = c_coef * m_total / (2.0 * b_coef)  # the harmonic root
+    # x0 = x_h y with (s^2/3) y^3 + y = 1; y = (2/s) sinh(u) turns it into sinh(3u) = 3s/2
+    s = math.sqrt(6.0 * alpha4 * x_h**2 / b_coef)  # 0, or at least 2e-162: 2 / s cannot overflow
+    x0 = x_h if s == 0.0 else x_h * (2.0 / s) * math.sinh(math.asinh(1.5 * s) / 3.0)
     return QuarticSector(m_total=m_total, alpha4=alpha4, a_coef=a_coef, b_coef=b_coef, c_coef=c_coef, x0=x0)
 
 
@@ -156,8 +126,6 @@ def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.
     s = (A/B_eff)^(1/4) and the quadratic part is diagonal with spacing
     4 sqrt(A B_eff).
     """
-    from scipy.linalg import eigh
-
     s = (sector.a_coef / sector.b_eff) ** 0.25
     spacing = 4.0 * math.sqrt(sector.a_coef * sector.b_eff)
     q = np.zeros((cutoff + 1, cutoff + 1))
@@ -170,7 +138,7 @@ def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.
         h = h + (sector.beta3 * s**3) * (q2 @ q)
     if sector.alpha4 != 0.0:
         h = h + (sector.alpha4 * s**4) * (q2 @ q2)
-    return eigh(h, eigvals_only=True)[:n_levels]
+    return np.linalg.eigvalsh(h)[:n_levels]
 
 
 def anharmonic_spectrum(sector: QuarticSector, n_levels: int = 6) -> np.ndarray:

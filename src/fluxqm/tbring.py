@@ -218,12 +218,10 @@ def displacement_operator(lam: float, cutoff: int, sign: int = 1) -> np.ndarray:
 
 
 def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int, n_levels: int) -> np.ndarray:
-    from scipy.linalg import eigh
-
     d = displacement_operator(eta / math.sqrt(2.0), cutoff)  # cos(eta x) + i sin(eta x)
     h = hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
     h -= 2.0 * t * (sector.c_sum * d.real - sector.s_sum * d.imag)
-    return eigh(h, eigvals_only=True)[:n_levels]
+    return np.linalg.eigvalsh(h)[:n_levels]
 
 
 def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: float, n_levels: int = 5) -> np.ndarray:

@@ -94,6 +94,9 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("phase-scan", "--set", "n_particles=3", "--set", "g=-1"), "g"),
     (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "eta=0",
       "--set", "scan_param=t", "--set", "scan_min=0.5", "--set", "scan_max=1.5", "--set", "scan_steps=3"), "eta"),
+    (("nonlinear", "--set", "n_particles=3", "--set", "alpha4=-1"), "alpha4"),
+    (("spectrum", "--set", "orbitals=0,1", "--set", "spins=1"), "spins"),
+    (("oracle-check", "--set", "tol=-1"), "tol"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
     def no_row(task):
@@ -182,6 +185,21 @@ def test_phase_scan_bracket_contains_closed_form(tmp_path):
     assert float(summary["phi_c_closed_form"]) == phi_c
 
 
+@pytest.mark.parametrize("args", [
+    ["phase-scan", "--set", "n_particles=3", "--set", "g=2", "--set", "scan_param=g_eff"],
+    ["dirac-scan", "--set", "n_electrons=8", "--set", "scan_param=eps0"],
+], ids=["phase-scan", "dirac-scan"])
+def test_closed_form_phi_c_is_written_only_on_a_phi_axis(tmp_path, args):
+    # phi_c depends on the scanned key here, so the first point's value would not hold at the others
+    out = tmp_path / "scan.csv"
+    code = run_cli(*args, "--set", "scan_min=0.5", "--set", "scan_max=1.5", "--set", "scan_steps=5",
+                   "--out", str(out), "--jobs", "1")
+    assert code == 0
+    comments, _, rows = read_csv(out)
+    assert len(rows) == 5
+    assert [line for line in comments if line.startswith("# summary phi_c_closed_form")] == []
+
+
 def test_json_output_structure(tmp_path):
     out = tmp_path / "scan.json"
     code = run_cli("spin-phase", "--set", "n_particles=4", "--set", "phi=0.5",
@@ -206,17 +224,20 @@ def test_json_output_structure(tmp_path):
     assert flips[0][0] <= 1.0 <= flips[0][1]
 
 
-def test_failed_points_flag_rows_and_exit_one(tmp_path):
+def test_failed_points_flag_rows_and_exit_one(tmp_path, monkeypatch):
+    # a single basis cutoff gives the refinement nothing to compare, so every row's levels fail to converge
+    monkeypatch.setattr(cli.kerr, "_MAX_DOUBLINGS", 0)
     out = tmp_path / "bad.csv"
     code = run_cli("nonlinear", "--set", "n_particles=5", "--set", "g=0.2",
-                   "--set", "phi=0.5", "--set", "alpha4=-0.1",
+                   "--set", "phi=0.5", "--set", "alpha4=0.1", "--set", "n_levels=2",
                    "--set", "scan_param=m_total", "--set", "scan_min=0",
                    "--set", "scan_max=2", "--set", "scan_steps=3",
                    "--out", str(out), "--jobs", "1")
     assert code == 1
     _, header, rows = read_csv(out)
     status_idx = header.index("status")
-    assert all(r[status_idx].startswith("error:") for r in rows)
+    assert len(rows) == 3
+    assert all(r[status_idx].startswith("error: ConvergenceError: anharmonic levels not converged") for r in rows)
 
 
 def test_oracle_check_default_suite_passes(tmp_path):

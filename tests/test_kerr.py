@@ -90,18 +90,29 @@ def test_root_rejects_non_finite_alpha4(alpha4):
         displacement_root(2, ModelParams(g=1.0, g_eff=1.0, phi=0.3, n_particles=3), alpha4)
 
 
-def test_root_iteration_limit_raises(monkeypatch):
-    # x^3 + x = 3 from the harmonic guess x = 3: one step leaves residual 27 unsettled
-    monkeypatch.setattr(kerr, "_ROOT_ITERATIONS", 1)
-    p = ModelParams(g=0.25, g_eff=0.25, phi=1.0, n_particles=1, hbar_omega=1.0)
-    with pytest.raises(ConvergenceError, match="not solved in 1 iterations") as info:
-        displacement_root(6, p, 0.25)
-    assert info.value.residual == pytest.approx(27.0, rel=1e-15)
+@pytest.mark.parametrize("alpha4", [1e-12, 0.05, 3.0])
+@pytest.mark.parametrize("m_total", [1, 7, -50])
+@pytest.mark.parametrize("phi", [1e-11, 1e-9, 1e-5, 0.5])
+def test_root_matches_mpmath(phi, m_total, alpha4):
+    # the real root of the sector's own float cubic, by 50-digit Newton from the harmonic root;
+    # the cubic is increasing and convex beyond its root, so the iterates approach it from outside
+    import mpmath
+
+    sector = displacement_root(m_total, ModelParams(g=1.0, g_eff=1.0, phi=phi, n_particles=3), alpha4)
+    with mpmath.workdps(50):
+        a, b, rhs = mpmath.mpf(alpha4), mpmath.mpf(sector.b_coef), mpmath.mpf(sector.c_coef) * m_total
+        x = rhs / (2 * b)
+        for _ in range(100):
+            x -= (4 * a * x**3 + 2 * b * x - rhs) / (12 * a * x**2 + 2 * b)
+        assert abs(sector.x0 - x) <= 1e-14 * abs(x)
 
 
 def test_sector_validation_rejects_inconsistent_root():
     with pytest.raises(ValueError):
         QuarticSector(m_total=1, alpha4=0.1, a_coef=0.25, b_coef=0.5, c_coef=1.0, x0=5.0)
+    # a root that overflowed to NaN leaves a NaN residual, which must fail the check too
+    with pytest.raises(ValueError, match="residual nan"):
+        QuarticSector(m_total=1, alpha4=0.1, a_coef=0.25, b_coef=0.5, c_coef=1.0, x0=math.nan)
 
 
 def test_gaussian_frequency_matches_linear_model_at_zero_momentum():

@@ -50,19 +50,23 @@ _CLOSED_FORM = {
 }
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", sorted(_CLOSED_FORM))
-def test_closed_form_commands_never_load_scipy(tmp_path, command, jobs):
-    # With scipy blocked, an import of it here or in a forked worker fails the row.
-    argv = [command, *_CLOSED_FORM[command], "--out", "out.csv", "--jobs", jobs]
-    result = run_python(
+def run_without_scipy(argv, cwd):
+    """Run the CLI with scipy blocked, so an import of it here or in a forked worker fails the row."""
+    return run_python(
         "import json, sys\n"
         "sys.modules['scipy'] = None\n"
         "from fluxqm import cli\n"
         f"code = cli.main({argv!r})\n"
         "print(json.dumps({'code': code, 'scipy': sorted(m for m in sys.modules if m.startswith('scipy.'))}))",
-        tmp_path,
+        cwd,
     )
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(_CLOSED_FORM))
+def test_closed_form_commands_never_load_scipy(tmp_path, command, jobs):
+    argv = [command, *_CLOSED_FORM[command], "--out", "out.csv", "--jobs", jobs]
+    result = run_without_scipy(argv, tmp_path)
     assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
 
 
@@ -99,6 +103,20 @@ _DIAGONALISING = {
              "--set", "scan_param=t", "--set", "scan_min=0.5", "--set", "scan_max=1.0", "--set", "scan_steps=2"],
     "oracle-check": ["--set", "n_levels=2"],
 }
+
+
+# Rows whose dense Fock-basis levels come from numpy; only the pool (--jobs > 1) pre-imports scipy.
+_NUMPY_EIGENSOLVES = {
+    "nonlinear": _DIAGONALISING["nonlinear"],
+    "tbjj": [*_DIAGONALISING["tbjj"], "--set", "solver=fock"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NUMPY_EIGENSOLVES))
+def test_dense_fock_solves_never_load_scipy_at_one_job(tmp_path, command):
+    argv = [command, *_NUMPY_EIGENSOLVES[command], "--out", "out.csv", "--jobs", "1"]
+    result = run_without_scipy(argv, tmp_path)
+    assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
 
 
 @pytest.mark.parametrize("command", sorted(_DIAGONALISING))

@@ -39,15 +39,7 @@ from .oracle import (
     oracle_spectrum,
 )
 from .phases import GroundState, balanced_config, boosted_config, critical_chi, critical_flux, ground_state_search
-from .spinorbit import (
-    HessianReport,
-    critical_eta,
-    critical_flux_spin,
-    hessian,
-    ladder_offset,
-    locking_ratio,
-    spin_sector_energy,
-)
+from .spinorbit import HessianReport, critical_eta, critical_flux_spin, hessian, locking_ratio
 from .tbring import (
     RfSquidParams,
     TBSector,

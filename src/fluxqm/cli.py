@@ -185,9 +185,8 @@ def _columns_spectrum(parsed):
         ("squeeze_r", "squeeze parameter of the cavity ground state"),
         ("var_x", "ground-state variance of x = (a+a^dag)/sqrt(2)"),
     ]
-    ladder = "spin-sector" if parsed["cfg"].spins else "sector"
     for k in range(parsed["n_levels"]):
-        cols.append((f"e{k}", f"{ladder} level {k} (photon index {k})"))
+        cols.append((f"e{k}", f"sector level {k} (photon index {k})"))
     return cols
 
 
@@ -201,10 +200,7 @@ def _row_spectrum(parsed):
         "var_x": sol.variance_x(),
     }
     for k in range(parsed["n_levels"]):
-        if cfg.spins:
-            row[f"e{k}"] = spinorbit.spin_sector_energy(p, cfg, k)
-        else:
-            row[f"e{k}"] = linearmode.sector_energy(p, cfg, k)
+        row[f"e{k}"] = linearmode.sector_energy(p, cfg, k)
     return row
 
 
@@ -602,7 +598,17 @@ def _write_csv(fh, config, columns, rows, summary):
         fh.write(f"# summary {key} = {_format_cell(summary[key])}\n")
 
 
+def _text_non_finite(values: dict):
+    """Replace NaN and infinite floats in place by their CSV text, since RFC 8259 JSON has neither."""
+    for key, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            values[key] = repr(value)
+
+
 def _write_json(fh, config, columns, rows, summary):
+    for row in rows:
+        _text_non_finite(row)
+    _text_non_finite(summary)
     doc = {
         "meta": {
             "schema_version": SCHEMA_VERSION,
@@ -621,7 +627,7 @@ def _write_json(fh, config, columns, rows, summary):
         },
         "rows": rows,
     }
-    json.dump(doc, fh, indent=2)
+    json.dump(doc, fh, indent=2, allow_nan=False)
     fh.write("\n")
 
 

@@ -9,7 +9,8 @@ In quadratures with [X, P] = 2i the block reads
 
 with S2 = sum m_i^2.  Shifting X by the stationary point x0 of the classical
 potential (the unique real root of 4 alpha4 x^3 + 2 B x = C M for positive B
-and alpha4) cancels the linear term exactly and leaves
+and alpha4 >= 0, which ``QuarticSector`` derives in closed form from the
+coefficients it stores) cancels the linear term exactly and leaves
 
     h = g S2 + V_eff + A P'^2 + B_eff X'^2 + beta3 X'^3 + alpha4 X'^4,
 
@@ -40,7 +41,6 @@ __all__ = [
     "full_levels",
 ]
 
-_ROOT_TOL = 1e-10
 _BASIS_CUTOFF = 48  # first oscillator-basis cutoff (at least 4 n_levels), doubled at most _MAX_DOUBLINGS times
 _MAX_DOUBLINGS = 5
 _RTOL = 1e-9  # relative level change that ends the doublings
@@ -48,11 +48,14 @@ _RTOL = 1e-9  # relative level change that ends the doublings
 
 @dataclass(frozen=True)
 class QuarticSector:
-    """Displaced-frame coefficients of one fermion sector of the quartic cavity.
+    """Coefficients of one fermion sector of the quartic cavity.
 
-    ``x0`` satisfies the stationarity cubic to within 1e-10 (checked).  The
-    properties ``b_eff = B + 6 alpha4 x0^2``, ``beta3 = 4 alpha4 x0`` and the
-    sector offset ``v_eff = B x0^2 - C M x0 + alpha4 x0^4`` follow from it.
+    The stored fields define the sector; the displacement ``x0``, the real
+    root of the stationarity cubic 4 alpha4 x^3 + 2 B x = C M, is a property
+    computed in closed form, so a sector cannot hold a wrong root.  The
+    displaced-frame properties ``b_eff = B + 6 alpha4 x0^2``,
+    ``beta3 = 4 alpha4 x0`` and the sector offset
+    ``v_eff = B x0^2 - C M x0 + alpha4 x0^4`` follow from it.
     """
 
     m_total: int
@@ -60,21 +63,25 @@ class QuarticSector:
     a_coef: float
     b_coef: float
     c_coef: float
-    x0: float
 
     def __post_init__(self):
+        _check_finite(alpha4=self.alpha4)
         if self.alpha4 < 0:
             raise ValueError(f"alpha4 must be non-negative, got {self.alpha4}")
         if self.a_coef <= 0:
             raise ValueError(f"kinetic coefficient must be positive, got {self.a_coef}")
-        residual = self.cubic_residual()
-        if not abs(residual) <= _ROOT_TOL * max(1.0, abs(self.c_coef * self.m_total)):  # NaN fails too
-            raise ValueError(f"x0 does not satisfy the stationarity cubic: residual {residual}")
-        if 2.0 * self.b_coef + 12.0 * self.alpha4 * self.x0**2 <= 0:
-            raise ValueError("displaced potential must have positive curvature")
+        if not self.b_coef > 0:
+            raise ValueError(f"curvature coefficient must be positive, got {self.b_coef}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}: the closed-form root overflows")
 
-    def cubic_residual(self) -> float:
-        return 4.0 * self.alpha4 * self.x0**3 + 2.0 * self.b_coef * self.x0 - self.c_coef * self.m_total
+    @property
+    def x0(self) -> float:
+        """The cubic's unique real root (it is strictly increasing for B > 0 and alpha4 >= 0)."""
+        x_h = self.c_coef * self.m_total / (2.0 * self.b_coef)  # the harmonic root
+        # x0 = x_h y with (s^2/3) y^3 + y = 1; y = (2/s) sinh(u) turns it into sinh(3u) = 3s/2
+        s = math.sqrt(6.0 * self.alpha4 * x_h**2 / self.b_coef)  # 0, or at least 2e-162: 2 / s cannot overflow
+        return x_h if s == 0.0 else x_h * (2.0 / s) * math.sinh(math.asinh(1.5 * s) / 3.0)
 
     @property
     def b_eff(self) -> float:
@@ -90,24 +97,19 @@ class QuarticSector:
 
 
 def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSector:
-    """Solve the stationarity cubic of sector M and package the shifted coefficients.
+    """The quartic sector of total momentum M, whose ``x0`` is the stationarity root.
 
-    x0 is the closed-form real root of the cubic, which is strictly
-    increasing for B > 0 and alpha4 >= 0.  For M = 0 the displacement
-    vanishes identically and the cubic term with it.  ``p.hbar_omega``
-    plays the role of the bare quantum hbar_omega_p of the nonlinear mode.
+    For M = 0 the displacement vanishes identically and the cubic term with
+    it.  ``p.hbar_omega`` plays the role of the bare quantum hbar_omega_p of
+    the nonlinear mode.
     """
-    _check_finite(alpha4=alpha4)
-    if alpha4 < 0:
-        raise ValueError(f"alpha4 must be non-negative, got {alpha4}")
-    a_coef = 0.25 * p.hbar_omega
-    b_coef = 0.25 * p.hbar_omega + p.g * p.phi**2 * p.n_particles
-    c_coef = 2.0 * p.g * p.phi
-    x_h = c_coef * m_total / (2.0 * b_coef)  # the harmonic root
-    # x0 = x_h y with (s^2/3) y^3 + y = 1; y = (2/s) sinh(u) turns it into sinh(3u) = 3s/2
-    s = math.sqrt(6.0 * alpha4 * x_h**2 / b_coef)  # 0, or at least 2e-162: 2 / s cannot overflow
-    x0 = x_h if s == 0.0 else x_h * (2.0 / s) * math.sinh(math.asinh(1.5 * s) / 3.0)
-    return QuarticSector(m_total=m_total, alpha4=alpha4, a_coef=a_coef, b_coef=b_coef, c_coef=c_coef, x0=x0)
+    return QuarticSector(
+        m_total=m_total,
+        alpha4=alpha4,
+        a_coef=0.25 * p.hbar_omega,
+        b_coef=0.25 * p.hbar_omega + p.g * p.phi**2 * p.n_particles,
+        c_coef=2.0 * p.g * p.phi,
+    )
 
 
 def gaussian_frequency(sector: QuarticSector) -> float:

@@ -1,21 +1,25 @@
 """Closed-form diagonalization of the linear flux-coupled cavity.
 
-In a fixed fermion sector (the total angular momentum commutes with the
-cavity mode) the model
+In a fixed fermion sector (the total angular momentum and the total spin
+commute with the cavity mode) the model
 
     H = g_eff * sum_i L_i^2 + hbar_omega a^dag a
-        + g N phi^2 X^2 - 2 g phi X M,        X = a + a^dag,
+        + g N phi^2 X^2 - (2 g phi M + eta S) X,        X = a + a^dag,
 
-is a displaced and squeezed oscillator.  Completing the square and applying a
-Bogoliubov rotation gives the dressed quantum ``hbar_Omega = sqrt(alpha*beta)``
-with ``alpha = hbar_omega`` and ``beta = hbar_omega + 4 g phi^2 N``, the
-squeeze parameter ``r = ln(beta/alpha)/4``, and an induced all-to-all
-attraction ``-chi M^2``.  Sector energies are exact:
+is a displaced and squeezed oscillator; S = Sigma / 2 is the total spin in
+units of hbar (0 for a spinless configuration), so the orbital flux coupling
+and the Zeeman coupling are one linear drive.  Completing the square and
+applying a Bogoliubov rotation gives the dressed quantum
+``hbar_Omega = sqrt(alpha*beta)`` with ``alpha = hbar_omega`` and
+``beta = D = hbar_omega + 4 g phi^2 N``, the squeeze parameter
+``r = ln(beta/alpha)/4``, and the collective shift ``-(2 g phi M + eta S)^2 / D``,
+whose orbital part is the induced all-to-all attraction ``-chi M^2``.
+Sector energies are exact:
 
-    E({m_i}, n) = g_eff W - chi M^2 + hbar_Omega (n + 1/2) - hbar_omega/2,
+    E({m_i}, n) = g_eff W - (2 g phi M + eta S)^2 / D + hbar_Omega (n + 1/2) - hbar_omega/2,
 
-where W = sum m_i^2.  The trailing constant is kept so these values can be
-compared against brute-force spectra with no per-call offset.
+where W = sum m_i^2.  The trailing constant is the number-operator zero
+point, so these values equal brute-force spectra with no offset.
 """
 
 from __future__ import annotations
@@ -39,16 +43,14 @@ __all__ = [
 class AnalyticSolution:
     """Exact normal-mode data of the linear model at fixed couplings.
 
-    ``x0_per_m`` is the quadrature displacement per unit of total angular
-    momentum.  The properties ``omega_dressed = sqrt(alpha beta)`` (the
-    dressed quantum hbar*Omega in E0) and ``squeeze_r = ln(beta/alpha)/4``
-    follow from ``alpha`` and ``beta``.
+    The properties ``omega_dressed = sqrt(alpha beta)`` (the dressed quantum
+    hbar*Omega in E0) and ``squeeze_r = ln(beta/alpha)/4`` follow from
+    ``alpha`` and ``beta``.
     """
 
     chi: float
     alpha: float
     beta: float
-    x0_per_m: float
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -98,31 +100,28 @@ def induced_coupling(p: ModelParams) -> float:
 
 
 def squeeze_solution(p: ModelParams) -> AnalyticSolution:
-    """Full normal-mode solution: dressed quantum, chi, squeeze parameter, displacement."""
-    alpha = p.hbar_omega
-    beta = _stiffness(p)
-    return AnalyticSolution(
-        chi=induced_coupling(p),
-        alpha=alpha,
-        beta=beta,
-        x0_per_m=2.0 * math.sqrt(2.0) * p.g * p.phi / beta,
-    )
+    """Full normal-mode solution: dressed quantum, chi and squeeze parameter."""
+    return AnalyticSolution(chi=induced_coupling(p), alpha=p.hbar_omega, beta=_stiffness(p))
 
 
 def sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
     """Exact eigenvalue of the linear model for one fermion sector and photon index n.
 
-    E = g_eff W - chi M^2 + hbar_Omega (n + 1/2) - hbar_omega/2.  Level
+    E = g_eff W - (2 g phi M + eta S)^2 / D + hbar_Omega (n + 1/2) - hbar_omega/2
+    with S = Sigma / 2, for spinless and spinful configurations alike.  The
+    square is expanded as chi M^2 + eta S (4 g phi M + eta S) / D, so a
+    spinless sector (S = 0) costs exactly g_eff W - chi M^2 + ...  Level
     spacing in n is exactly hbar_Omega.
     """
     if n < 0:
         raise ValueError(f"photon index must be >= 0, got {n}")
-    chi = induced_coupling(p)
-    hbar_omega_dressed = dressed_frequency(p)
+    orbital = 2.0 * p.g * p.phi * cfg.m_total
+    zeeman = 0.5 * p.eta * cfg.sigma_total
     return (
         p.g_eff * cfg.w_kinetic
-        - chi * cfg.m_total**2
-        + hbar_omega_dressed * (n + 0.5)
+        - induced_coupling(p) * cfg.m_total**2
+        - zeeman * (2.0 * orbital + zeeman) / _stiffness(p)
+        + dressed_frequency(p) * (n + 0.5)
         - 0.5 * p.hbar_omega
     )
 

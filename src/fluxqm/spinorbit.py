@@ -1,10 +1,11 @@
-"""Zeeman-coupled sectors and stability analysis of the balanced state.
+"""Stability analysis of the balanced state of the Zeeman-coupled model.
 
 With spins coupled to the same quantized flux, each (M, Sigma) sector is
 still exactly solvable.  Sigma is the sum of the +-1 spin labels and
 S = Sigma / 2 the total spin in units of hbar; eta is the drive per unit S.
 The cavity sees a linear drive 2 g phi M + eta S and the spectrum gains the
-collective shift -(2 g phi M + eta S)^2 / D with D = hbar_omega + 4 g N phi^2.
+collective shift -(2 g phi M + eta S)^2 / D with D = hbar_omega + 4 g N phi^2;
+``linearmode.sector_energy`` gives these levels for any configuration.
 Expanding the ground-state energy to quadratic order in the order parameters
 (M, S), with Fermi-liquid stiffnesses 2 g_eff / N and g_eff N / 2, gives a 2x2
 Hessian whose lowest eigenvalue crossing zero marks the instability; on closed
@@ -22,14 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FermionConfig, ModelParams
+from .core import ModelParams
 from .errors import NoTransitionError
-from .linearmode import _stiffness, dressed_frequency
+from .linearmode import _stiffness
 
 __all__ = [
     "HessianReport",
-    "spin_sector_energy",
-    "ladder_offset",
     "hessian",
     "critical_eta",
     "critical_flux_spin",
@@ -70,36 +69,6 @@ class HessianReport:
     @property
     def stable(self) -> bool:
         return self.eigenvalues[0] > 0
-
-
-def spin_sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
-    """Exact level of the Zeeman-coupled model in a fixed (M, Sigma) sector.
-
-    E = g_eff W - (2 g phi M + eta S)^2 / (hbar_omega + 4 g N phi^2)
-        + hbar_Omega (n + 1/2),  with S = Sigma / 2.
-
-    Note this ladder carries the +hbar_Omega/2 zero point but not the
-    -hbar_omega/2 constant of the purely orbital convention; subtract
-    ladder_offset(p) when comparing with linearmode.sector_energy or with
-    number-operator-form brute-force spectra.
-    """
-    if cfg.spins is None:
-        raise ValueError("spin_sector_energy requires a spinful configuration")
-    if n < 0:
-        raise ValueError(f"photon index must be >= 0, got {n}")
-    d_stiff = _stiffness(p)
-    drive = 2.0 * p.g * p.phi * cfg.m_total + 0.5 * p.eta * cfg.sigma_total
-    return p.g_eff * cfg.w_kinetic - drive**2 / d_stiff + dressed_frequency(p) * (n + 0.5)
-
-
-def ladder_offset(p: ModelParams) -> float:
-    """Constant hbar_omega/2 separating the two zero-point conventions.
-
-    spin_sector_energy(p, cfg, n) - ladder_offset(p) equals the eigenvalue of
-    the number-operator form of the cavity term (and, at eta = 0, equals
-    linearmode.sector_energy exactly).
-    """
-    return 0.5 * p.hbar_omega
 
 
 def _hessian_matrix(p: ModelParams) -> np.ndarray:

@@ -146,6 +146,7 @@ def sector_constants(occupied: Iterable[int], m_sites: int) -> TBSector:
 
 # Past this e^(-lam^2/2) is subnormal or zero, and every band seeded from it loses its digits.
 _MAX_HALF_LAM_SQ = -math.log(sys.float_info.min)
+_PHASES = (1, 1j, -1, -1j)  # i^D for D mod 4, exact for every exponent
 
 
 def _displacement_bands(lam: float, bands: np.ndarray, size: int) -> np.ndarray:
@@ -175,40 +176,34 @@ def _displacement_bands(lam: float, bands: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _phase(delta_idx: int, sign: int) -> complex:
-    """(sign * i)^delta_idx, exact for every exponent."""
-    return (1, sign * 1j, -1, -sign * 1j)[delta_idx % 4]
+def displacement_matrix_element(m: int, n: int, lam: float) -> complex:
+    """Closed-form <m| exp(i * lam * (a + a^dag)) |n>.
 
-
-def displacement_matrix_element(m: int, n: int, lam: float, sign: int = 1) -> complex:
-    """Closed-form <m| exp(sign * i * lam * (a + a^dag)) |n>.
-
-    Equals e^(-lam^2/2) sqrt(min!/max!) (sign*i*lam)^|m-n| L_min^(|m-n|)(lam^2);
+    Equals e^(-lam^2/2) sqrt(min!/max!) (i lam)^|m-n| L_min^(|m-n|)(lam^2);
     lam = 0 gives the identity.  Raises ValueError past lam ~ 37.6, where
-    e^(-lam^2/2) underflows.
+    e^(-lam^2/2) underflows.  The operator is symmetric, and the element of
+    exp(-i lam (a + a^dag)) is its complex conjugate.
     """
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be non-negative")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     if lam < 0:
         raise ValueError(f"lam must be non-negative, got {lam}")
     delta_idx = abs(m - n)
     magnitude = _displacement_bands(lam, np.array([delta_idx]), max(m, n) + 1)[min(m, n), 0]
-    return complex(_phase(delta_idx, sign) * magnitude)
+    return complex(_PHASES[delta_idx % 4] * magnitude)
 
 
-def displacement_operator(lam: float, cutoff: int, sign: int = 1) -> np.ndarray:
-    """Dense matrix of exp(sign*i*lam*(a+a^dag)) on |0..cutoff>.
+def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
+    """Dense matrix of exp(i*lam*(a+a^dag)) on |0..cutoff>.
 
     Unitary up to truncation: column n is numerically unit-norm once the
     cutoff exceeds roughly n + 20 lam^2 + 40.  Even |m-n| bands are real and
     odd bands imaginary, so the real and imaginary parts are the real
-    symmetric matrices of cos and sign * sin of lam (a + a^dag).
+    symmetric matrices of cos and sin of lam (a + a^dag).
     """
     dim = cutoff + 1
     mags = _displacement_bands(lam, np.arange(dim), dim)
-    phases = np.array([_phase(delta_idx, sign) for delta_idx in range(4)])[np.arange(dim) % 4]
+    phases = np.array(_PHASES)[np.arange(dim) % 4]
     op = np.zeros((dim, dim), dtype=complex)
     for l in range(dim):
         entries = phases[: dim - l] * mags[l, : dim - l]  # entries (l + D, l) for D = 0..cutoff - l

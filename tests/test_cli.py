@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from fluxqm import (
+    FermionConfig,
     ModelParams,
     critical_flux,
     dressed_frequency,
+    oracle_spectrum,
     rf_squid_map,
     sector_constants,
     sector_spectrum_fock,
@@ -143,6 +145,24 @@ def test_csv_and_json_write_the_same_rows(tmp_path):
     assert doc["rows"][0]["x0"] is None and csv_rows[0][header.index("x0")] == ""
 
 
+def test_non_finite_cells_are_valid_json(tmp_path):
+    # g_eff D / N = 4 g^2 phi^2 here, so locking_ratio is a signed infinity
+    args = ["spin-phase", "--set", "n_particles=1", "--set", "g=1.0", "--set", "g_eff=0.5",
+            "--set", "eta=0.3", "--set", "phi=0.5", "--jobs", "1"]
+    csv_out, json_out = tmp_path / "rows.csv", tmp_path / "rows.json"
+    assert run_cli(*args, "--out", str(csv_out)) == 0
+    assert run_cli(*args, "--format", "json", "--out", str(json_out)) == 0
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    doc = json.loads(json_out.read_text(), parse_constant=reject)
+    assert doc["rows"][0]["locking_ratio"] == "inf"
+    _, header, csv_rows = read_csv(csv_out)
+    assert csv_rows[0][header.index("locking_ratio")] == "inf"
+    assert csv_rows[0] == [cli._format_cell(value) for value in doc["rows"][0].values()]
+
+
 def test_unknown_command_is_usage_error(tmp_path):
     assert run_cli("frobnicate", "--out", str(tmp_path / "x.csv")) == 2
 
@@ -162,6 +182,22 @@ def test_spectrum_row_matches_api(tmp_path):
     assert float(row["omega_dressed"]) == dressed_frequency(p)
     assert float(row["chi"]) == squeeze_solution(p).chi
     assert row["status"] == "ok"
+
+
+def test_spinful_spectrum_equals_the_oracle_levels(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    code = run_cli("spectrum", "--set", "orbitals=-1,0,1", "--set", "spins=1,1,-1",
+                   "--set", "phi=0.4", "--set", "eta=0.3", "--set", "n_levels=3",
+                   "--out", str(out), "--jobs", "1")
+    assert code == 0
+    comments, header, rows = read_csv(out)
+    assert "# column e0: sector level 0 (photon index 0)" in comments
+    row = dict(zip(header, rows[0]))
+    p = ModelParams(g=1.0, g_eff=1.0, phi=0.4, n_particles=3, eta=0.3)
+    report = oracle_spectrum(p, FermionConfig([-1, 0, 1], spins=[1, 1, -1]), n_levels=3)
+    assert report.converged
+    for k, level in enumerate(report.levels):
+        assert float(row[f"e{k}"]) == pytest.approx(level, rel=1e-8, abs=1e-8)
 
 
 def test_phase_scan_bracket_contains_closed_form(tmp_path):

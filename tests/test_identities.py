@@ -16,12 +16,10 @@ from fluxqm import (
     displacement_operator,
     dressed_frequency,
     hessian,
-    ladder_offset,
     oracle_spectrum,
     rf_squid_map,
     sector_constants,
     sector_energy,
-    spin_sector_energy,
     squeeze_solution,
 )
 from fluxqm.core import HBAR
@@ -77,17 +75,16 @@ def test_hessian_determinant_is_eigenvalue_product(p):
     assert math.isclose(rep.determinant, low * high, abs_tol=1e-12 * max(abs(low), abs(high)) ** 2)
 
 
-@settings(PROPERTY, max_examples=50)
-@given(
-    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=7, unique=True),
-    st.floats(min_value=0.2, max_value=2.0),
-    st.floats(min_value=0.2, max_value=2.0),
-    st.floats(min_value=0.0, max_value=1.5),
-    st.floats(min_value=0.8, max_value=1.25),
+orbital = st.integers(min_value=-3, max_value=3)
+spinless_configs = st.lists(orbital, min_size=1, max_size=7, unique=True).map(FermionConfig)
+spinful_configs = st.lists(st.tuples(orbital, st.sampled_from([-1, 1])), min_size=1, max_size=7, unique=True).map(
+    lambda pairs: FermionConfig([m for m, _ in pairs], spins=[s for _, s in pairs])
 )
-def test_sector_levels_match_the_oracle(orbitals, g, g_eff, phi, hbar_omega):
-    cfg = FermionConfig(orbitals)
-    p = ModelParams(g=g, g_eff=g_eff, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
+etas = st.floats(min_value=1e-3, max_value=1.0, exclude_min=True).flatmap(lambda eta: st.sampled_from([eta, -eta]))
+
+
+def assert_sector_levels_match_the_oracle(cfg, g, g_eff, phi, hbar_omega, eta):
+    p = ModelParams(g=g, g_eff=g_eff, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega, eta=eta)
     report = oracle_spectrum(p, cfg, n_levels=6, check_convergence=True)
     assert report.converged, report.max_rel_change
     analytic = [sector_energy(p, cfg, k) for k in range(6)]
@@ -97,22 +94,30 @@ def test_sector_levels_match_the_oracle(orbitals, g, g_eff, phi, hbar_omega):
 
 @settings(PROPERTY, max_examples=50)
 @given(
-    st.lists(st.tuples(st.integers(min_value=-3, max_value=3), st.sampled_from([-1, 1])),
-             min_size=1, max_size=7, unique=True),
+    spinless_configs,
     st.floats(min_value=0.2, max_value=2.0),
     st.floats(min_value=0.2, max_value=2.0),
     st.floats(min_value=0.0, max_value=1.5),
     st.floats(min_value=0.8, max_value=1.25),
-    st.floats(min_value=1e-3, max_value=1.0, exclude_min=True).flatmap(lambda eta: st.sampled_from([eta, -eta])),
+    etas,
 )
-def test_spin_ladder_matches_the_oracle(pairs, g, g_eff, phi, hbar_omega, eta):
-    cfg = FermionConfig([m for m, _ in pairs], spins=[s for _, s in pairs])
-    p = ModelParams(g=g, g_eff=g_eff, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega, eta=eta)
-    report = oracle_spectrum(p, cfg, n_levels=6, check_convergence=True)
-    assert report.converged, report.max_rel_change
-    analytic = [spin_sector_energy(p, cfg, k) - ladder_offset(p) for k in range(6)]
-    result = compare_spectra(analytic, report, tol=1e-8, scale=hbar_omega)
-    assert result.passed, result.max_rel_error
+def test_sector_levels_match_the_oracle(cfg, g, g_eff, phi, hbar_omega, eta):
+    # a spinless configuration has S = 0, so eta must leave its levels untouched
+    assert_sector_levels_match_the_oracle(cfg, g, g_eff, phi, hbar_omega, eta)
+
+
+@settings(PROPERTY, max_examples=50)
+@given(
+    spinful_configs,
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.2, max_value=2.0),
+    st.floats(min_value=0.0, max_value=1.5),
+    st.floats(min_value=0.8, max_value=1.25),
+    etas,
+)
+def test_spin_ladder_matches_the_oracle(cfg, g, g_eff, phi, hbar_omega, eta):
+    # the same sector_energy, now with the Zeeman-coupled spin term
+    assert_sector_levels_match_the_oracle(cfg, g, g_eff, phi, hbar_omega, eta)
 
 
 @PROPERTY

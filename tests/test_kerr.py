@@ -79,8 +79,9 @@ def test_root_residual_bound_randomized():
             hbar_omega=float(rng.uniform(0.3, 3.0)),
         )
         sector = displacement_root(int(rng.integers(-50, 51)), p, float(rng.uniform(0.0, 0.5)))
-        scale = max(1.0, abs(sector.c_coef * sector.m_total))
-        assert abs(sector.cubic_residual()) <= 1e-10 * scale
+        x0, rhs = sector.x0, sector.c_coef * sector.m_total
+        residual = 4 * sector.alpha4 * x0**3 + 2 * sector.b_coef * x0 - rhs
+        assert abs(residual) <= 1e-10 * max(1.0, abs(rhs))
         assert 2 * sector.b_coef + 12 * sector.alpha4 * sector.x0**2 > 0
 
 
@@ -108,11 +109,25 @@ def test_root_matches_mpmath(phi, m_total, alpha4):
 
 
 def test_sector_validation_rejects_inconsistent_root():
-    with pytest.raises(ValueError):
+    # the root is derived, so a sector cannot be given one
+    with pytest.raises(TypeError, match="x0"):
         QuarticSector(m_total=1, alpha4=0.1, a_coef=0.25, b_coef=0.5, c_coef=1.0, x0=5.0)
-    # a root that overflowed to NaN leaves a NaN residual, which must fail the check too
-    with pytest.raises(ValueError, match="residual nan"):
-        QuarticSector(m_total=1, alpha4=0.1, a_coef=0.25, b_coef=0.5, c_coef=1.0, x0=math.nan)
+
+
+def test_sector_derives_a_small_root():
+    # the root is 4e-11: an absolute residual floor of 1e-10 could not tell it from x0 = 0
+    sector = QuarticSector(m_total=1, alpha4=0.05, a_coef=0.25, b_coef=0.25, c_coef=2e-11)
+    assert sector.x0 == pytest.approx(4e-11, rel=1e-15)
+    rhs = sector.c_coef * sector.m_total
+    residual = 4 * sector.alpha4 * sector.x0**3 + 2 * sector.b_coef * sector.x0 - rhs
+    assert abs(residual) <= 1e-15 * abs(rhs)
+
+
+def test_root_overflow_names_x0():
+    # 6 alpha4 x_h^2 / B overflows, and the closed form returns NaN
+    p = ModelParams(g=1e150, g_eff=1.0, phi=1e-75, n_particles=3, hbar_omega=1e-150)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        displacement_root(10**6, p, 1e200)
 
 
 def test_gaussian_frequency_matches_linear_model_at_zero_momentum():
@@ -158,7 +173,7 @@ def test_perturbative_quartic_shift():
 
 
 def test_pure_quartic_against_grid_oracle():
-    sector = QuarticSector(m_total=0, alpha4=0.1, a_coef=1.0, b_coef=1.0, c_coef=0.0, x0=0.0)
+    sector = QuarticSector(m_total=0, alpha4=0.1, a_coef=1.0, b_coef=1.0, c_coef=0.0)
     eps = anharmonic_spectrum(sector, n_levels=5)
     oracle = fd_oracle_levels(1.0, 1.0, 0.0, 0.1, 5)
     assert np.max(np.abs(eps - oracle) / np.maximum(1.0, np.abs(oracle))) <= 1e-6

@@ -190,6 +190,3 @@ def test_solution_internal_consistency():
         sol = squeeze_solution(p)
         assert sol.beta >= sol.alpha > 0
         assert sol.omega_dressed == pytest.approx(math.sqrt(sol.alpha * sol.beta), rel=1e-13)
-        # displacement per unit momentum is consistent with the coherent amplitude
-        m = 3
-        assert sol.x0_per_m * m / math.sqrt(2.0) == pytest.approx(mode_displacement(p, m), rel=1e-13)

@@ -14,11 +14,9 @@ from fluxqm import (
     critical_flux,
     critical_flux_spin,
     hessian,
-    ladder_offset,
     locking_ratio,
     oracle_spectrum,
     sector_energy,
-    spin_sector_energy,
 )
 
 
@@ -33,9 +31,7 @@ def test_spin_energy_reduces_to_orbital_ladder_at_zero_eta():
     cfg = FermionConfig([-1, 0, 2], spins=[1, -1, 1])
     plain = FermionConfig([-1, 0, 2])
     for n in range(4):
-        assert spin_sector_energy(p, cfg, n) - ladder_offset(p) == pytest.approx(
-            sector_energy(p, plain, n), rel=1e-13
-        )
+        assert sector_energy(p, cfg, n) == pytest.approx(sector_energy(p, plain, n), rel=1e-13)
 
 
 def test_spin_energy_zeeman_only_against_oracle():
@@ -44,7 +40,7 @@ def test_spin_energy_zeeman_only_against_oracle():
     cfg = FermionConfig([-1, 0, 1], spins=[1, 1, 1])
     report = oracle_spectrum(p, cfg, cutoff=200, n_levels=4, check_convergence=False)
     for n, level in enumerate(report.levels):
-        analytic = spin_sector_energy(p, cfg, n) - ladder_offset(p)
+        analytic = sector_energy(p, cfg, n)
         assert analytic == pytest.approx(level, rel=1e-8, abs=1e-8)
 
 
@@ -52,12 +48,7 @@ def test_spin_energy_z2_invariance():
     p = _p(g=0.9, g_eff=1.0, phi=0.6, eta=0.4)
     cfg = FermionConfig([0, 1, 2], spins=[1, -1, 1])
     flipped = FermionConfig([0, -1, -2], spins=[-1, 1, -1])
-    assert spin_sector_energy(p, cfg, 0) == pytest.approx(spin_sector_energy(p, flipped, 0), rel=1e-15)
-
-
-def test_spin_energy_requires_spins():
-    with pytest.raises(ValueError):
-        spin_sector_energy(_p(), FermionConfig([0, 1, 2]), 0)
+    assert sector_energy(p, cfg, 0) == pytest.approx(sector_energy(p, flipped, 0), rel=1e-15)
 
 
 def test_hessian_decoupled_is_diagonal_and_stable():
@@ -178,7 +169,7 @@ def test_closed_shell_exact_ground_state_leaves_balance_at_critical_eta(n_partic
 
     def ground_m_sigma(eta):
         q = replace(p, eta=eta)
-        cfg = min(lowest, key=lambda c: spin_sector_energy(q, c, 0))
+        cfg = min(lowest, key=lambda c: sector_energy(q, c, 0))
         return cfg.m_total, cfg.sigma_total
 
     assert ground_m_sigma(eta_c * (1 - 1e-9)) == (0, 0)

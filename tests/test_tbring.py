@@ -22,14 +22,14 @@ from fluxqm import (
 from fluxqm.gridsolve import bound_states
 
 
-def series_displacement_element(m, n, lam, sign=1, terms=30, margin=60):
-    """Oracle: exp(sign i lam (a+a^dag)) by explicit power series, 30 terms."""
+def series_displacement_element(m, n, lam, terms=30, margin=60):
+    """Oracle: exp(i lam (a+a^dag)) by explicit power series, 30 terms; lam may be negative."""
     dim = max(m, n) + margin
     x = np.zeros((dim + 1, dim + 1))
     k = np.arange(dim)
     x[k, k + 1] = np.sqrt(k + 1.0)
     x[k + 1, k] = x[k, k + 1]
-    arg = sign * 1j * lam * x
+    arg = 1j * lam * x
     acc = np.eye(dim + 1, dtype=complex)
     term = np.eye(dim + 1, dtype=complex)
     for order in range(1, terms + 1):
@@ -99,7 +99,7 @@ def test_element_two_zero_value():
     # closed form at (2, 0): -(lam^2/sqrt(2)) e^(-lam^2/2)
     lam = 0.5
     expected = -(lam**2 / math.sqrt(2.0)) * math.exp(-lam**2 / 2)
-    value = displacement_matrix_element(2, 0, lam, 1)
+    value = displacement_matrix_element(2, 0, lam)
     assert value.real == pytest.approx(expected, rel=1e-13)
     assert value.real == pytest.approx(-0.15600488604842286, rel=1e-12)
     assert value.imag == 0.0
@@ -107,19 +107,19 @@ def test_element_two_zero_value():
 
 def test_elements_match_power_series_oracle():
     for lam in (0.3, 0.9):
-        for sign in (1, -1):
-            for m, n in ((0, 0), (2, 0), (5, 3), (7, 7), (1, 6)):
-                got = displacement_matrix_element(m, n, lam, sign)
-                want = series_displacement_element(m, n, lam, sign)
-                assert got == pytest.approx(want, abs=1e-12)
+        for m, n in ((0, 0), (2, 0), (5, 3), (7, 7), (1, 6)):
+            got = displacement_matrix_element(m, n, lam)
+            want = series_displacement_element(m, n, lam)
+            assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_element_symmetry_and_conjugation():
     lam = 0.8
-    a = displacement_matrix_element(6, 2, lam, 1)
-    b = displacement_matrix_element(2, 6, lam, 1)
+    a = displacement_matrix_element(6, 2, lam)
+    b = displacement_matrix_element(2, 6, lam)
     assert a == b  # the operator matrix is symmetric (not Hermitian-conjugated)
-    assert displacement_matrix_element(6, 2, lam, -1) == pytest.approx(a.conjugate(), abs=1e-15)
+    # exp(-i lam (a + a^dag)) has the conjugate elements
+    assert series_displacement_element(6, 2, -lam) == pytest.approx(a.conjugate(), abs=1e-12)
 
 
 def test_operator_column_norms_unit():
@@ -140,14 +140,13 @@ def test_operator_large_index_stability():
 
 
 def test_operator_band_phases_exact():
-    # (sign i)^D: even bands real, odd bands imaginary, exactly, at any band index
+    # i^D: even bands real, odd bands imaginary, exactly, at any band index
     cutoff = 300
     rows, cols = np.indices((cutoff + 1, cutoff + 1))
     odd = (rows - cols) % 2 == 1
-    for sign in (1, -1):
-        op = displacement_operator(0.9, cutoff, sign)
-        assert np.all(op.real[odd] == 0.0)
-        assert np.all(op.imag[~odd] == 0.0)
+    op = displacement_operator(0.9, cutoff)
+    assert np.all(op.real[odd] == 0.0)
+    assert np.all(op.imag[~odd] == 0.0)
     assert displacement_matrix_element(101, 0, 0.9).real == 0.0
 
 

@@ -268,13 +268,15 @@ _SPIN_COLUMNS = (
 
 def _row_spin_phase(parsed):
     rep = spinorbit.hessian(parsed["p"])
+    low, high = rep.eigenvalues
+    soft_m, soft_s = rep.soft_vector
     return {
         "determinant": rep.determinant,
-        "eig_low": rep.eigenvalues[0],
-        "eig_high": rep.eigenvalues[1],
+        "eig_low": low,
+        "eig_high": high,
         "stable": rep.stable,
-        "soft_m": rep.soft_vector[0],
-        "soft_sigma": rep.soft_vector[1],
+        "soft_m": soft_m,
+        "soft_sigma": soft_s,
         "locking_ratio": spinorbit.locking_ratio(parsed["p"]),
     }
 
@@ -605,30 +607,39 @@ def _text_non_finite(values: dict):
             values[key] = repr(value)
 
 
+# one flat row as the body of an indent=2 JSON object at depth 2; indent=None keeps the C encoder
+_encode_row = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
+
+
 def _write_json(fh, config, columns, rows, summary):
+    """Write ``json.dump({"meta": ..., "rows": rows}, indent=2)`` byte for byte, streaming the rows.
+
+    Each row must be a non-empty flat dict; it is encoded alone and written at once.
+    """
+    _text_non_finite(summary)
+    meta = {
+        "schema_version": SCHEMA_VERSION,
+        "command": config.command,
+        "params": {key: config.params[key] for key in sorted(config.params)},
+        "scan": None
+        if config.scan_param is None
+        else {
+            "param": config.scan_param,
+            "min": config.scan_values[0],
+            "max": config.scan_values[-1],
+            "steps": len(config.scan_values),
+        },
+        "columns": [{"name": name, "description": desc} for name, desc in columns],
+        "summary": summary,
+    }
+    fh.write(json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2])  # drop the closing "\n}"
+    fh.write(',\n  "rows": [')
+    separator = "\n    {\n      "
     for row in rows:
         _text_non_finite(row)
-    _text_non_finite(summary)
-    doc = {
-        "meta": {
-            "schema_version": SCHEMA_VERSION,
-            "command": config.command,
-            "params": {key: config.params[key] for key in sorted(config.params)},
-            "scan": None
-            if config.scan_param is None
-            else {
-                "param": config.scan_param,
-                "min": config.scan_values[0],
-                "max": config.scan_values[-1],
-                "steps": len(config.scan_values),
-            },
-            "columns": [{"name": name, "description": desc} for name, desc in columns],
-            "summary": summary,
-        },
-        "rows": rows,
-    }
-    json.dump(doc, fh, indent=2, allow_nan=False)
-    fh.write("\n")
+        fh.write(separator + _encode_row(row)[1:-1] + "\n    }")
+        separator = ",\n    {\n      "
+    fh.write("\n  ]\n}\n" if rows else "]\n}\n")
 
 
 def build_run_config(command, params, out, fmt, jobs) -> RunConfig:

@@ -132,7 +132,9 @@ def induced_coupling_dirac(p: DiracParams) -> float:
     chi = lambda^2 / hbar_omega; a finite stiffness saturates the coupling.
     """
     lam = p.coupling_lambda
-    return lam**2 / (p.hbar_omega + 2.0 * p.d_eff * p.phi**2)
+    chi = lam**2 / (p.hbar_omega + 2.0 * p.d_eff * p.phi**2)
+    _check_finite(chi=chi)  # eps0 * phi can overflow to inf without raising
+    return chi
 
 
 def effective_energy(j: int, p: DiracParams, chi: Optional[float] = None) -> float:
@@ -191,9 +193,12 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
         chi = induced_coupling_dirac(p)
     best_j = 0
     best_e = effective_energy(0, p, chi)
+    # effective_energy without its checks, in its operand order, so every energy is bit-identical
+    stiffness = p.eps0 / (4.0 * p.degeneracy)
+    base, slope = stiffness * p.n_electrons**2, stiffness - chi
     for magnitude in range(1, j_max + 1):
         for j in (-magnitude, magnitude):
-            e = effective_energy(j, p, chi)
+            e = base + slope * j * j
             if e < best_e:
                 best_e = e
                 best_j = j

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ModelParams
 from .errors import NoTransitionError
 from .linearmode import _stiffness
@@ -38,63 +36,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HessianReport:
-    """Stability data of the balanced state in the (M, S) plane, S = Sigma / 2.
+    """Stability matrix [[mm, ms], [ms, ss]] of the balanced state in the (M, S) plane, S = Sigma / 2.
 
-    ``soft_vector`` is the unit eigenvector of the smallest eigenvalue, i.e.
-    the direction in which order develops first.  The properties
-    ``determinant`` of ``matrix`` and ``stable``, true while both curvatures
-    are positive, follow from the stored fields.
+    Only the three distinct entries are stored; the rest is the closed form of
+    a symmetric 2x2 matrix.  ``eigenvalues`` are ascending, ``soft_vector`` is
+    the unit eigenvector of the smallest one, i.e. the direction in which order
+    develops first, with its larger component positive (the M component on a
+    tie), and ``stable`` is true while both curvatures are positive.
     """
 
-    matrix: np.ndarray
-    eigenvalues: tuple[float, float]
-    soft_vector: tuple[float, float]
-
-    def __post_init__(self):
-        if self.matrix.shape != (2, 2):
-            raise ValueError("Hessian must be 2x2")
-        if abs(self.matrix[0, 1] - self.matrix[1, 0]) > 1e-12:
-            raise ValueError("Hessian must be symmetric")
-        if self.eigenvalues[0] > self.eigenvalues[1]:
-            raise ValueError("eigenvalues must be ascending")
-        norm = math.hypot(*self.soft_vector)
-        if not math.isclose(norm, 1.0, rel_tol=1e-9):
-            raise ValueError("soft_vector must be normalized")
+    mm: float
+    ms: float
+    ss: float
 
     @property
     def determinant(self) -> float:
-        mat = self.matrix
-        return float(mat[0, 0] * mat[1, 1] - mat[0, 1] * mat[1, 0])
+        return self.mm * self.ss - self.ms * self.ms
+
+    @property
+    def eigenvalues(self) -> tuple[float, float]:
+        mid = 0.5 * (self.mm + self.ss)
+        half = math.hypot(0.5 * (self.mm - self.ss), self.ms)
+        return mid - half, mid + half
+
+    @property
+    def soft_vector(self) -> tuple[float, float]:
+        # (ms, low - mm) and (low - ss, ms) each solve one row of (matrix - low) v = 0; the longer is
+        # better conditioned.  With d = (mm - ss)/2 its long side is -(|d| + half), free of cancellation.
+        d = 0.5 * (self.mm - self.ss)
+        side = -(abs(d) + math.hypot(d, self.ms))
+        m, s = (self.ms, side) if d >= 0 else (side, self.ms)
+        norm = math.hypot(m, s)
+        if norm == 0.0:  # a multiple of the identity: every direction is soft
+            return 1.0, 0.0
+        m, s = m / norm, s / norm
+        return (-m, -s) if (m if abs(m) >= abs(s) else s) < 0 else (m, s)
 
     @property
     def stable(self) -> bool:
         return self.eigenvalues[0] > 0
 
 
-def _hessian_matrix(p: ModelParams) -> np.ndarray:
-    d_stiff = _stiffness(p)
-    n = p.n_particles
-    return np.array(
-        [
-            [2.0 * p.g_eff / n - 8.0 * p.g**2 * p.phi**2 / d_stiff, -4.0 * p.g * p.phi * p.eta / d_stiff],
-            [-4.0 * p.g * p.phi * p.eta / d_stiff, 0.5 * p.g_eff * n - 2.0 * p.eta**2 / d_stiff],
-        ]
-    )
-
-
 def hessian(p: ModelParams) -> HessianReport:
     """Curvature of the sector energy around (M, S) = (0, 0), S = Sigma / 2."""
-    mat = _hessian_matrix(p)
-    eigvals, eigvecs = np.linalg.eigh(mat)
-    soft = eigvecs[:, 0]
-    # deterministic eigenvector sign: dominant component positive
-    lead = int(np.argmax(np.abs(soft)))
-    if soft[lead] < 0:
-        soft = -soft
+    d_stiff = _stiffness(p)
+    n = p.n_particles
     return HessianReport(
-        matrix=mat,
-        eigenvalues=(float(eigvals[0]), float(eigvals[1])),
-        soft_vector=(float(soft[0]), float(soft[1])),
+        mm=2.0 * p.g_eff / n - 8.0 * p.g**2 * p.phi**2 / d_stiff,
+        ms=-4.0 * p.g * p.phi * p.eta / d_stiff,
+        ss=0.5 * p.g_eff * n - 2.0 * p.eta**2 / d_stiff,
     )
 
 

@@ -127,6 +127,18 @@ def test_invalid_first_scan_point_flags_only_its_row(tmp_path, args, error):
     assert status[1:] == ["ok", "ok"]
 
 
+def test_overflowing_dirac_coupling_flags_its_row(tmp_path):
+    # eps0 * phi overflows to inf; the row used to read chi=inf, energy=nan, j_opt=0 and status=ok
+    out = tmp_path / "x.csv"
+    code = run_cli("dirac-scan", "--set", "n_electrons=3", "--set", "eps0=1e300", "--set", "phi=1e10",
+                   "--out", str(out))
+    assert code == 1
+    _, header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert row["status"] == "error: ValueError: chi must be finite, got inf"
+    assert row["chi"] == row["energy"] == row["j_opt"] == ""
+
+
 def test_csv_and_json_write_the_same_rows(tmp_path):
     # row 0 (phi = -1) is flagged, so its cells are empty in CSV and null in JSON
     args = ["nonlinear", "--set", "n_particles=3", "--set", "alpha4=0.05", "--set", "n_levels=2",

@@ -111,6 +111,12 @@ def test_coupling_strict_value_against_displacement_oracle():
         assert e == pytest.approx(-chi * j * j, rel=1e-10, abs=1e-10)
 
 
+def test_coupling_overflow_is_rejected():
+    # eps0 * phi overflows to inf without raising; chi = inf would make every energy NaN
+    with pytest.raises(ValueError, match="chi must be finite, got inf"):
+        induced_coupling_dirac(_p(eps0=1e300, phi=1e10, n_electrons=3))
+
+
 def test_coupling_saturation_with_stiffness():
     weak = induced_coupling_dirac(_p(phi=1.0, d_eff=1e6))
     assert weak < 1e-5
@@ -158,6 +164,20 @@ def test_optimal_chirality_jump_across_threshold():
     for chi in (chi_c * 0.5, chi_c * 1.5):
         best = optimal_chirality(p, chi=chi)
         assert best in (0, -8, 8)
+
+
+@pytest.mark.parametrize("degeneracy", [1, 2, 4])
+@pytest.mark.parametrize("n_electrons", [1, 4, 8])
+def test_optimal_chirality_is_the_first_brute_force_minimum(n_electrons, degeneracy):
+    p = _p(eps0=1.3, n_electrons=n_electrons, degeneracy=degeneracy)
+    chi_c = p.eps0 / (4 * p.degeneracy)
+    # at chi = chi_c every j ties exactly, and +-j always tie
+    for chi in (0.0, 0.5 * chi_c, chi_c, 1.5 * chi_c, 3.0):
+        for j_max in range(n_electrons + 1):
+            # min keeps the first minimum: smaller |j| first, then the negative branch
+            order = sorted(range(-j_max, j_max + 1), key=lambda j: (abs(j), j))
+            expected = min(order, key=lambda j: effective_energy(j, p, chi))
+            assert optimal_chirality(p, chi, j_max) == expected
 
 
 def test_optimal_chirality_respects_cap():

@@ -1,15 +1,24 @@
 """Identities between stored fields and the properties derived from them, over drawn valid inputs,
 the closed-form sector levels, spinless and Zeeman-coupled, against the brute-force oracle on
-drawn sectors, and the unitarity of the truncated displacement operator within its cutoff."""
+drawn sectors, the closed-form stability Hessian against a dense eigensolver, the unitarity of the
+truncated displacement operator within its cutoff, and the CLI output bytes: the streamed JSON
+writer against ``json.dumps(indent=2)``, and any worker count against one worker."""
 
+import copy
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxqm import (
     FermionConfig,
+    HessianReport,
     ModelParams,
     compare_spectra,
     derive_lc,
@@ -22,6 +31,7 @@ from fluxqm import (
     sector_energy,
     squeeze_solution,
 )
+from fluxqm import cli
 from fluxqm.core import HBAR
 
 PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
@@ -73,6 +83,58 @@ def test_hessian_determinant_is_eigenvalue_product(p):
     rep = hessian(p)
     low, high = rep.eigenvalues
     assert math.isclose(rep.determinant, low * high, abs_tol=1e-12 * max(abs(low), abs(high)) ** 2)
+
+
+def assert_matches_eigh(rep):
+    values, vectors = np.linalg.eigh(np.array([[rep.mm, rep.ms], [rep.ms, rep.ss]]))
+    low, high = rep.eigenvalues
+    scale = max(1.0, abs(values[0]), abs(values[1]))  # the matrix norm, floor 1
+    assert abs(low - values[0]) <= 1e-14 * scale and abs(high - values[1]) <= 1e-14 * scale
+    if rep.ms == 0 and rep.mm == rep.ss:  # a multiple of the identity
+        assert rep.soft_vector == (1.0, 0.0) == tuple(vectors[:, 0])
+        return
+    # the convention hessian kept when it called eigh: the dominant component positive, M on a tie
+    soft = vectors[:, 0]
+    lead = int(np.argmax(np.abs(soft)))
+    if soft[lead] < 0:
+        soft = -soft
+    # an eigenvector is determined to eps * norm / gap, and not at all once the gap rounds to zero
+    gap = values[1] - values[0]
+    tol = 1e-14 * max(1.0, scale / gap) if gap > 0 else math.inf
+    m, s = rep.soft_vector
+    assert math.hypot(m, s) == pytest.approx(1.0, abs=1e-15)
+    assert (m if abs(m) >= abs(s) else s) > 0
+    if abs(abs(soft[0]) - abs(soft[1])) <= tol:  # the components tie within tolerance, so the sign may flip
+        m, s = (m, s) if m * soft[0] + s * soft[1] >= 0 else (-m, -s)
+    assert abs(m - soft[0]) <= tol and abs(s - soft[1]) <= tol
+
+
+maybe_zero = st.one_of(st.just(0.0), st.floats(min_value=-10.0, max_value=10.0))
+
+
+@PROPERTY
+@given(
+    positive,
+    positive,
+    maybe_zero.map(abs),
+    st.integers(min_value=1, max_value=50),
+    positive,
+    maybe_zero,
+)
+def test_hessian_matches_a_dense_eigensolver(g, g_eff, phi, n_particles, hbar_omega, eta):
+    # phi = 0 or eta = 0 makes ms = 0
+    assert_matches_eigh(hessian(ModelParams(g=g, g_eff=g_eff, phi=phi, n_particles=n_particles,
+                                            hbar_omega=hbar_omega, eta=eta)))
+
+
+entry = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@PROPERTY
+@given(entry, st.one_of(st.just(0.0), entry), st.one_of(st.none(), entry))
+def test_closed_form_2x2_matches_a_dense_eigensolver(mm, ms, ss):
+    # ss = None draws mm = ss, where both candidate vectors are equally long
+    assert_matches_eigh(HessianReport(mm=mm, ms=ms, ss=mm if ss is None else ss))
 
 
 orbital = st.integers(min_value=-3, max_value=3)
@@ -129,3 +191,78 @@ def test_displacement_operator_is_unitary_within_its_cutoff(lam, cutoff):
     cols = displacement_operator(lam, cutoff)[:, : n_max + 1]
     gram = cols.conj().T @ cols
     assert np.max(np.abs(gram - np.eye(n_max + 1))) <= 1e-10
+
+
+# text that the JSON encoder must escape, and the row separator of the streamed writer
+awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\u00e9", "\u2603", "\U0001f600", "a", " "]), max_size=8)
+cells = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.one_of(awkward_text, st.text(max_size=8), st.just('"},\n      {"')),
+)
+flat_dicts = st.dictionaries(awkward_text, cells, min_size=1, max_size=6)
+
+
+def json_value(value):
+    return repr(value) if isinstance(value, float) and not math.isfinite(value) else value
+
+
+@settings(PROPERTY, max_examples=50)
+@given(st.lists(flat_dicts, max_size=4), st.dictionaries(awkward_text, cells, max_size=3), st.booleans())
+def test_streamed_json_equals_an_indented_dump(rows, summary, scanned):
+    scan = ("eta", (0.0, 0.5, 1.0)) if scanned else (None, ())
+    config = cli.RunConfig("spin-phase", {"n_particles": "5", "g": "1.0"}, *scan, out="", format="json", jobs=None)
+    columns = [("eta", "scan value"), ("status", "ok, or the error")]
+    expected = {
+        "meta": {
+            "schema_version": cli.SCHEMA_VERSION,
+            "command": "spin-phase",
+            "params": {"g": "1.0", "n_particles": "5"},
+            "scan": {"param": "eta", "min": 0.0, "max": 1.0, "steps": 3} if scanned else None,
+            "columns": [{"name": name, "description": desc} for name, desc in columns],
+            "summary": {key: json_value(value) for key, value in summary.items()},
+        },
+        "rows": [{key: json_value(value) for key, value in row.items()} for row in rows],
+    }
+    fh = io.StringIO()
+    cli._write_json(fh, config, columns, copy.deepcopy(rows), dict(summary))
+    assert fh.getvalue() == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+
+def diagonalising_scans():
+    tbjj = st.builds(
+        lambda occupied, t, eta, n_levels: [
+            "tbjj", "--set", "m_sites=6", "--set", "occupied=" + ",".join(map(str, occupied)),
+            "--set", f"t={t}", "--set", f"n_levels={n_levels}", "--set", "solver=fock",
+            "--set", "scan_param=eta", "--set", f"scan_min={eta}", "--set", f"scan_max={eta + 0.5}",
+            "--set", "scan_steps=3"],
+        st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3, unique=True),
+        st.floats(min_value=0.2, max_value=0.8),
+        st.floats(min_value=0.5, max_value=1.5),
+        st.integers(min_value=1, max_value=3),
+    )
+    nonlinear = st.builds(
+        lambda g, phi, alpha4, n_levels, low: [
+            "nonlinear", "--set", "n_particles=3", "--set", f"g={g}", "--set", f"g_eff={g}",
+            "--set", f"phi={phi}", "--set", f"alpha4={alpha4}", "--set", f"n_levels={n_levels}",
+            "--set", "scan_param=m_total", "--set", f"scan_min={low}", "--set", f"scan_max={low + 3}",
+            "--set", "scan_steps=4"],
+        st.floats(min_value=0.5, max_value=1.5),
+        st.floats(min_value=0.2, max_value=0.6),
+        st.floats(min_value=0.0, max_value=0.1),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=-6, max_value=3),
+    )
+    return st.one_of(tbjj, nonlinear)
+
+
+@settings(PROPERTY, max_examples=6)
+@given(diagonalising_scans(), st.sampled_from(["csv", "json"]))
+def test_worker_count_does_not_change_the_bytes_of_diagonalising_scans(args, fmt):
+    with tempfile.TemporaryDirectory() as tmp:
+        serial, pooled = Path(tmp) / "serial", Path(tmp) / "pooled"
+        code = cli.main([*args, "--format", fmt, "--out", str(serial), "--jobs", "1"])
+        assert cli.main([*args, "--format", fmt, "--out", str(pooled), "--jobs", "2"]) == code == 0
+        assert pooled.read_bytes() == serial.read_bytes()

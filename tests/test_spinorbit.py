@@ -54,9 +54,9 @@ def test_spin_energy_z2_invariance():
 def test_hessian_decoupled_is_diagonal_and_stable():
     p = _p(g=1.0, g_eff=0.8, phi=0.0, n_particles=4, eta=0.0)
     rep = hessian(p)
-    assert rep.matrix[0, 1] == 0.0
-    assert rep.matrix[0, 0] == pytest.approx(2 * p.g_eff / p.n_particles, rel=1e-15)
-    assert rep.matrix[1, 1] == pytest.approx(p.g_eff * p.n_particles / 2, rel=1e-15)
+    assert rep.ms == 0.0
+    assert rep.mm == pytest.approx(2 * p.g_eff / p.n_particles, rel=1e-15)
+    assert rep.ss == pytest.approx(p.g_eff * p.n_particles / 2, rel=1e-15)
     assert rep.stable
     assert rep.determinant == pytest.approx(rep.eigenvalues[0] * rep.eigenvalues[1], rel=1e-12)
 

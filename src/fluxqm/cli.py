@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import json
 import math
 import os
@@ -512,6 +513,8 @@ class _Command:
     fixed_cases: tuple = ()  # a fixed suite of case indices replaces the scan
     # whether the rows of a parsed config diagonalise; only those runs use the worker pool
     diagonalises: Callable = lambda parsed: False
+    # modules the rows import; a pool imports them once before it forks, so its workers share them
+    row_imports: tuple = ()
 
 
 _COMMANDS = {
@@ -528,7 +531,7 @@ _COMMANDS = {
     "oracle-check": _Command(_parse_oracle_check, lambda parsed: list(_ORACLE_COLUMNS),
                              _row_oracle_check,
                              fixed_cases=tuple(range(len(_ORACLE_SUITE))),
-                             diagonalises=lambda parsed: True),
+                             diagonalises=lambda parsed: True, row_imports=("scipy.linalg",)),
 }
 
 
@@ -636,8 +639,12 @@ def _write_json(fh, config, columns, rows, summary):
     fh.write(',\n  "rows": [')
     separator = "\n    {\n      "
     for row in rows:
-        _text_non_finite(row)
-        fh.write(separator + _encode_row(row)[1:-1] + "\n    }")
+        try:
+            body = _encode_row(row)
+        except ValueError:  # a non-finite float; rows almost never hold one, so they are scanned only then
+            _text_non_finite(row)
+            body = _encode_row(row)
+        fh.write(separator + body[1:-1] + "\n    }")
         separator = ",\n    {\n      "
     fh.write("\n  ]\n}\n" if rows else "]\n}\n")
 
@@ -715,10 +722,8 @@ def run(config: RunConfig) -> int:
     if not cmd.diagonalises(first_parsed) or jobs == 1 or len(values) == 1:
         rows = list(map(_eval_point, tasks))
     else:
-        # oracle-check and the tbjj solver=both grid solve load scipy.linalg: import it once
-        # before the pool forks, so workers share it instead of each importing it
-        import scipy.linalg  # noqa: F401
-
+        for module in cmd.row_imports:
+            importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(values) // (4 * jobs))))
 

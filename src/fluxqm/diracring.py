@@ -148,6 +148,8 @@ def effective_energy(j: int, p: DiracParams, chi: Optional[float] = None) -> flo
         raise ValueError(f"|j| cannot exceed the electron number: {j} vs {p.n_electrons}")
     if chi is None:
         chi = induced_coupling_dirac(p)
+    else:
+        _check_finite(chi=chi)
     stiffness = p.eps0 / (4.0 * p.degeneracy)
     return stiffness * p.n_electrons**2 + (stiffness - chi) * j * j
 
@@ -192,7 +194,7 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
     if chi is None:
         chi = induced_coupling_dirac(p)
     best_j = 0
-    best_e = effective_energy(0, p, chi)
+    best_e = effective_energy(0, p, chi)  # rejects a non-finite chi
     # effective_energy without its checks, in its operand order, so every energy is bit-identical
     stiffness = p.eps0 / (4.0 * p.degeneracy)
     base, slope = stiffness * p.n_electrons**2, stiffness - chi

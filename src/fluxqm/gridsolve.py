@@ -1,12 +1,18 @@
-"""Finite-difference bound states of -c d^2/dy^2 + V(y) with hard walls.
+"""Bound states of -c d^2/dy^2 + V(y) on a finite uniform grid.
 
-Second-order central differences on a uniform grid give a symmetric
-tridiagonal matrix whose lowest eigenpairs come from LAPACK's bisection
-solver.  Refinement doubles the interval count (keeping the endpoints on the
-same grid family) and Romberg-extrapolates the levels in h^2, whose error
-expansion is even in the spacing, until the extrapolated levels stop moving.
-``_refine`` is that stopping rule; the Fock-basis solvers of ``tbring`` and
-``kerr`` use it for their cutoff doublings too.
+``converged_bound_states`` solves the sinc discrete-variable representation
+(DVR; Colbert & Miller, J. Chem. Phys. 96, 1982 (1992)): on a grid of spacing
+h the kinetic matrix is (c/h^2) T with T = pi^2/3 on the diagonal and
+2(-1)^(i-j)/(i-j)^2 off it, the potential is diagonal, and the dense matrix is
+solved with ``numpy.linalg.eigh``.  The levels converge spectrally in h, so
+about a hundred points reach the 5e-7 stopping rule.  Refinement doubles the
+interval count (keeping the endpoints on the same grid family) until the
+levels stop moving; ``_refine`` is that stopping rule, and the Fock-basis
+solvers of ``tbring`` and ``kerr`` use it for their cutoff doublings too.
+
+``bound_states`` is an independent fixed-grid reference: second-order central
+differences, a symmetric tridiagonal matrix solved by LAPACK's bisection
+solver through scipy.  No solver of the package calls it.
 """
 
 from __future__ import annotations
@@ -20,14 +26,14 @@ from .errors import ConvergenceError, GridDomainError
 
 __all__ = ["GridSolution", "bound_states", "converged_bound_states"]
 
-_RTOL = 5e-7  # relative stationarity of the extrapolated levels
-_MAX_REFINEMENTS = 6  # grid doublings after the first solve
+_RTOL = 5e-7  # relative stationarity of the levels
+_MAX_REFINEMENTS = 4  # grid doublings after the first solve; each solve is dense, O(n_points^3)
 _WALL_TOL = 1e-6  # wall amplitude, relative to the peak, that flags a too-small domain
 
 
 @dataclass(frozen=True)
 class GridSolution:
-    levels: np.ndarray  # Romberg-extrapolated levels
+    levels: np.ndarray  # the finest grid's
     n_points: int  # the finest grid's
     max_rel_change: float
 
@@ -59,7 +65,7 @@ def bound_states(
     kinetic_coef: float,
     n_levels: int,
 ):
-    """One fixed-grid solve; returns (levels, grid, states)."""
+    """One fixed-grid second-order finite-difference solve; returns (levels, grid, states)."""
     from scipy.linalg import eigh_tridiagonal
 
     if n_points < 8:
@@ -87,6 +93,21 @@ def _check_walls(states):
         )
 
 
+def _dvr_bound_states(potential, x_min, x_max, n_points, kinetic_coef, n_levels):
+    """One sinc-DVR solve on ``n_points`` points spanning [x_min, x_max]; returns (levels, states)."""
+    x = np.linspace(x_min, x_max, n_points)
+    h = x[1] - x[0]
+    k = np.arange(n_points)
+    band = np.empty(n_points)  # T[i, j] = band[|i - j|]
+    band[0] = np.pi**2 / 3.0
+    band[1:] = 2.0 / k[1:] ** 2
+    band[1::2] *= -1.0
+    hamiltonian = (kinetic_coef / h**2) * band[np.abs(k[:, None] - k)]
+    hamiltonian[k, k] += potential(x)
+    levels, states = np.linalg.eigh(hamiltonian)
+    return levels[:n_levels], states[:, :n_levels]
+
+
 def converged_bound_states(
     potential: Callable[[np.ndarray], np.ndarray],
     x_min: float,
@@ -96,28 +117,39 @@ def converged_bound_states(
     n_levels: int,
     scale: float = 1.0,
 ) -> GridSolution:
-    """Refine the grid by doubling and Romberg-extrapolate until the levels move less than 5e-7.
+    """Solve the sinc-DVR, doubling the grid until the levels move less than 5e-7.
 
-    Each doubling extends a Romberg row, R_j = R_{j-1} + (R_{j-1} - R'_{j-1})
-    / (4^j - 1) with R' the row of the previous grid, and the newest diagonal
-    entry is the estimate.  The returned ``levels`` are that estimate and
-    ``n_points`` is the finest grid's.  The relative change is floored at
-    ``scale`` so levels near zero do not stall the refinement.  Wavefunction
-    amplitude at the walls above 1e-6 of the peak raises GridDomainError on
-    any grid: the domain, not the grid spacing, is the problem then.
+    The returned ``levels`` are the finest grid's and ``n_points`` is its
+    size; at most four doublings follow the first solve.  The relative change
+    is floored at ``scale`` so levels near zero do not stall the refinement.
+    Wavefunction amplitude at the walls above 1e-6 of the peak on the last
+    grid solved, converged or not, raises GridDomainError: the domain, not
+    the grid spacing, is the problem then.
     """
+    if n_points < 8:
+        raise ValueError(f"n_points must be >= 8, got {n_points}")
+    if not 1 <= n_levels <= n_points:
+        raise ValueError(f"n_levels must be in [1, n_points], got {n_levels}")
+    if x_max <= x_min:
+        raise ValueError("x_max must exceed x_min")
+    if kinetic_coef <= 0:
+        raise ValueError("kinetic_coef must be positive")
 
-    def romberg(n_points):
-        row = []
+    states = None
+
+    def solves(n_points):
+        nonlocal states
         for _ in range(_MAX_REFINEMENTS + 1):
-            levels, _, states = bound_states(potential, x_min, x_max, n_points, kinetic_coef, n_levels)
-            _check_walls(states)
-            new_row = [levels]
-            for j, coarse in enumerate(row, start=1):
-                new_row.append(new_row[-1] + (new_row[-1] - coarse) / (4**j - 1))
-            row = new_row
-            yield n_points, row[-1]
+            levels, states = _dvr_bound_states(potential, x_min, x_max, n_points, kinetic_coef, n_levels)
+            yield n_points, levels
             n_points = 2 * n_points - 1  # same endpoints, halved spacing
 
-    levels, n_points, change = _refine(romberg(n_points), _RTOL, scale, "grid levels not converged at {size} points")
+    # Only the last grid's states are checked: on an unresolved grid the sinc basis spreads algebraic
+    # tails to the walls, and a domain too small makes the levels drift with the spacing instead of converge.
+    try:
+        levels, n_points, change = _refine(solves(n_points), _RTOL, scale, "grid levels not converged at {size} points")
+    except ConvergenceError:
+        _check_walls(states)
+        raise
+    _check_walls(states)
     return GridSolution(levels=levels, n_points=n_points, max_rel_change=change)

@@ -55,9 +55,16 @@ class HessianReport:
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
-        mid = 0.5 * (self.mm + self.ss)
-        half = math.hypot(0.5 * (self.mm - self.ss), self.ms)
-        return mid - half, mid + half
+        # As LAPACK's dlae2: the eigenvalue farther from zero is a sum of like-signed terms, and the nearer one
+        # is determinant / far, so neither cancels and a diagonal matrix gives back its entries exactly.
+        d = 0.5 * (self.mm - self.ss)
+        shift = self.ms * (self.ms / (math.hypot(d, self.ms) + abs(d))) if self.ms else 0.0
+        far = max(self.mm, self.ss) + shift if self.mm + self.ss >= 0 else min(self.mm, self.ss) - shift
+        if far == 0.0:  # the zero matrix
+            return 0.0, 0.0
+        big, small = (self.mm, self.ss) if abs(self.mm) >= abs(self.ss) else (self.ss, self.mm)
+        near = (big / far) * small - (self.ms / far) * self.ms
+        return (near, far) if far > 0 else (far, near)
 
     @property
     def soft_vector(self) -> tuple[float, float]:

@@ -11,9 +11,10 @@ momenta k a = 2 pi n / M (the lattice constant cancels).  Two independent
 solvers are provided: a Fock-basis build from the closed-form matrix
 elements (generalized Laguerre polynomials) of the displacement operator,
 whose real and imaginary parts are the cosine and sine matrices, with the
-cutoff doubled until the levels are stationary, and a real-space
-finite-difference solve, Romberg-extrapolated over grid doublings.  Both
-refinements stop by the one rule of ``gridsolve._refine``.
+cutoff doubled until the levels are stationary, and a real-space sinc
+discrete-variable representation (``gridsolve.converged_bound_states``), whose
+grid is doubled likewise.  Both refinements stop by the one rule of
+``gridsolve._refine``, and both eigensolves are numpy's.
 Compressing C cos - S sin into a single shifted cosine maps each sector
 exactly onto a flux-biased junction circuit
 
@@ -54,7 +55,7 @@ __all__ = [
 _FOCK_CUTOFF = 128  # first Fock-basis cutoff, doubled at most _FOCK_DOUBLINGS times
 _FOCK_DOUBLINGS = 4
 _FOCK_RTOL = 1e-9
-_GRID_POINTS = 513  # first real-space grid; refinement doubles its interval count
+_GRID_POINTS = 96  # first real-space DVR grid; refinement doubles its interval count
 _SQUID_HALF_SPAN = 14.0  # phi-grid half-width in oscillator lengths of the inductive well
 
 
@@ -261,8 +262,10 @@ def rf_squid_map(sector: TBSector, t: float, eta: float, hbar_omega: float) -> R
 def rf_squid_spectrum(params: RfSquidParams, n_levels: int = 5) -> np.ndarray:
     """Levels of 4 E_C n_phi^2 + (E_L/2)(phi - phi_ext)^2 - E_J cos(phi).
 
-    Solved on a phi grid centered at the bias whose half-width is 14
-    oscillator lengths (8 E_C / E_L)^(1/4) of the inductive well.  Matches
+    Solved as a sinc-DVR on a phi grid centered at the bias whose half-width
+    is 14 oscillator lengths (8 E_C / E_L)^(1/4) of the inductive well,
+    starting from 96 points and doubling until the levels are stationary to
+    5e-7 relative (floored at hbar_omega).  Matches
     the Fock-basis sector spectrum up to one additive constant (the
     quadrature-form zero point hbar_omega/2).
     """

@@ -155,6 +155,16 @@ def test_effective_energy_bounds_j():
         effective_energy(9, _p(n_electrons=8), chi=0.0)
 
 
+@pytest.mark.parametrize("chi", [math.inf, -math.inf, math.nan])
+def test_supplied_chi_must_be_finite(chi):
+    # unchecked, optimal_chirality returned 0 (balanced) and effective_energy NaN
+    p = _p(n_electrons=8)
+    with pytest.raises(ValueError, match=f"chi must be finite, got {chi}"):
+        effective_energy(3, p, chi=chi)
+    with pytest.raises(ValueError, match=f"chi must be finite, got {chi}"):
+        optimal_chirality(p, chi=chi)
+
+
 def test_optimal_chirality_jump_across_threshold():
     p = _p(eps0=1.0, n_electrons=8, degeneracy=4)
     chi_c = p.eps0 / (4 * p.degeneracy)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxqm import ConvergenceError, gridsolve
+from fluxqm import ConvergenceError, GridDomainError, gridsolve
 from fluxqm.gridsolve import _refine, converged_bound_states
 
 
@@ -9,17 +9,36 @@ def harmonic(x):
     return 0.5 * x * x
 
 
-def test_romberg_harmonic_levels():
-    # (1/2)(-d^2/dx^2 + x^2) has levels n + 1/2
-    solution = converged_bound_states(harmonic, -14.0, 14.0, 513, kinetic_coef=0.5, n_levels=5)
-    assert solution.n_points <= 4097
-    assert np.max(np.abs(solution.levels - (np.arange(5) + 0.5))) <= 1e-9
+def test_dvr_harmonic_levels():
+    # (1/2)(-d^2/dx^2 + x^2) has levels n + 1/2; the sinc-DVR converges spectrally in the spacing
+    solution = converged_bound_states(harmonic, -14.0, 14.0, 96, kinetic_coef=0.5, n_levels=5)
+    assert solution.n_points <= 200
+    assert np.max(np.abs(solution.levels - (np.arange(5) + 0.5))) <= 1e-12
+
+
+def test_walls_are_checked_on_the_converged_grid_only():
+    # a deep well leaves the 96-point DVR states algebraic tails above 1e-6 at the walls;
+    # the converged grid resolves them, so no GridDomainError is raised
+    def deep_well(x):
+        return 0.5 * x * x - 60.0 * np.cos(3.0 * x)
+
+    _, first_states = gridsolve._dvr_bound_states(deep_well, -14.0, 14.0, 96, 0.5, 5)
+    edge = np.maximum(np.abs(first_states[0]), np.abs(first_states[-1]))
+    assert np.max(edge / np.abs(first_states).max(axis=0)) > 1e-6
+    solution = converged_bound_states(deep_well, -14.0, 14.0, 96, kinetic_coef=0.5, n_levels=5)
+    assert solution.n_points > 96 and solution.max_rel_change < 5e-7
+
+
+def test_too_small_domain_raises():
+    with pytest.raises(GridDomainError, match="wall amplitude"):
+        converged_bound_states(harmonic, -2.0, 2.0, 96, kinetic_coef=0.5, n_levels=3)
 
 
 def test_refinement_limit_raises(monkeypatch):
+    # 32 and 63 points span 28 oscillator lengths too coarsely to resolve the fifth level
     monkeypatch.setattr(gridsolve, "_MAX_REFINEMENTS", 1)
-    with pytest.raises(ConvergenceError) as info:
-        converged_bound_states(harmonic, -14.0, 14.0, 513, kinetic_coef=0.5, n_levels=5)
+    with pytest.raises(ConvergenceError, match="grid levels not converged at 63 points") as info:
+        converged_bound_states(harmonic, -14.0, 14.0, 32, kinetic_coef=0.5, n_levels=5)
     assert info.value.residual > 5e-7
 
 

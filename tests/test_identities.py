@@ -27,11 +27,13 @@ from fluxqm import (
     hessian,
     oracle_spectrum,
     rf_squid_map,
+    rf_squid_spectrum,
     sector_constants,
     sector_energy,
+    sector_spectrum_fock,
     squeeze_solution,
 )
-from fluxqm import cli
+from fluxqm import cli, gridsolve
 from fluxqm.core import HBAR
 
 PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
@@ -193,6 +195,34 @@ def test_displacement_operator_is_unitary_within_its_cutoff(lam, cutoff):
     assert np.max(np.abs(gram - np.eye(n_max + 1))) <= 1e-10
 
 
+@settings(PROPERTY, max_examples=40)
+@given(
+    st.sampled_from([(0,), (0, 1), (1, 2, 4)]),
+    st.floats(min_value=0.3, max_value=0.6),
+    st.floats(min_value=0.5, max_value=1.5),
+)
+def test_junction_levels_match_finite_differences_and_the_fock_basis(occupied, t, eta):
+    sector = sector_constants(occupied, 6)
+    squid = rf_squid_map(sector, t, eta, 1.0)
+    levels = rf_squid_spectrum(squid, n_levels=5)
+    # the Fock form drops the hbar_omega / 2 zero point
+    fock = sector_spectrum_fock(sector, t, eta, 1.0, n_levels=5)
+    assert np.max(np.abs(levels - 0.5 - fock) / np.maximum(1.0, np.abs(fock))) <= 1e-11
+
+    # second-order finite differences on the same phi window, one Richardson step over two grids
+    half_span = 14.0 * (8.0 * squid.e_c / squid.e_l) ** 0.25
+
+    def potential(y):
+        return 0.5 * squid.e_l * (y - squid.phi_ext) ** 2 - squid.e_j * np.cos(y)
+
+    coarse, fine = (
+        gridsolve.bound_states(potential, squid.phi_ext - half_span, squid.phi_ext + half_span, n,
+                               4.0 * squid.e_c, 5)[0]
+        for n in (2049, 4097)
+    )
+    assert np.max(np.abs(levels - (4.0 * fine - coarse) / 3.0)) <= 1e-7
+
+
 # text that the JSON encoder must escape, and the row separator of the streamed writer
 awkward_text = st.text(st.sampled_from(['"', "\\", "\n", "\t", "\u00e9", "\u2603", "\U0001f600", "a", " "]), max_size=8)
 cells = st.one_of(
@@ -233,15 +263,16 @@ def test_streamed_json_equals_an_indented_dump(rows, summary, scanned):
 
 def diagonalising_scans():
     tbjj = st.builds(
-        lambda occupied, t, eta, n_levels: [
+        lambda occupied, t, eta, n_levels, solver: [
             "tbjj", "--set", "m_sites=6", "--set", "occupied=" + ",".join(map(str, occupied)),
-            "--set", f"t={t}", "--set", f"n_levels={n_levels}", "--set", "solver=fock",
+            "--set", f"t={t}", "--set", f"n_levels={n_levels}", "--set", f"solver={solver}",
             "--set", "scan_param=eta", "--set", f"scan_min={eta}", "--set", f"scan_max={eta + 0.5}",
             "--set", "scan_steps=3"],
         st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=3, unique=True),
         st.floats(min_value=0.2, max_value=0.8),
         st.floats(min_value=0.5, max_value=1.5),
         st.integers(min_value=1, max_value=3),
+        st.sampled_from(["fock", "both"]),
     )
     nonlinear = st.builds(
         lambda g, phi, alpha4, n_levels, low: [

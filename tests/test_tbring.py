@@ -19,7 +19,7 @@ from fluxqm import (
     kerr,
     tbring,
 )
-from fluxqm.gridsolve import bound_states
+from fluxqm.gridsolve import _dvr_bound_states
 
 
 def series_displacement_element(m, n, lam, terms=30, margin=60):
@@ -227,7 +227,7 @@ def test_xrep_parity_alternates_for_symmetric_potential():
     def potential(x):
         return 0.5 * x * x - 2.0 * t * sector.c_sum * np.cos(eta * x)
 
-    _, _, states = bound_states(potential, -14.0, 14.0, 4097, kinetic_coef=0.5, n_levels=4)
+    _, states = _dvr_bound_states(potential, -14.0, 14.0, 191, kinetic_coef=0.5, n_levels=4)
     for k in range(4):
         psi = states[:, k]
         parity = (-1) ** k

@@ -17,9 +17,11 @@ are dispatched to a process pool.  Each evaluated result becomes its output
 row once, a dict keyed in column order with ``status`` last, and both writers
 write those rows as given, in scan order with shortest round-trip float
 formatting, so output files are byte-identical for any worker count.
-A numeric failure or an unusable scanned value flags its row and the run
-continues (exit code 1 at the end); malformed configurations, including a
-value that no point can use, exit 2 before any work starts.
+Exit code 2, before any row runs and with no file written, is a UsageError (text
+a parse cannot read, unknown or missing keys, the scan declaration, the flags),
+a value that no point can use, or a scan whose points would write different
+columns (a scan of ``n_levels``).  Any other failure flags only its own row and
+the run ends with exit code 1, as it does when an ``oracle-check`` row fails.
 
 Commands: spectrum, phase-scan, spin-phase, dirac-scan, nonlinear, tbjj,
 oracle-check.  ``oracle-check`` runs a fixed suite of cases and takes no scan.
@@ -62,7 +64,7 @@ class ParamSet:
 
     Tracks which keys were consumed so unknown (likely misspelled) keys can be
     rejected, and which were read as integers, which makes a scanned key an
-    integer axis; all parse failures surface as UsageError.
+    integer axis; text it cannot read, and missing or unknown keys, raise UsageError.
     """
 
     def __init__(self, raw: dict):
@@ -175,7 +177,7 @@ def _parse_spectrum(ps):
     p = _model_params(ps, len(orbitals))
     ps.finish()
     if n_levels < 1:
-        raise UsageError("n_levels must be >= 1")
+        raise ValueError("n_levels must be >= 1")
     return {"p": p, "cfg": FermionConfig(orbitals, spins), "n_levels": n_levels}
 
 
@@ -211,7 +213,7 @@ def _parse_phase_scan(ps):
     p = _model_params(ps, n)
     ps.finish()
     if 2 * m_max + 1 < n:
-        raise UsageError(f"m_max must satisfy 2*m_max+1 >= n_particles = {n}, got {m_max}")
+        raise ValueError(f"m_max must satisfy 2*m_max+1 >= n_particles = {n}, got {m_max}")
     return {"p": p, "m_max": m_max}
 
 
@@ -298,7 +300,7 @@ def _parse_dirac_scan(ps):
     j_max = ps.int("j_max", p.n_electrons)
     ps.finish()
     if not 0 <= j_max <= p.n_electrons:
-        raise UsageError(f"j_max must lie in [0, n_electrons = {p.n_electrons}], got {j_max}")
+        raise ValueError(f"j_max must lie in [0, n_electrons = {p.n_electrons}], got {j_max}")
     return {"p": p, "j_max": j_max}
 
 
@@ -320,7 +322,7 @@ def _row_dirac_scan(parsed):
     amp, photons = diracring.flux_displacement(j_opt, p)
     return {
         "chi": chi,
-        "chi_crit": p.eps0 / (4.0 * p.degeneracy),
+        "chi_crit": p.branch_stiffness,
         "j_opt": j_opt,
         "energy": diracring.effective_energy(j_opt, p, chi),
         "displacement_a": amp,
@@ -347,7 +349,7 @@ def _parse_nonlinear(ps):
     p = _model_params(ps, n)
     ps.finish()
     if n_levels < 0:
-        raise UsageError("n_levels must be >= 0")
+        raise ValueError("n_levels must be >= 0")
     return {"p": p, "sector": kerr.displacement_root(m_total, p, alpha4), "n_levels": n_levels}
 
 
@@ -392,9 +394,9 @@ def _parse_tbjj(ps):
     solver = ps.str("solver", "fock")
     ps.finish()
     if solver not in ("fock", "both"):
-        raise UsageError(f"solver must be 'fock' or 'both', got {solver!r}")
+        raise ValueError(f"solver must be 'fock' or 'both', got {solver!r}")
     if not 1 <= n_levels <= tbring._FOCK_CUTOFF // 4:
-        raise UsageError(f"n_levels must lie in [1, {tbring._FOCK_CUTOFF // 4}], got {n_levels}")
+        raise ValueError(f"n_levels must lie in [1, {tbring._FOCK_CUTOFF // 4}], got {n_levels}")
     sector = tbring.sector_constants(occupied, m_sites)
     squid = tbring.rf_squid_map(sector, t, eta, hbar_omega)
     return {"sector": sector, "squid": squid, "t": t, "n_levels": n_levels, "solver": solver}
@@ -458,15 +460,15 @@ def _parse_oracle_check(ps):
     hbar_omega = ps.float("hbar_omega", 1.0)
     ps.finish()
     if cutoff < 50:
-        raise UsageError(f"cutoff must be >= 50, got {cutoff}")
+        raise ValueError(f"cutoff must be >= 50, got {cutoff}")
     if not 1 <= n_levels <= cutoff:
-        raise UsageError(f"n_levels must lie in [1, cutoff = {cutoff}], got {n_levels}")
-    if hbar_omega <= 0:
-        raise UsageError(f"hbar_omega must be positive, got {hbar_omega}")
+        raise ValueError(f"n_levels must lie in [1, cutoff = {cutoff}], got {n_levels}")
     if tol < 0:
-        raise UsageError(f"tol must be non-negative, got {tol}")
-    return {"case": case, "tol": tol, "cutoff": cutoff, "n_levels": n_levels,
-            "hbar_omega": hbar_omega}
+        raise ValueError(f"tol must be non-negative, got {tol}")
+    orbitals, ratio, phi = _ORACLE_SUITE[case]
+    cfg = FermionConfig(orbitals)
+    p = ModelParams(g=ratio, g_eff=1.0, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
+    return {"case": case, "p": p, "cfg": cfg, "tol": tol, "cutoff": cutoff, "n_levels": n_levels}
 
 
 _ORACLE_COLUMNS = (
@@ -482,15 +484,11 @@ _ORACLE_COLUMNS = (
 
 
 def _row_oracle_check(parsed):
-    orbitals, ratio, phi = _ORACLE_SUITE[parsed["case"]]
-    cfg = FermionConfig(orbitals)
-    p = ModelParams(g=ratio, g_eff=1.0, phi=phi, n_particles=cfg.n_particles,
-                    hbar_omega=parsed["hbar_omega"])
+    p, cfg = parsed["p"], parsed["cfg"]
     analytic = [linearmode.sector_energy(p, cfg, k) for k in range(parsed["n_levels"])]
     report = oracle.oracle_spectrum(p, cfg, cutoff=parsed["cutoff"],
                                     n_levels=parsed["n_levels"])
     comparison = oracle.compare_spectra(analytic, report, parsed["tol"], scale=p.hbar_omega)
-    passed = comparison.passed and report.converged
     return {
         "case": parsed["case"],
         "n_particles": cfg.n_particles,
@@ -499,8 +497,7 @@ def _row_oracle_check(parsed):
         "phi": p.phi,
         "orbitals": "|".join(str(m) for m in cfg.orbitals),
         "max_rel_error": comparison.max_rel_error,
-        "passed": passed,
-        "_failed": not passed,
+        "passed": comparison.passed and report.converged,
     }
 
 
@@ -552,8 +549,6 @@ def _eval_point(task):
         row = cmd.row(cmd.parse(_point(params, key, value)))
         row["status"] = "ok"
         return row
-    except UsageError:
-        raise  # configuration bugs must not be silently flagged
     except Exception as exc:
         return {"status": f"error: {type(exc).__name__}: {exc}"}
 
@@ -676,6 +671,8 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
             raise UsageError(f"scan_steps must be >= 1, got {steps}")
         if lo > hi:
             raise UsageError(f"scan_min must not exceed scan_max, got {lo} > {hi}")
+        if not math.isfinite(hi - lo):
+            raise UsageError(f"scan_max - scan_min must be finite, got {hi} - {lo}")
         values = tuple(float(v) for v in np.linspace(lo, hi, steps))
     if fmt not in ("csv", "json"):
         raise UsageError(f"format must be csv or json, got {fmt!r}")
@@ -711,6 +708,10 @@ def run(config: RunConfig) -> int:
         config = replace(config, scan_values=tuple(round(v) for v in config.scan_values))
         values = config.scan_values
     columns = list(cmd.columns(first_parsed))
+    # every row is written under the first point's columns; the only scannable key that shapes them,
+    # n_levels, adds columns as it grows, so the first and last points that parse bound them all
+    if len(values) > 1 and columns != cmd.columns(_first_parse(cmd, config.params, key, values[::-1])[1]):
+        raise UsageError(f"scanning '{key}' changes the output columns; run each value on its own")
     if config.scan_param is not None and config.scan_param not in {name for name, _ in columns}:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))
     columns.append(("status", "ok, or the error that flagged this point"))
@@ -732,8 +733,8 @@ def run(config: RunConfig) -> int:
     for i, row in enumerate(rows):
         if config.scan_param is not None:
             row.setdefault(config.scan_param, config.scan_values[i])
-        failed = failed or row["status"] != "ok" or row.get("_failed", False)
         rows[i] = {name: row.get(name) for name in names}
+        failed = failed or rows[i]["status"] != "ok" or rows[i].get("passed") is False
 
     summary = {}
     if cmd.summary is not None and config.scan_param is not None and len(rows) > 1:

@@ -5,8 +5,9 @@ eps0 = hbar v_F / R, and for occupations that avoid the band bottom the flux
 couples linearly to the chirality imbalance J = N_plus - N_minus between the
 two counter-propagating branches.  Eliminating the mode yields an attraction
 -chi J^2; with consecutive filling at branch capacity g_d the kinetic cost of
-imbalance is (eps0 / 4 g_d) J^2, so the ground state jumps from J ~ 0 to the
-cutoff-limited |J|max when chi crosses eps0 / (4 g_d).  A lattice
+imbalance is (eps0 / 4 g_d) J^2, the branch stiffness
+``DiracParams.branch_stiffness``, so the ground state jumps from J ~ 0 to the
+cutoff-limited |J|max when chi crosses it.  A lattice
 regularization adds a small diamagnetic stiffness D_eff that saturates chi;
 its magnitude follows from the filled-band kinetic energy of the ring.
 """
@@ -19,6 +20,8 @@ from typing import Iterable, Optional
 
 from .core import _check_finite
 from .errors import NoTransitionError
+
+_BERRY_SHIFT = 0.5  # half-integer offset of the ring levels eps0 |m + 1/2|
 
 __all__ = [
     "DiracParams",
@@ -68,6 +71,11 @@ class DiracParams:
         """Linear drive strength eps0 * phi."""
         return self.eps0 * self.phi
 
+    @property
+    def branch_stiffness(self) -> float:
+        """Kinetic cost eps0 / (4 g_d) per unit J^2; chi crossing it is the transition."""
+        return self.eps0 / (4.0 * self.degeneracy)
+
 
 @dataclass(frozen=True)
 class ChiralSector:
@@ -91,15 +99,15 @@ class ChiralSector:
         return self.n_plus - self.n_minus
 
     @classmethod
-    def from_orbitals(cls, orbitals: Iterable[int], berry_shift: float = 0.5) -> "ChiralSector":
-        """Split an angular-momentum occupation list by the sign of m + berry_shift.
+    def from_orbitals(cls, orbitals: Iterable[int]) -> "ChiralSector":
+        """Split an angular-momentum occupation list by the sign of m + 1/2 (_BERRY_SHIFT).
 
-        At the standard half-integer shift, m >= 0 belongs to the + branch and
-        m <= -1 to the - branch.
+        At the half-integer shift, m >= 0 belongs to the + branch and m <= -1
+        to the - branch.
         """
         plus = minus = 0
         for m in orbitals:
-            if m + berry_shift > 0:
+            if m + _BERRY_SHIFT > 0:
                 plus += 1
             else:
                 minus += 1
@@ -150,7 +158,7 @@ def effective_energy(j: int, p: DiracParams, chi: Optional[float] = None) -> flo
         chi = induced_coupling_dirac(p)
     else:
         _check_finite(chi=chi)
-    stiffness = p.eps0 / (4.0 * p.degeneracy)
+    stiffness = p.branch_stiffness
     return stiffness * p.n_electrons**2 + (stiffness - chi) * j * j
 
 
@@ -193,15 +201,9 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
         raise ValueError(f"j_max must lie in [0, N], got {j_max}")
     if chi is None:
         chi = induced_coupling_dirac(p)
-    best_j = 0
-    best_e = effective_energy(0, p, chi)  # rejects a non-finite chi
-    # effective_energy without its checks, in its operand order, so every energy is bit-identical
-    stiffness = p.eps0 / (4.0 * p.degeneracy)
+    _check_finite(chi=chi)
+    # effective_energy without its checks, in its operand order, so every energy is bit-identical;
+    # E(-m) equals E(m) bit for bit and min keeps the first minimum, which sets the tie-break
+    stiffness = p.branch_stiffness
     base, slope = stiffness * p.n_electrons**2, stiffness - chi
-    for magnitude in range(1, j_max + 1):
-        for j in (-magnitude, magnitude):
-            e = base + slope * j * j
-            if e < best_e:
-                best_e = e
-                best_j = j
-    return best_j
+    return -min(range(j_max + 1), key=lambda m: base + slope * m * m)

@@ -129,7 +129,7 @@ def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.
     4 sqrt(A B_eff).
     """
     s = (sector.a_coef / sector.b_eff) ** 0.25
-    spacing = 4.0 * math.sqrt(sector.a_coef * sector.b_eff)
+    spacing = gaussian_frequency(sector)
     q = np.zeros((cutoff + 1, cutoff + 1))
     k = np.arange(cutoff)
     q[k, k + 1] = np.sqrt(k + 1.0)

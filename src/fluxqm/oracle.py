@@ -58,7 +58,6 @@ class SpectrumComparison:
     rel_errors: tuple[float, ...]
     max_rel_error: float
     argmax_level: int
-    offset: float
 
 
 @dataclass(frozen=True)
@@ -172,28 +171,23 @@ def compare_spectra(
     analytic: Sequence[float],
     oracle: Union[OracleReport, Sequence[float]],
     tol: float,
-    fit_offset: bool = False,
     scale: float = 1.0,
 ) -> SpectrumComparison:
     """Level-by-level check of analytic values against oracle eigenvalues.
 
-    Relative error of level i is |a_i - o_i - c| / max(scale, |o_i|) where the
-    shared constant c is zero unless ``fit_offset`` is set, in which case it is
-    the mean residual (used for spectra that agree only up to an additive
-    constant).  The ``scale`` floor keeps levels at or near zero comparable.
+    Relative error of level i is |a_i - o_i| / max(scale, |o_i|); the
+    ``scale`` floor keeps levels at or near zero comparable.
     """
     a = np.asarray(analytic, dtype=float)
     levels = oracle.levels if isinstance(oracle, OracleReport) else oracle
     o = np.asarray(levels, dtype=float)
     if a.shape != o.shape:
         raise ValueError(f"spectrum length mismatch: {a.shape} vs {o.shape}")
-    offset = float(np.mean(a - o)) if fit_offset else 0.0
-    rel = np.abs(a - o - offset) / np.maximum(scale, np.abs(o))
+    rel = np.abs(a - o) / np.maximum(scale, np.abs(o))
     worst = int(np.argmax(rel))
     return SpectrumComparison(
         passed=bool(rel[worst] <= tol),
         rel_errors=tuple(float(r) for r in rel),
         max_rel_error=float(rel[worst]),
         argmax_level=worst,
-        offset=offset,
     )

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,58 @@ def test_invalid_first_scan_point_flags_only_its_row(tmp_path, args, error):
     status = [dict(zip(header, row))["status"] for row in rows]
     assert status[0].startswith(f"error: ValueError: {error}")
     assert status[1:] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("args, error", [
+    # m_max = 1 holds at most 3 of the 5 particles; m_max = 2 .. 6 hold them all
+    (("phase-scan", "--set", "n_particles=5", "--set", "g=2", "--set", "scan_param=m_max",
+      "--set", "scan_min=1", "--set", "scan_max=6", "--set", "scan_steps=6"),
+     "m_max must satisfy 2*m_max+1 >= n_particles = 5, got 1"),
+    # j_max = 6 exceeds n_electrons = 4 only; the scan runs 4, 6, 8, 10
+    (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=6", "--set", "scan_param=n_electrons",
+      "--set", "scan_min=4", "--set", "scan_max=10", "--set", "scan_steps=4"),
+     "j_max must lie in [0, n_electrons = 4], got 6"),
+], ids=["phase-scan", "dirac-scan"])
+def test_out_of_range_scan_point_flags_only_its_row(tmp_path, args, error):
+    out = tmp_path / "x.csv"
+    assert run_cli(*args, "--out", str(out), "--jobs", "1") == 1
+    _, header, rows = read_csv(out)
+    status = [dict(zip(header, row))["status"] for row in rows]
+    assert status[0] == f"error: ValueError: {error}"
+    assert set(status[1:]) == {"ok"} and len(status) > 2
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--set", "orbitals=0,1", "--set", "phi=0.3", "--set", "scan_min=1"),
+    ("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "scan_min=1"),
+    # n_levels = 0 writes no level column at all
+    ("nonlinear", "--set", "n_particles=3", "--set", "alpha4=0.1", "--set", "scan_min=0"),
+], ids=["spectrum", "tbjj", "nonlinear"])
+def test_scan_that_changes_the_columns_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args):
+    # the rows used to be written under the first point's columns, dropping the other points' levels
+    def no_row(task):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cli, "_eval_point", no_row)
+    out = tmp_path / "x.csv"
+    code = run_cli(*args, "--set", "scan_param=n_levels", "--set", "scan_max=3", "--set", "scan_steps=3",
+                   "--out", str(out), "--jobs", "1")
+    assert code == 2
+    assert "scanning 'n_levels' changes the output columns" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflowing_scan_span_is_usage_error(tmp_path, capsys):
+    # scan_max - scan_min overflows to inf, and the grid used to hold a NaN that was blamed on eta
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("spin-phase", "--set", "n_particles=3", "--set", "scan_param=eta",
+                       "--set", "scan_min=-1e308", "--set", "scan_max=1e308", "--set", "scan_steps=5",
+                       "--out", str(out))
+    assert code == 2
+    assert "scan_max - scan_min must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_overflowing_dirac_coupling_flags_its_row(tmp_path):
@@ -415,7 +468,7 @@ def test_worker_count_does_not_change_bytes(tmp_path, args):
 
 @pytest.mark.parametrize("command, args, key", [
     ("phase-scan", [], "n_particles"),
-    ("phase-scan", ["--set", "n_particles=7"], "m_max"),  # m_max = 2 would be a usage error
+    ("phase-scan", ["--set", "n_particles=7"], "m_max"),  # from 3: m_max = 2 holds 5 of the 7 and would flag its row
     ("spin-phase", [], "n_particles"),
     ("dirac-scan", [], "n_electrons"),
     ("dirac-scan", ["--set", "n_electrons=8"], "j_max"),

@@ -15,6 +15,7 @@ from fluxqm import (
     induced_coupling_dirac,
     optimal_chirality,
 )
+from fluxqm import diracring
 
 
 def _p(**kwargs):
@@ -257,11 +258,11 @@ def test_displacement_value_against_potential_minimizer():
 def test_linear_expansion_identity():
     # sum |m + b + f| - sum |m + b| = f * J whenever no occupied level crosses
     rng = np.random.default_rng(21)
-    beta = 0.5
+    beta = diracring._BERRY_SHIFT
     for _ in range(40):
         n = int(rng.integers(1, 9))
         orbitals = rng.choice(np.arange(-7, 7), size=n, replace=False)
-        sector = ChiralSector.from_orbitals(orbitals, beta)
+        sector = ChiralSector.from_orbitals(orbitals)
         f = float(rng.uniform(-0.49, 0.49))
         lhs = sum(abs(m + beta + f) for m in orbitals) - sum(abs(m + beta) for m in orbitals)
         assert lhs == pytest.approx(f * sector.j_chirality, abs=1e-12)

@@ -1,6 +1,7 @@
 """Identities between stored fields and the properties derived from them, over drawn valid inputs,
 the closed-form sector levels, spinless and Zeeman-coupled, against the brute-force oracle on
-drawn sectors, the closed-form stability Hessian against a dense eigensolver, the unitarity of the
+drawn sectors, the closed-form stability Hessian against a dense eigensolver, the Dirac-ring
+chirality argmin against a brute-force minimum at and beside the branch stiffness, the unitarity of the
 truncated displacement operator within its cutoff, and the CLI output bytes: the streamed JSON
 writer against ``json.dumps(indent=2)``, and any worker count against one worker."""
 
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fluxqm import (
+    DiracParams,
     FermionConfig,
     HessianReport,
     ModelParams,
@@ -24,7 +26,9 @@ from fluxqm import (
     derive_lc,
     displacement_operator,
     dressed_frequency,
+    effective_energy,
     hessian,
+    optimal_chirality,
     oracle_spectrum,
     rf_squid_map,
     rf_squid_spectrum,
@@ -137,6 +141,30 @@ entry = st.floats(min_value=-1e3, max_value=1e3)
 def test_closed_form_2x2_matches_a_dense_eigensolver(mm, ms, ss):
     # ss = None draws mm = ss, where both candidate vectors are equally long
     assert_matches_eigh(HessianReport(mm=mm, ms=ms, ss=mm if ss is None else ss))
+
+
+@st.composite
+def dirac_argmin_cases(draw):
+    n = draw(st.integers(min_value=1, max_value=30))
+    p = DiracParams(eps0=draw(positive), hbar_omega=1.0, phi=0.0, n_electrons=n,
+                    degeneracy=draw(st.sampled_from([1, 2, 4])))
+    stiffness = p.branch_stiffness
+    # on the stiffness every |j| ties; within 1e-15 of it the energies differ in their last bits or not at all
+    chi = draw(st.one_of(
+        st.just(stiffness),
+        st.floats(min_value=-1e-15, max_value=1e-15).map(lambda r: stiffness * (1.0 + r)),
+        st.floats(min_value=0.0, max_value=3.0 * stiffness),
+    ))
+    return p, chi, draw(st.integers(min_value=0, max_value=n))
+
+
+@PROPERTY
+@given(dirac_argmin_cases())
+def test_optimal_chirality_is_the_first_minimum_of_the_effective_energy(case):
+    p, chi, j_max = case
+    # ties go to the smaller |j|, then to the negative branch
+    expected = min(range(-j_max, j_max + 1), key=lambda j: (effective_energy(j, p, chi), abs(j), j))
+    assert optimal_chirality(p, chi, j_max) == expected
 
 
 orbital = st.integers(min_value=-3, max_value=3)

@@ -152,15 +152,6 @@ def test_compare_identical_lists_pass():
     assert result.max_rel_error == 0.0
 
 
-def test_compare_offset_mode():
-    analytic = [1.0, 2.0, 3.0]
-    shifted = [1.5, 2.5, 3.5]
-    assert not compare_spectra(analytic, shifted, tol=1e-9).passed
-    result = compare_spectra(analytic, shifted, tol=1e-12, fit_offset=True)
-    assert result.passed
-    assert result.offset == pytest.approx(-0.5, rel=1e-14)
-
-
 def test_compare_fault_injection_localizes_error():
     clean = [0.5, 1.5, 2.5, 3.5, 4.5]
     dirty = list(clean)

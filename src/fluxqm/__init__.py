@@ -9,7 +9,7 @@ phase-transition detectors built on them, tight-binding and linear-dispersion
 ring variants, and a brute-force Fock-space oracle used to verify everything.
 """
 
-from .core import FermionConfig, LCParams, ModelParams, derive_lc, derive_ring
+from .core import FermionConfig, LCParams, ModelParams, derive_ring
 from .diracring import (
     ChiralSector,
     DiracParams,

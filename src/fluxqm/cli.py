@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib
 import json
 import math
@@ -159,14 +160,14 @@ class RunConfig:
 # command implementations
 
 
-def _model_params(ps: ParamSet, n_particles: int) -> ModelParams:
+def _model_params(ps: ParamSet, n_particles: int, spin: bool = False) -> ModelParams:
     return ModelParams(
         g=ps.float("g", 1.0),
         g_eff=ps.float("g_eff", 1.0),
         phi=ps.float("phi", 0.0),
         n_particles=n_particles,
         hbar_omega=ps.float("hbar_omega", 1.0),
-        eta=ps.float("eta", 0.0),
+        eta=ps.float("eta", 0.0) if spin else 0.0,  # read only by commands whose rows can carry spins
     )
 
 
@@ -174,7 +175,7 @@ def _parse_spectrum(ps):
     orbitals = ps.int_list("orbitals", required=True)
     spins = ps.int_list("spins")
     n_levels = ps.int("n_levels", 6)
-    p = _model_params(ps, len(orbitals))
+    p = _model_params(ps, len(orbitals), spin=True)
     ps.finish()
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -212,8 +213,7 @@ def _parse_phase_scan(ps):
     m_max = ps.int("m_max", 8)
     p = _model_params(ps, n)
     ps.finish()
-    if 2 * m_max + 1 < n:
-        raise ValueError(f"m_max must satisfy 2*m_max+1 >= n_particles = {n}, got {m_max}")
+    phases._check_window(n, m_max)
     return {"p": p, "m_max": m_max}
 
 
@@ -243,17 +243,9 @@ def _row_phase_scan(parsed):
     }
 
 
-def _summary_phase_scan(parsed, scan_param, values, rows):
-    summary = _jump_summary(scan_param, values, rows, "phase")
-    p = parsed["p"]
-    if scan_param == "phi" and p.g > p.g_eff:  # on any other axis phi_c varies from point to point
-        summary["phi_c_closed_form"] = phases.critical_flux(p)
-    return summary
-
-
 def _parse_spin_phase(ps):
     n = ps.int("n_particles", required=True)
-    p = _model_params(ps, n)
+    p = _model_params(ps, n, spin=True)
     ps.finish()
     return {"p": p}
 
@@ -284,10 +276,6 @@ def _row_spin_phase(parsed):
     }
 
 
-def _summary_spin_phase(parsed, scan_param, values, rows):
-    return _jump_summary(scan_param, values, rows, "stable")
-
-
 def _parse_dirac_scan(ps):
     p = diracring.DiracParams(
         eps0=ps.float("eps0", 1.0),
@@ -299,8 +287,7 @@ def _parse_dirac_scan(ps):
     )
     j_max = ps.int("j_max", p.n_electrons)
     ps.finish()
-    if not 0 <= j_max <= p.n_electrons:
-        raise ValueError(f"j_max must lie in [0, n_electrons = {p.n_electrons}], got {j_max}")
+    diracring._check_j_max(j_max, p.n_electrons)
     return {"p": p, "j_max": j_max}
 
 
@@ -329,16 +316,6 @@ def _row_dirac_scan(parsed):
         "photon_number": photons,
         "phase": "balanced" if j_opt == 0 else "polarized",
     }
-
-
-def _summary_dirac_scan(parsed, scan_param, values, rows):
-    summary = _jump_summary(scan_param, values, rows, "phase")
-    if scan_param == "phi":  # on any other axis phi_c varies from point to point
-        try:
-            summary["phi_c_closed_form"] = diracring.critical_flux_dirac(parsed["p"])
-        except NoTransitionError:
-            pass
-    return summary
 
 
 def _parse_nonlinear(ps):
@@ -395,8 +372,7 @@ def _parse_tbjj(ps):
     ps.finish()
     if solver not in ("fock", "both"):
         raise ValueError(f"solver must be 'fock' or 'both', got {solver!r}")
-    if not 1 <= n_levels <= tbring._FOCK_CUTOFF // 4:
-        raise ValueError(f"n_levels must lie in [1, {tbring._FOCK_CUTOFF // 4}], got {n_levels}")
+    tbring._check_fock_levels(n_levels)
     sector = tbring.sector_constants(occupied, m_sites)
     squid = tbring.rf_squid_map(sector, t, eta, hbar_omega)
     return {"sector": sector, "squid": squid, "t": t, "n_levels": n_levels, "solver": solver}
@@ -459,10 +435,7 @@ def _parse_oracle_check(ps):
     n_levels = ps.int("n_levels", 6)
     hbar_omega = ps.float("hbar_omega", 1.0)
     ps.finish()
-    if cutoff < 50:
-        raise ValueError(f"cutoff must be >= 50, got {cutoff}")
-    if not 1 <= n_levels <= cutoff:
-        raise ValueError(f"n_levels must lie in [1, cutoff = {cutoff}], got {n_levels}")
+    oracle._check_cutoff(cutoff, n_levels)
     if tol < 0:
         raise ValueError(f"tol must be non-negative, got {tol}")
     orbitals, ratio, phi = _ORACLE_SUITE[case]
@@ -501,6 +474,26 @@ def _row_oracle_check(parsed):
     }
 
 
+def _scan_summary(key, critical_flux, parsed, scan_param, values, rows):
+    """Bracket of the first change in the ``key`` column between adjacent good rows; on a ``phi``
+    axis also the model's closed-form ``critical_flux``, if any (on other axes phi_c varies by point)."""
+    summary = {}
+    for (v0, r0), (v1, r1) in zip(zip(values, rows), zip(values[1:], rows[1:])):
+        if r0["status"] != "ok" or r1["status"] != "ok":
+            continue
+        if r0.get(key) != r1.get(key):
+            summary["jump_column"] = key
+            summary[f"jump_{scan_param}_low"] = v0
+            summary[f"jump_{scan_param}_high"] = v1
+            break
+    if critical_flux is not None and scan_param == "phi":
+        try:
+            summary["phi_c_closed_form"] = critical_flux(parsed["p"])
+        except NoTransitionError:
+            pass
+    return summary
+
+
 @dataclass(frozen=True)
 class _Command:
     parse: Callable  # ParamSet -> parsed config
@@ -516,12 +509,12 @@ class _Command:
 
 _COMMANDS = {
     "spectrum": _Command(_parse_spectrum, _columns_spectrum, _row_spectrum),
-    "phase-scan": _Command(_parse_phase_scan, lambda parsed: list(_PHASE_COLUMNS),
-                           _row_phase_scan, _summary_phase_scan),
-    "spin-phase": _Command(_parse_spin_phase, lambda parsed: list(_SPIN_COLUMNS),
-                           _row_spin_phase, _summary_spin_phase),
-    "dirac-scan": _Command(_parse_dirac_scan, lambda parsed: list(_DIRAC_COLUMNS),
-                           _row_dirac_scan, _summary_dirac_scan),
+    "phase-scan": _Command(_parse_phase_scan, lambda parsed: list(_PHASE_COLUMNS), _row_phase_scan,
+                           functools.partial(_scan_summary, "phase", phases.critical_flux)),
+    "spin-phase": _Command(_parse_spin_phase, lambda parsed: list(_SPIN_COLUMNS), _row_spin_phase,
+                           functools.partial(_scan_summary, "stable", None)),
+    "dirac-scan": _Command(_parse_dirac_scan, lambda parsed: list(_DIRAC_COLUMNS), _row_dirac_scan,
+                           functools.partial(_scan_summary, "phase", diracring.critical_flux_dirac)),
     "nonlinear": _Command(_parse_nonlinear, _columns_nonlinear, _row_nonlinear,
                           diagonalises=lambda parsed: parsed["n_levels"] > 0),
     "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, diagonalises=lambda parsed: True),
@@ -551,20 +544,6 @@ def _eval_point(task):
         return row
     except Exception as exc:
         return {"status": f"error: {type(exc).__name__}: {exc}"}
-
-
-def _jump_summary(scan_param, values, rows, key):
-    """Bracket of the first change in a label column between adjacent good rows."""
-    summary = {}
-    for (v0, r0), (v1, r1) in zip(zip(values, rows), zip(values[1:], rows[1:])):
-        if r0["status"] != "ok" or r1["status"] != "ok":
-            continue
-        if r0.get(key) != r1.get(key):
-            summary["jump_column"] = key
-            summary[f"jump_{scan_param}_low"] = v0
-            summary[f"jump_{scan_param}_high"] = v1
-            break
-    return summary
 
 
 def _format_cell(value):
@@ -738,7 +717,7 @@ def run(config: RunConfig) -> int:
 
     summary = {}
     if cmd.summary is not None and config.scan_param is not None and len(rows) > 1:
-        summary = cmd.summary(first_parsed, config.scan_param, config.scan_values, rows) or {}
+        summary = cmd.summary(first_parsed, config.scan_param, config.scan_values, rows)
 
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         if config.format == "csv":

@@ -3,8 +3,8 @@
 Everything downstream of this module works in dimensionless units: energies
 are measured in a reference quantum E0 (by default the cavity quantum, so
 ``hbar_omega = 1``), and angular momenta are integer multiples of hbar.  The
-only place SI quantities appear is in the two derivation helpers here, which
-map a physical LC circuit and ring geometry onto the dimensionless couplings.
+only place SI quantities appear is in ``LCParams`` and ``derive_ring`` here,
+which map a physical LC circuit and ring geometry onto the dimensionless couplings.
 Their two SI constants, ``HBAR`` and ``ELECTRON_MASS``, are CODATA 2022
 literals, written out here (equal to ``scipy.constants.hbar`` and ``m_e``,
 which a test checks) so that importing the package does not load scipy.
@@ -33,7 +33,6 @@ __all__ = [
     "LCParams",
     "ModelParams",
     "FermionConfig",
-    "derive_lc",
     "derive_ring",
 ]
 
@@ -80,11 +79,6 @@ class LCParams:
     @property
     def q_zpf(self) -> float:  # C
         return math.sqrt(HBAR / (2.0 * self.impedance))
-
-
-def derive_lc(inductance: float, capacitance: float) -> LCParams:
-    """Quantize a lumped LC circuit; raises ValueError unless L and C are finite and positive."""
-    return LCParams(inductance, capacitance)
 
 
 def derive_ring(radius: float, m_eff_ratio: float, energy_unit: float) -> tuple[float, float]:

@@ -76,6 +76,11 @@ class DiracParams:
         """Kinetic cost eps0 / (4 g_d) per unit J^2; chi crossing it is the transition."""
         return self.eps0 / (4.0 * self.degeneracy)
 
+    @property
+    def mode_stiffness(self) -> float:
+        """Cavity stiffness hbar_omega + 2 D_eff phi^2 that the chirality drive displaces."""
+        return self.hbar_omega + 2.0 * self.d_eff * self.phi**2
+
 
 @dataclass(frozen=True)
 class ChiralSector:
@@ -140,7 +145,7 @@ def induced_coupling_dirac(p: DiracParams) -> float:
     chi = lambda^2 / hbar_omega; a finite stiffness saturates the coupling.
     """
     lam = p.coupling_lambda
-    chi = lam**2 / (p.hbar_omega + 2.0 * p.d_eff * p.phi**2)
+    chi = lam**2 / p.mode_stiffness
     _check_finite(chi=chi)  # eps0 * phi can overflow to inf without raising
     return chi
 
@@ -184,8 +189,14 @@ def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:
     zero in the balanced phase and jump discontinuously with j across the
     transition; <a> is odd and <n> even under j -> -j.
     """
-    amp = -p.coupling_lambda * j / (p.hbar_omega + 2.0 * p.phi**2 * p.d_eff)
+    amp = -p.coupling_lambda * j / p.mode_stiffness
     return amp, amp * amp
+
+
+def _check_j_max(j_max: int, n_electrons: int) -> None:
+    """Raise ValueError unless the chirality cutoff lies in [0, n_electrons]."""
+    if not 0 <= j_max <= n_electrons:
+        raise ValueError(f"j_max must lie in [0, n_electrons = {n_electrons}], got {j_max}")
 
 
 def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Optional[int] = None) -> int:
@@ -197,8 +208,7 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
     """
     if j_max is None:
         j_max = p.n_electrons
-    if j_max < 0 or j_max > p.n_electrons:
-        raise ValueError(f"j_max must lie in [0, N], got {j_max}")
+    _check_j_max(j_max, p.n_electrons)
     if chi is None:
         chi = induced_coupling_dirac(p)
     _check_finite(chi=chi)

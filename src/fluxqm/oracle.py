@@ -106,6 +106,14 @@ def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
     return ab
 
 
+def _check_cutoff(cutoff: int, n_levels: int) -> None:
+    """Raise ValueError unless the Fock cutoff is at least 50 and holds n_levels levels."""
+    if cutoff < 50:
+        raise ValueError(f"cutoff must be >= 50, got {cutoff}")
+    if not 1 <= n_levels <= cutoff:
+        raise ValueError(f"n_levels must lie in [1, cutoff = {cutoff}], got {n_levels}")
+
+
 def oracle_spectrum(
     p: ModelParams,
     cfg: FermionConfig,
@@ -116,16 +124,12 @@ def oracle_spectrum(
     """Lowest eigenvalues of the full sector Hamiltonian in a truncated Fock space.
 
     When ``check_convergence`` is set, the diagonalization is repeated at twice
-    the cutoff and the relative movement of the reported levels is recorded;
-    a movement of 1e-9 or more is flagged in the report as non-convergence,
-    never raised.
+    the cutoff and the relative movement of the reported levels (``compare_spectra``'s,
+    floored at hbar_omega) is recorded; a movement of 1e-9 or more is flagged
+    in the report as non-convergence, never raised.
     """
+    _check_cutoff(cutoff, n_levels)
     from scipy.linalg import eig_banded
-
-    if cutoff < 50:
-        raise ValueError(f"cutoff must be >= 50, got {cutoff}")
-    if n_levels < 1 or n_levels > cutoff:
-        raise ValueError(f"n_levels must be in [1, cutoff], got {n_levels}")
 
     def lowest(c):
         return eig_banded(_assemble(p, cfg, c), eigvals_only=True, select="i", select_range=(0, n_levels - 1))
@@ -133,8 +137,7 @@ def oracle_spectrum(
     levels = lowest(cutoff)
     if check_convergence:
         refined = lowest(2 * cutoff)
-        scale = np.maximum(p.hbar_omega, np.abs(refined))
-        max_change = float(np.max(np.abs(levels - refined) / scale))
+        max_change = compare_spectra(levels, refined, _RTOL, scale=p.hbar_omega).max_rel_error
         return OracleReport(
             levels=tuple(float(v) for v in refined),
             cutoff_used=2 * cutoff,
@@ -150,7 +153,8 @@ def oracle_spectrum(
 
 
 def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) -> GroundStateMoments:
-    """Quadrature moments of the sector ground state, from the raw eigenvector."""
+    """Quadrature moments of the sector ground state, from the raw eigenvector; the cutoff must be >= 50."""
+    _check_cutoff(cutoff, 1)
     from scipy.linalg import eig_banded
 
     _, vecs = eig_banded(_assemble(p, cfg, cutoff), select="i", select_range=(0, 0))

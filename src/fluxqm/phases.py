@@ -114,6 +114,12 @@ def critical_flux(p: ModelParams) -> float:
     return math.sqrt(p.g_eff * p.hbar_omega / (4.0 * p.g * p.n_particles * (p.g - p.g_eff)))
 
 
+def _check_window(n_particles: int, m_max: int) -> None:
+    """Raise ValueError unless the window |m| <= m_max holds n_particles distinct orbitals."""
+    if 2 * m_max + 1 < n_particles:
+        raise ValueError(f"m_max must satisfy 2*m_max+1 >= n_particles = {n_particles}, got {m_max}")
+
+
 @lru_cache(maxsize=16)
 def _sector_table(n_particles: int, m_max: int):
     """All distinct-orbital configurations with |m_i| <= m_max, pre-sorted.
@@ -160,10 +166,7 @@ def ground_state_search(p: ModelParams, m_max: int) -> GroundState:
     label is "balanced" when the winner has the kinetic-optimal (W, |M|) of
     the window and "polarized" otherwise.
     """
-    if 2 * m_max + 1 < p.n_particles:
-        raise ValueError(
-            f"orbital window too small: need 2*m_max+1 >= N, got m_max={m_max}, N={p.n_particles}"
-        )
+    _check_window(p.n_particles, m_max)
     configs, rows, w, m2, w_ref, m_ref = _sector_table(p.n_particles, m_max)
     chi = induced_coupling(p)
     best = rows[int(np.argmin(p.g_eff * w - chi * m2))]

@@ -95,6 +95,11 @@ def hessian(p: ModelParams) -> HessianReport:
     )
 
 
+def _equal_scales(p: ModelParams) -> bool:
+    """g_eff = g to 1e-12 relative, where the flux terms drop out of the threshold."""
+    return math.isclose(p.g_eff, p.g, rel_tol=1e-12, abs_tol=1e-12 * max(p.g, p.g_eff))
+
+
 def critical_eta(p: ModelParams) -> float:
     """Critical Zeeman coupling eta_c = sqrt(g N hbar_omega) / 2 at g_eff = g.
 
@@ -102,7 +107,7 @@ def critical_eta(p: ModelParams) -> float:
     and eta_c is independent of phi.  For g_eff != g there is no such closed
     form; locate the zero of hessian(p).determinant in eta instead.
     """
-    if not math.isclose(p.g_eff, p.g, rel_tol=1e-12, abs_tol=1e-12 * max(p.g, p.g_eff)):
+    if not _equal_scales(p):
         raise ValueError(
             f"critical_eta holds only for g_eff = g (got g={p.g}, g_eff={p.g_eff}); "
             "find the root of hessian(p).determinant in eta for unequal couplings"
@@ -118,7 +123,7 @@ def critical_flux_spin(p: ModelParams) -> float:
     transition (positive numerator) requires g_eff > g; the orbital-driven
     one (negative numerator) requires g_eff < g.
     """
-    if math.isclose(p.g_eff, p.g, rel_tol=1e-12, abs_tol=1e-12 * max(p.g, p.g_eff)):
+    if _equal_scales(p):
         raise ValueError(
             "g_eff = g makes the flux dependence drop out; the threshold is critical_eta(p)"
         )

@@ -7,16 +7,16 @@ sector {n_k} reduces to a single-mode problem
     H = -2t [C cos(eta x) - S sin(eta x)] + hbar_omega a^dag a,
 
 with the sector constants C = sum cos(k a), S = sum sin(k a) over occupied
-momenta k a = 2 pi n / M (the lattice constant cancels).  Two independent
-solvers are provided: a Fock-basis build from the closed-form matrix
-elements (generalized Laguerre polynomials) of the displacement operator,
-whose real and imaginary parts are the cosine and sine matrices, with the
-cutoff doubled until the levels are stationary, and a real-space sinc
-discrete-variable representation (``gridsolve.converged_bound_states``), whose
-grid is doubled likewise.  Both refinements stop by the one rule of
-``gridsolve._refine``, and both eigensolves are numpy's.
-Compressing C cos - S sin into a single shifted cosine maps each sector
-exactly onto a flux-biased junction circuit
+momenta k a = 2 pi n / M (the lattice constant cancels), which a ``TBSector``
+derives from its occupations.  Two independent solvers are provided: a
+Fock-basis build from the closed-form matrix elements (generalized Laguerre
+polynomials) of the displacement operator, whose real and imaginary parts are
+the cosine and sine matrices, with the cutoff doubled until the levels are
+stationary, and a real-space sinc discrete-variable representation
+(``gridsolve.converged_bound_states``), whose grid is doubled likewise.  Both
+refinements stop by the one rule of ``gridsolve._refine``, and both eigensolves
+are numpy's.  Compressing C cos - S sin into a single shifted cosine maps each
+sector exactly onto a flux-biased junction circuit
 
     4 E_C n_phi^2 + (E_L / 2)(phi - phi_ext)^2 - E_J cos(phi),
 
@@ -61,20 +61,34 @@ _SQUID_HALF_SPAN = 14.0  # phi-grid half-width in oscillator lengths of the indu
 
 @dataclass(frozen=True)
 class TBSector:
-    """Occupation sector of the ring, reduced to its two trigonometric moments.
+    """Occupation sector of the ring: distinct (spinless) momentum indices in [0, m_sites), stored sorted.
 
-    The properties ``e_j_amp = sqrt(C^2 + S^2)`` and ``delta = atan2(S, C)``
-    follow from the stored moments ``c_sum`` and ``s_sum``.
+    The properties ``c_sum = C`` and ``s_sum = S``, exactly rounded sums of cos and sin of
+    k a = 2 pi n / m_sites, ``e_j_amp = sqrt(C^2 + S^2)`` and ``delta = atan2(S, C)`` follow.
     """
 
     occupations: tuple[int, ...]
     m_sites: int
-    c_sum: float
-    s_sum: float
 
     def __post_init__(self):
-        if abs(self.c_sum) > len(self.occupations) + 1e-12:
-            raise ValueError("|C| cannot exceed the particle count")
+        occ = tuple(sorted(int(n) for n in self.occupations))
+        if self.m_sites < 1:
+            raise ValueError(f"m_sites must be >= 1, got {self.m_sites}")
+        if not occ:
+            raise ValueError("sector must occupy at least one momentum index")
+        if len(set(occ)) != len(occ):
+            raise ValueError(f"Pauli exclusion violated: duplicate momentum indices in {occ}")
+        if occ[0] < 0 or occ[-1] >= self.m_sites:
+            raise ValueError(f"momentum indices must lie in [0, {self.m_sites - 1}], got {occ}")
+        object.__setattr__(self, "occupations", occ)
+
+    @property
+    def c_sum(self) -> float:
+        return math.fsum(math.cos(2.0 * math.pi * n / self.m_sites) for n in self.occupations)
+
+    @property
+    def s_sum(self) -> float:
+        return math.fsum(math.sin(2.0 * math.pi * n / self.m_sites) for n in self.occupations)
 
     @property
     def e_j_amp(self) -> float:
@@ -125,24 +139,8 @@ class RfSquidParams:
 
 
 def sector_constants(occupied: Iterable[int], m_sites: int) -> TBSector:
-    """Trigonometric sector constants C, S over occupied momentum indices.
-
-    Momenta are k a = 2 pi n / m_sites for n in 0..m_sites-1; indices must be
-    distinct (spinless fermions).
-    """
-    occ = tuple(sorted(int(n) for n in occupied))
-    if m_sites < 1:
-        raise ValueError(f"m_sites must be >= 1, got {m_sites}")
-    if not occ:
-        raise ValueError("sector must occupy at least one momentum index")
-    if len(set(occ)) != len(occ):
-        raise ValueError(f"Pauli exclusion violated: duplicate momentum indices in {occ}")
-    if occ[0] < 0 or occ[-1] >= m_sites:
-        raise ValueError(f"momentum indices must lie in [0, {m_sites - 1}], got {occ}")
-    angles = [2.0 * math.pi * n / m_sites for n in occ]
-    c_sum = math.fsum(math.cos(t) for t in angles)
-    s_sum = math.fsum(math.sin(t) for t in angles)
-    return TBSector(occupations=occ, m_sites=m_sites, c_sum=c_sum, s_sum=s_sum)
+    """The sector of the occupied momentum indices n (momenta k a = 2 pi n / m_sites), with its C and S."""
+    return TBSector(tuple(occupied), m_sites)
 
 
 # Past this e^(-lam^2/2) is subnormal or zero, and every band seeded from it loses its digits.
@@ -213,6 +211,12 @@ def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
     return op
 
 
+def _check_fock_levels(n_levels: int) -> None:
+    """Raise ValueError unless the first Fock cutoff holds four times n_levels levels."""
+    if not 1 <= n_levels <= _FOCK_CUTOFF // 4:
+        raise ValueError(f"n_levels must lie in [1, {_FOCK_CUTOFF // 4}], got {n_levels}")
+
+
 def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int, n_levels: int) -> np.ndarray:
     d = displacement_operator(eta / math.sqrt(2.0), cutoff)  # cos(eta x) + i sin(eta x)
     h = hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
@@ -225,14 +229,15 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
 
     Zero-point convention: the cavity term is hbar_omega * a^dag a (no 1/2),
     so at t = 0 the levels are exactly 0, hw, 2hw, ...  The cutoff starts at
-    128 and is doubled, at most four times, until the requested levels are
-    stationary to 1e-9 relative (floored at hbar_omega); failing that, a
+    128 and is doubled, at most four times, until the n_levels <= 32 levels are
+    stationary to 1e-9 relative (floored at hbar_omega > 0); failing that, a
     ConvergenceError carries the residual that was reached.  The levels are
     even in eta: parity x -> -x maps H(-eta) onto H(eta), so |eta| is solved.
     """
     _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
-    if not 1 <= n_levels <= _FOCK_CUTOFF // 4:
-        raise ValueError(f"n_levels must be in [1, {_FOCK_CUTOFF // 4}], got {n_levels}")
+    if hbar_omega <= 0:
+        raise ValueError(f"hbar_omega must be positive, got {hbar_omega}")
+    _check_fock_levels(n_levels)
     cutoffs = (_FOCK_CUTOFF << k for k in range(_FOCK_DOUBLINGS + 1))
     estimates = ((cutoff, _fock_levels(sector, t, abs(eta), hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)
     levels, _, _ = _refine(estimates, _FOCK_RTOL, hbar_omega, "Fock-basis levels not converged at cutoff {size}")

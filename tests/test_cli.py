@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from fluxqm import (
+    DiracParams,
     FermionConfig,
     ModelParams,
     critical_flux,
     dressed_frequency,
+    ground_state_search,
+    optimal_chirality,
     oracle_spectrum,
     rf_squid_map,
     sector_constants,
@@ -41,12 +44,18 @@ def read_csv(path):
     return comments, rows[0], rows[1:]
 
 
-def test_unknown_parameter_is_usage_error(tmp_path):
+def test_unknown_parameter_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = run_cli("phase-scan", "--set", "n_particles=3", "--set", "bogus=1",
                    "--out", str(out))
     assert code == 2
     assert not out.exists()
+    capsys.readouterr()
+    # no phase-scan or nonlinear row depends on eta, so setting it is refused rather than ignored
+    for command in ("phase-scan", "nonlinear"):
+        assert run_cli(command, "--set", "n_particles=3", "--set", "eta=0.3", "--out", str(out)) == 2
+        assert capsys.readouterr().err == "fluxqm: error: unknown parameter(s): eta\n"
+        assert not out.exists()
 
 
 def test_missing_required_parameter_is_usage_error(tmp_path):
@@ -109,6 +118,29 @@ def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monke
     out = tmp_path / "x.csv"
     assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
     assert f"{key} must" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, layer", [
+    (("phase-scan", "--set", "n_particles=5", "--set", "m_max=1"),
+     lambda: ground_state_search(ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=5), 1)),
+    (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=9"),
+     lambda: optimal_chirality(DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.0, n_electrons=8), j_max=9)),
+    (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "n_levels=33"),
+     lambda: sector_spectrum_fock(sector_constants([0, 1], 6), 1.0, 1.0, 1.0, n_levels=33)),
+    (("oracle-check", "--set", "cutoff=49"),
+     lambda: oracle_spectrum(ModelParams(g=0.5, g_eff=1.0, phi=0.0, n_particles=1), FermionConfig([0]), cutoff=49)),
+    (("oracle-check", "--set", "cutoff=60", "--set", "n_levels=61"),
+     lambda: oracle_spectrum(ModelParams(g=0.5, g_eff=1.0, phi=0.0, n_particles=1), FermionConfig([0]),
+                             cutoff=60, n_levels=61)),
+], ids=["m_max", "j_max", "tbjj-n_levels", "oracle-cutoff", "oracle-n_levels"])
+def test_cli_limit_error_is_the_layers_error(tmp_path, capsys, args, layer):
+    # each limit is checked once, in its layer, whether the CLI parse or the solver meets it
+    with pytest.raises(ValueError) as exc:
+        layer()
+    out = tmp_path / "x.csv"
+    assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
+    assert capsys.readouterr().err == f"fluxqm: error: {exc.value}\n"
     assert not out.exists()
 
 
@@ -295,6 +327,21 @@ def test_closed_form_phi_c_is_written_only_on_a_phi_axis(tmp_path, args):
     out = tmp_path / "scan.csv"
     code = run_cli(*args, "--set", "scan_min=0.5", "--set", "scan_max=1.5", "--set", "scan_steps=5",
                    "--out", str(out), "--jobs", "1")
+    assert code == 0
+    comments, _, rows = read_csv(out)
+    assert len(rows) == 5
+    assert [line for line in comments if line.startswith("# summary phi_c_closed_form")] == []
+
+
+@pytest.mark.parametrize("args", [
+    ["phase-scan", "--set", "n_particles=3", "--set", "g=1.0", "--set", "g_eff=1.5"],
+    # 2 D_eff = 4 = 4 g_d eps0: the stiffness-saturated coupling never reaches the branch stiffness
+    ["dirac-scan", "--set", "n_electrons=8", "--set", "degeneracy=1", "--set", "d_eff=2.0"],
+], ids=["phase-scan", "dirac-scan"])
+def test_phi_axis_without_a_transition_writes_no_closed_form(tmp_path, args):
+    out = tmp_path / "scan.csv"
+    code = run_cli(*args, "--set", "scan_param=phi", "--set", "scan_min=0", "--set", "scan_max=2",
+                   "--set", "scan_steps=5", "--out", str(out), "--jobs", "1")
     assert code == 0
     comments, _, rows = read_csv(out)
     assert len(rows) == 5

@@ -5,7 +5,7 @@ import pytest
 import scipy.constants
 from scipy.constants import hbar
 
-from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_lc, derive_ring
+from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring
 
 
 def test_si_constants_equal_scipy():
@@ -14,7 +14,7 @@ def test_si_constants_equal_scipy():
 
 
 def test_unit_lc_values():
-    lc = derive_lc(1.0, 1.0)
+    lc = LCParams(1.0, 1.0)
     assert lc.omega == pytest.approx(1.0, rel=1e-15)
     assert lc.impedance == pytest.approx(1.0, rel=1e-15)
 
@@ -22,13 +22,13 @@ def test_unit_lc_values():
 def test_zero_point_product_is_half_hbar():
     # identity enforced by the defining formulas, for any (L, C)
     for L, C in [(1.0, 1.0), (hbar / 2, 2 / hbar), (1e-9, 1e-12), (3.3e-6, 4.7e-15)]:
-        lc = derive_lc(L, C)
+        lc = LCParams(L, C)
         assert lc.phi_zpf * lc.q_zpf == pytest.approx(hbar / 2, rel=1e-12)
 
 
 def test_nanohenry_picofarad_frequency():
     # 1/sqrt(1e-9 * 1e-12) = 10^10.5, cross-checked by direct high-precision arithmetic
-    lc = derive_lc(1e-9, 1e-12)
+    lc = LCParams(1e-9, 1e-12)
     assert lc.omega == pytest.approx(10**10.5, rel=1e-12)
     assert lc.omega == pytest.approx(3.1622776601683795e10, rel=1e-12)
 
@@ -36,7 +36,7 @@ def test_nanohenry_picofarad_frequency():
 @pytest.mark.parametrize("L,C", [(0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
 def test_lc_rejects_nonpositive(L, C):
     with pytest.raises(ValueError):
-        derive_lc(L, C)
+        LCParams(L, C)
 
 
 @pytest.mark.parametrize("name", ["inductance", "capacitance"])

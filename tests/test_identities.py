@@ -21,9 +21,9 @@ from fluxqm import (
     DiracParams,
     FermionConfig,
     HessianReport,
+    LCParams,
     ModelParams,
     compare_spectra,
-    derive_lc,
     displacement_operator,
     dressed_frequency,
     effective_energy,
@@ -60,7 +60,7 @@ def model_params(draw, eta=st.just(0.0)):
 @PROPERTY
 @given(st.floats(min_value=1e-15, max_value=1e3), st.floats(min_value=1e-15, max_value=1e3))
 def test_lc_zero_point_product_is_half_hbar(inductance, capacitance):
-    lc = derive_lc(inductance, capacitance)
+    lc = LCParams(inductance, capacitance)
     assert math.isclose(lc.phi_zpf * lc.q_zpf, HBAR / 2, rel_tol=1e-12)
 
 

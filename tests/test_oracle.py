@@ -124,6 +124,13 @@ def test_oracle_rejects_small_cutoff():
         oracle_spectrum(p, FermionConfig([0]), cutoff=10)
 
 
+def test_ground_state_moments_reject_small_cutoff():
+    # cutoff = 1 used to return var_x = 0.0014 where the converged value is 0.1236
+    p = ModelParams(g=2.0, g_eff=1.0, phi=0.8, n_particles=3)
+    with pytest.raises(ValueError, match="cutoff must be >= 50, got 49"):
+        ground_state_moments(p, FermionConfig([0, 1, 2]), cutoff=49)
+
+
 def test_zeeman_sector_against_closed_form():
     # phi = 0 with spins: displaced oscillator, levels g_eff W - (eta Sigma)^2/hw + hw n
     p = ModelParams(g=1.0, g_eff=0.9, phi=0.0, n_particles=3, hbar_omega=1.0, eta=0.4)

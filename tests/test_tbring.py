@@ -13,6 +13,7 @@ from fluxqm import (
     displacement_operator,
     rf_squid_map,
     rf_squid_spectrum,
+    TBSector,
     sector_constants,
     sector_spectrum_fock,
     sector_spectrum_xrep,
@@ -67,6 +68,31 @@ def test_sector_rejects_duplicates_and_range():
         sector_constants([1, 1], 6)
     with pytest.raises(ValueError):
         sector_constants([6], 6)
+
+
+@pytest.mark.parametrize("occupations, m_sites", [((0, 0), 6), ((1, 6), 6), ((-1,), 6), ((), 6), ((0,), 0)],
+                         ids=["duplicate", "index-at-m_sites", "negative-index", "empty", "no-sites"])
+def test_sector_built_directly_is_checked(occupations, m_sites):
+    # a Pauli-violating (0, 0) sector used to be accepted and solved without an error
+    with pytest.raises(ValueError):
+        TBSector(occupations, m_sites)
+
+
+def test_sector_moments_follow_from_the_occupations():
+    sector = TBSector((4, 1, 2), 7)
+    assert sector == sector_constants([1, 2, 4], 7)
+    assert sector.occupations == (1, 2, 4)
+    assert sector.c_sum == math.fsum(math.cos(2.0 * math.pi * n / 7) for n in (1, 2, 4))
+    assert sector.s_sum == math.fsum(math.sin(2.0 * math.pi * n / 7) for n in (1, 2, 4))
+    with pytest.raises(TypeError):
+        TBSector((0, 1), 6, c_sum=1.5, s_sum=5.0)  # the moments are not settable
+
+
+@pytest.mark.parametrize("hbar_omega", [0.0, -1.0])
+def test_fock_solver_rejects_non_positive_quantum_up_front(hbar_omega):
+    # it used to run the whole cutoff ladder, then report levels not converged at cutoff 2048
+    with pytest.raises(ValueError, match=f"hbar_omega must be positive, got {hbar_omega}"):
+        sector_spectrum_fock(sector_constants([0, 1], 6), 0.5, 1.0, hbar_omega)
 
 
 def test_compression_identity_pointwise():

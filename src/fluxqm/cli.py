@@ -18,10 +18,11 @@ row once, a dict keyed in column order with ``status`` last, and both writers
 write those rows as given, in scan order with shortest round-trip float
 formatting, so output files are byte-identical for any worker count.
 Exit code 2, before any row runs and with no file written, is a UsageError (text
-a parse cannot read, unknown or missing keys, the scan declaration, the flags),
-a value that no point can use, or a scan whose points would write different
-columns (a scan of ``n_levels``).  Any other failure flags only its own row and
-the run ends with exit code 1, as it does when an ``oracle-check`` row fails.
+a parse cannot read, unknown or missing keys, the scan declaration, the flags,
+a missing output directory), a value that no point can use, or a scan whose
+points would write different columns (a scan of ``n_levels``).  Any other
+failure flags only its own row and the run ends with exit code 1, as it does
+when an ``oracle-check`` row fails.
 
 Commands: spectrum, phase-scan, spin-phase, dirac-scan, nonlinear, tbjj,
 oracle-check.  ``oracle-check`` runs a fixed suite of cases and takes no scan.
@@ -44,8 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diracring, kerr, linearmode, oracle, phases, spinorbit, tbring
-from .core import FermionConfig, ModelParams
-from .errors import NoTransitionError
+from .core import FermionConfig, ModelParams, _check_non_negative
 
 SCHEMA_VERSION = 1
 
@@ -175,7 +175,7 @@ def _parse_spectrum(ps):
     orbitals = ps.int_list("orbitals", required=True)
     spins = ps.int_list("spins")
     n_levels = ps.int("n_levels", 6)
-    p = _model_params(ps, len(orbitals), spin=True)
+    p = _model_params(ps, len(orbitals), spin=spins is not None)
     ps.finish()
     if n_levels < 1:
         raise ValueError("n_levels must be >= 1")
@@ -436,8 +436,7 @@ def _parse_oracle_check(ps):
     hbar_omega = ps.float("hbar_omega", 1.0)
     ps.finish()
     oracle._check_cutoff(cutoff, n_levels)
-    if tol < 0:
-        raise ValueError(f"tol must be non-negative, got {tol}")
+    _check_non_negative(tol=tol)
     orbitals, ratio, phi = _ORACLE_SUITE[case]
     cfg = FermionConfig(orbitals)
     p = ModelParams(g=ratio, g_eff=1.0, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
@@ -489,7 +488,7 @@ def _scan_summary(key, critical_flux, parsed, scan_param, values, rows):
     if critical_flux is not None and scan_param == "phi":
         try:
             summary["phi_c_closed_form"] = critical_flux(parsed["p"])
-        except NoTransitionError:
+        except ValueError:  # no transition (NoTransitionError), or a phi_c that floats cannot hold
             pass
     return summary
 
@@ -624,9 +623,7 @@ def _write_json(fh, config, columns, rows, summary):
 
 
 def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
-    """Validate the scan axis and freeze the run description."""
-    if command not in _COMMANDS:
-        raise UsageError(f"unknown command {command!r}; choose from {', '.join(sorted(_COMMANDS))}")
+    """Validate the scan axis, jobs and output directory; argparse has checked ``command`` and ``fmt``."""
     params = dict(params)
     scan_param = params.pop("scan_param", None)
     scan_min = params.pop("scan_min", None)
@@ -653,10 +650,10 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
         if not math.isfinite(hi - lo):
             raise UsageError(f"scan_max - scan_min must be finite, got {hi} - {lo}")
         values = tuple(float(v) for v in np.linspace(lo, hi, steps))
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {fmt!r}")
     if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"output directory of {out!r} does not exist")
     return RunConfig(command=command, params=params, scan_param=scan_param,
                      scan_values=values, out=out, format=fmt, jobs=jobs)
 

@@ -44,6 +44,22 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_positive(**values: float) -> None:
+    """Raise ValueError naming the first keyword whose value is not finite, else the first not > 0 (NaN never passes)."""
+    _check_finite(**values)
+    for name, value in values.items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_non_negative(**values: float) -> None:
+    """Raise ValueError naming the first keyword whose value is not finite, else the first not >= 0."""
+    _check_finite(**values)
+    for name, value in values.items():
+        if not value >= 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 @dataclass(frozen=True)
 class LCParams:
     """A lumped LC resonator (all SI), stored as its inductance and capacitance.
@@ -58,11 +74,7 @@ class LCParams:
     capacitance: float  # F
 
     def __post_init__(self):
-        _check_finite(inductance=self.inductance, capacitance=self.capacitance)
-        if self.inductance <= 0:
-            raise ValueError(f"inductance must be positive, got {self.inductance}")
-        if self.capacitance <= 0:
-            raise ValueError(f"capacitance must be positive, got {self.capacitance}")
+        _check_positive(inductance=self.inductance, capacitance=self.capacitance)
 
     @property
     def omega(self) -> float:  # rad/s
@@ -86,14 +98,10 @@ def derive_ring(radius: float, m_eff_ratio: float, energy_unit: float) -> tuple[
 
     ``m_eff_ratio`` is m_eff/m0 and ``energy_unit`` is the reference quantum
     E0 in joules.  Returns ``(g, g_eff)`` in units of E0, with
-    ``g = hbar^2/(2 m0 R^2)`` and ``g_eff = g / m_eff_ratio``.
+    ``g = hbar^2/(2 m0 R^2)`` and ``g_eff = g / m_eff_ratio``.  Each input
+    must be finite and positive.
     """
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    if m_eff_ratio <= 0:
-        raise ValueError(f"m_eff_ratio must be positive, got {m_eff_ratio}")
-    if energy_unit <= 0:
-        raise ValueError(f"energy_unit must be positive, got {energy_unit}")
+    _check_positive(radius=radius, m_eff_ratio=m_eff_ratio, energy_unit=energy_unit)
     g = HBAR**2 / (2.0 * ELECTRON_MASS * radius**2) / energy_unit
     return g, g / m_eff_ratio
 
@@ -115,15 +123,9 @@ class ModelParams:
     eta: float = 0.0
 
     def __post_init__(self):
-        _check_finite(g=self.g, g_eff=self.g_eff, phi=self.phi, hbar_omega=self.hbar_omega, eta=self.eta)
-        if self.g <= 0:
-            raise ValueError(f"g must be positive, got {self.g}")
-        if self.g_eff <= 0:
-            raise ValueError(f"g_eff must be positive, got {self.g_eff}")
-        if self.hbar_omega <= 0:
-            raise ValueError(f"hbar_omega must be positive, got {self.hbar_omega}")
-        if self.phi < 0:
-            raise ValueError(f"phi must be non-negative, got {self.phi}")
+        _check_positive(g=self.g, g_eff=self.g_eff, hbar_omega=self.hbar_omega)
+        _check_non_negative(phi=self.phi)
+        _check_finite(eta=self.eta)
         if self.n_particles < 1:
             raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import _check_finite
+from .core import _check_finite, _check_non_negative, _check_positive
 from .errors import NoTransitionError
 
 _BERRY_SHIFT = 0.5  # half-integer offset of the ring levels eps0 |m + 1/2|
@@ -52,19 +52,12 @@ class DiracParams:
     d_eff: float = 0.0
 
     def __post_init__(self):
-        _check_finite(eps0=self.eps0, hbar_omega=self.hbar_omega, phi=self.phi, d_eff=self.d_eff)
-        if self.eps0 <= 0:
-            raise ValueError(f"eps0 must be positive, got {self.eps0}")
-        if self.hbar_omega <= 0:
-            raise ValueError(f"hbar_omega must be positive, got {self.hbar_omega}")
-        if self.phi < 0:
-            raise ValueError(f"phi must be non-negative, got {self.phi}")
+        _check_positive(eps0=self.eps0, hbar_omega=self.hbar_omega)
+        _check_non_negative(phi=self.phi, d_eff=self.d_eff)
         if self.n_electrons < 1:
             raise ValueError(f"n_electrons must be >= 1, got {self.n_electrons}")
         if self.degeneracy not in (1, 2, 4):
             raise ValueError(f"degeneracy must be 1, 2 or 4, got {self.degeneracy}")
-        if self.d_eff < 0:
-            raise ValueError(f"d_eff must be non-negative, got {self.d_eff}")
 
     @property
     def coupling_lambda(self) -> float:
@@ -132,8 +125,8 @@ def diamagnetic_stiffness(
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
     if n_sites < 2:
         raise ValueError(f"n_sites must be >= 2, got {n_sites}")
-    if eps0 <= 0:
-        raise ValueError(f"eps0 must be positive, got {eps0}")
+    _check_positive(eps0=eps0)
+    _check_finite(phi=phi)
     d_eff = eps0 * (2.0 / math.pi) * (phi**2 / n_sites) * math.sin(math.pi * filling)
     return 2.0 * d_eff if spinful else d_eff
 
@@ -171,7 +164,8 @@ def critical_flux_dirac(p: DiracParams) -> float:
     """Flux amplitude where chi crosses the branch stiffness eps0 / (4 g_d).
 
     phi_c^2 = hbar_omega / (4 g_d eps0 - 2 D_eff); the stiffness-saturated
-    coupling never reaches threshold once 2 D_eff >= 4 g_d eps0.
+    coupling never reaches threshold once 2 D_eff >= 4 g_d eps0.  A phi_c
+    that overflows (a subnormal eps0) raises ValueError.
     """
     denom = 4.0 * p.degeneracy * p.eps0 - 2.0 * p.d_eff
     if denom <= 0:
@@ -179,7 +173,9 @@ def critical_flux_dirac(p: DiracParams) -> float:
             f"no transition: diamagnetic stiffness {p.d_eff} saturates the induced "
             f"coupling below the branch stiffness (need 4 g_d eps0 > 2 D_eff)"
         )
-    return math.sqrt(p.hbar_omega / denom)
+    phi_c = math.sqrt(p.hbar_omega / denom)
+    _check_finite(phi_c=phi_c)
+    return phi_c
 
 
 def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:

@@ -13,6 +13,9 @@ solvers of ``tbring`` and ``kerr`` use it for their cutoff doublings too.
 ``bound_states`` is an independent fixed-grid reference: second-order central
 differences, a symmetric tridiagonal matrix solved by LAPACK's bisection
 solver through scipy.  No solver of the package calls it.
+
+Both check their grid before any solve, raising ValueError unless it has at
+least 8 points, finite bounds x_min < x_max and a finite kinetic coefficient c > 0.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .core import _check_finite, _check_positive
 from .errors import ConvergenceError, GridDomainError
 
 __all__ = ["GridSolution", "bound_states", "converged_bound_states"]
@@ -57,6 +61,16 @@ def _refine(estimates: Iterable, rtol: float, scale: float, failure: str):
     raise ConvergenceError(f"{failure.format(size=size)}: relative change {change}", residual=change)
 
 
+def _check_grid(x_min: float, x_max: float, n_points: int, kinetic_coef: float) -> None:
+    """Raise ValueError unless the grid has at least 8 points on finite x_min < x_max, and kinetic_coef > 0."""
+    if n_points < 8:
+        raise ValueError(f"n_points must be >= 8, got {n_points}")
+    _check_finite(x_min=x_min, x_max=x_max)
+    if not x_max > x_min:
+        raise ValueError(f"x_max must exceed x_min, got x_min={x_min}, x_max={x_max}")
+    _check_positive(kinetic_coef=kinetic_coef)
+
+
 def bound_states(
     potential: Callable[[np.ndarray], np.ndarray],
     x_min: float,
@@ -66,14 +80,9 @@ def bound_states(
     n_levels: int,
 ):
     """One fixed-grid second-order finite-difference solve; returns (levels, grid, states)."""
+    _check_grid(x_min, x_max, n_points, kinetic_coef)
     from scipy.linalg import eigh_tridiagonal
 
-    if n_points < 8:
-        raise ValueError(f"n_points must be >= 8, got {n_points}")
-    if x_max <= x_min:
-        raise ValueError("x_max must exceed x_min")
-    if kinetic_coef <= 0:
-        raise ValueError("kinetic_coef must be positive")
     x = np.linspace(x_min, x_max, n_points)
     h = x[1] - x[0]
     diag = 2.0 * kinetic_coef / h**2 + potential(x)
@@ -126,14 +135,9 @@ def converged_bound_states(
     grid solved, converged or not, raises GridDomainError: the domain, not
     the grid spacing, is the problem then.
     """
-    if n_points < 8:
-        raise ValueError(f"n_points must be >= 8, got {n_points}")
+    _check_grid(x_min, x_max, n_points, kinetic_coef)
     if not 1 <= n_levels <= n_points:
         raise ValueError(f"n_levels must be in [1, n_points], got {n_levels}")
-    if x_max <= x_min:
-        raise ValueError("x_max must exceed x_min")
-    if kinetic_coef <= 0:
-        raise ValueError("kinetic_coef must be positive")
 
     states = None
 

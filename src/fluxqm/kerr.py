@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _check_finite
+from .core import ModelParams, _check_non_negative, _check_positive
 from .gridsolve import _refine
 
 __all__ = [
@@ -65,13 +65,8 @@ class QuarticSector:
     c_coef: float
 
     def __post_init__(self):
-        _check_finite(alpha4=self.alpha4)
-        if self.alpha4 < 0:
-            raise ValueError(f"alpha4 must be non-negative, got {self.alpha4}")
-        if self.a_coef <= 0:
-            raise ValueError(f"kinetic coefficient must be positive, got {self.a_coef}")
-        if not self.b_coef > 0:
-            raise ValueError(f"curvature coefficient must be positive, got {self.b_coef}")
+        _check_non_negative(alpha4=self.alpha4)
+        _check_positive(a_coef=self.a_coef, b_coef=self.b_coef)
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}: the closed-form root overflows")
 

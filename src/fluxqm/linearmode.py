@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FermionConfig, ModelParams
+from .core import FermionConfig, ModelParams, _check_non_negative, _check_positive
 
 __all__ = [
     "AnalyticSolution",
@@ -53,12 +53,10 @@ class AnalyticSolution:
     beta: float
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        _check_positive(alpha=self.alpha, beta=self.beta)
         if self.beta < self.alpha:
             raise ValueError(f"beta >= alpha required, got beta={self.beta}, alpha={self.alpha}")
-        if self.chi < 0:
-            raise ValueError(f"chi must be non-negative, got {self.chi}")
+        _check_non_negative(chi=self.chi)
 
     @property
     def omega_dressed(self) -> float:
@@ -115,6 +113,8 @@ def sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
     """
     if n < 0:
         raise ValueError(f"photon index must be >= 0, got {n}")
+    if cfg.n_particles != p.n_particles:
+        raise ValueError(f"configuration has {cfg.n_particles} particles, but n_particles = {p.n_particles}")
     orbital = 2.0 * p.g * p.phi * cfg.m_total
     zeeman = 0.5 * p.eta * cfg.sigma_total
     return (

@@ -96,6 +96,8 @@ def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
     Row 2 holds the diagonal, row 1 the first superdiagonal from column 1 and
     row 0 the second superdiagonal from column 2, so ab[2 + i - j, j] = h[i, j].
     """
+    if cfg.n_particles != p.n_particles:
+        raise ValueError(f"configuration has {cfg.n_particles} particles, but n_particles = {p.n_particles}")
     x, x2_diag, x2_second = _x_bands(cutoff)
     quad = p.g * p.n_particles * p.phi**2
     drive = 2.0 * p.g * p.phi * cfg.m_total + 0.5 * p.eta * cfg.sigma_total

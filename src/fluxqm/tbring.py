@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import _check_finite
+from .core import _check_finite, _check_non_negative, _check_positive
 from .gridsolve import _refine, converged_bound_states
 
 __all__ = [
@@ -121,8 +121,7 @@ class RfSquidParams:
         _check_finite(**vars(self))
         if self.eta == 0.0:
             raise ValueError("eta must be nonzero: the phase-variable map degenerates at eta = 0")
-        if self.hbar_omega <= 0:
-            raise ValueError(f"hbar_omega must be positive, got {self.hbar_omega}")
+        _check_positive(hbar_omega=self.hbar_omega)
         _check_finite(e_l=self.e_l)  # hbar_omega / eta^2 overflows once |eta| falls below ~1e-154
 
     @property
@@ -157,6 +156,7 @@ def _displacement_bands(lam: float, bands: np.ndarray, size: int) -> np.ndarray:
     stays stable where factorial-ratio evaluation overflows (indices beyond
     ~170).  Each band's seed uses log-gamma.
     """
+    _check_non_negative(lam=lam)
     if 0.5 * lam * lam > _MAX_HALF_LAM_SQ:
         raise ValueError(f"lam = {lam} too large: the e^(-lam^2/2) seed underflows past lam ~ 37.6")
     out = np.zeros((size - int(bands[0]), bands.size))
@@ -185,8 +185,6 @@ def displacement_matrix_element(m: int, n: int, lam: float) -> complex:
     """
     if m < 0 or n < 0:
         raise ValueError("Fock indices must be non-negative")
-    if lam < 0:
-        raise ValueError(f"lam must be non-negative, got {lam}")
     delta_idx = abs(m - n)
     magnitude = _displacement_bands(lam, np.array([delta_idx]), max(m, n) + 1)[min(m, n), 0]
     return complex(_PHASES[delta_idx % 4] * magnitude)
@@ -234,9 +232,8 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
     ConvergenceError carries the residual that was reached.  The levels are
     even in eta: parity x -> -x maps H(-eta) onto H(eta), so |eta| is solved.
     """
-    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
-    if hbar_omega <= 0:
-        raise ValueError(f"hbar_omega must be positive, got {hbar_omega}")
+    _check_finite(t=t, eta=eta)
+    _check_positive(hbar_omega=hbar_omega)
     _check_fock_levels(n_levels)
     cutoffs = (_FOCK_CUTOFF << k for k in range(_FOCK_DOUBLINGS + 1))
     estimates = ((cutoff, _fock_levels(sector, t, abs(eta), hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)

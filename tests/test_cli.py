@@ -109,6 +109,12 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("nonlinear", "--set", "n_particles=3", "--set", "alpha4=-1"), "alpha4"),
     (("spectrum", "--set", "orbitals=0,1", "--set", "spins=1"), "spins"),
     (("oracle-check", "--set", "tol=-1"), "tol"),
+    # text a parse cannot read, and integer limits checked in the parse
+    (("phase-scan", "--set", "n_particles=3", "--set", "g=abc"), "'g'"),
+    (("spectrum", "--set", "orbitals=0,x"), "'orbitals'"),
+    (("spectrum", "--set", "orbitals=0,1", "--set", "n_levels=0"), "n_levels"),
+    (("nonlinear", "--set", "n_particles=3", "--set", "n_levels=-1"), "n_levels"),
+    (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "solver=dense"), "solver"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
     def no_row(task):
@@ -119,6 +125,31 @@ def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monke
     assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
     assert f"{key} must" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (("phase-scan", "--config", "{tmp}/missing.cfg"), "cannot read config file {tmp}/missing.cfg: "),
+    (("phase-scan", "--config", "{tmp}/no_equals.cfg"), "{tmp}/no_equals.cfg:2: expected 'key = value', got 'g 2.0'"),
+    (("phase-scan", "--set", "n_particles"), "--set expects KEY=VALUE, got 'n_particles'"),
+    (("phase-scan", "--set", "n_particles=3", "--set", "scan_min=0"), "scan_min/scan_max/scan_steps require scan_param"),
+    (("phase-scan", "--set", "n_particles=3", "--jobs", "0"), "jobs must be >= 1, got 0"),
+    # no spinless spectrum cell depends on eta, so setting it is refused rather than ignored
+    (("spectrum", "--set", "orbitals=0,1", "--set", "eta=0.3"), "unknown parameter(s): eta"),
+    (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "solver=both", "--set", "scan_param=eta",
+      "--set", "scan_min=0.5", "--set", "scan_max=1.5", "--set", "scan_steps=12", "--out", "{tmp}/missing/x.csv"),
+     "output directory of '{tmp}/missing/x.csv' does not exist"),
+])
+def test_unusable_run_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, message):
+    def no_row(task):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cli, "_eval_point", no_row)
+    (tmp_path / "no_equals.cfg").write_text("n_particles = 3\ng 2.0\n")
+    out = tmp_path / "x.csv"
+    # the case's own --out or --jobs, given later, takes precedence
+    assert run_cli("--out", str(out), "--jobs", "1", *(arg.format(tmp=tmp_path) for arg in args)) == 2
+    assert capsys.readouterr().err.startswith(f"fluxqm: error: {message.format(tmp=tmp_path)}")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["no_equals.cfg"]
 
 
 @pytest.mark.parametrize("args, layer", [
@@ -337,7 +368,11 @@ def test_closed_form_phi_c_is_written_only_on_a_phi_axis(tmp_path, args):
     ["phase-scan", "--set", "n_particles=3", "--set", "g=1.0", "--set", "g_eff=1.5"],
     # 2 D_eff = 4 = 4 g_d eps0: the stiffness-saturated coupling never reaches the branch stiffness
     ["dirac-scan", "--set", "n_electrons=8", "--set", "degeneracy=1", "--set", "d_eff=2.0"],
-], ids=["phase-scan", "dirac-scan"])
+    # phi_c exists but floats cannot hold it: 4 g N (g - g_eff) underflows to 0 ...
+    ["phase-scan", "--set", "n_particles=3", "--set", "g=1e-300", "--set", "g_eff=5e-301"],
+    # ... or hbar_omega / (4 g_d eps0) overflows to inf before the square root
+    ["dirac-scan", "--set", "n_electrons=8", "--set", "eps0=1e-320"],
+], ids=["phase-scan", "dirac-scan", "phase-scan-underflow", "dirac-scan-overflow"])
 def test_phi_axis_without_a_transition_writes_no_closed_form(tmp_path, args):
     out = tmp_path / "scan.csv"
     code = run_cli(*args, "--set", "scan_param=phi", "--set", "scan_min=0", "--set", "scan_max=2",

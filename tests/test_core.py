@@ -5,7 +5,9 @@ import pytest
 import scipy.constants
 from scipy.constants import hbar
 
-from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring
+from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring, gridsolve, kerr, tbring
+from fluxqm.diracring import diamagnetic_stiffness
+from fluxqm.linearmode import AnalyticSolution
 
 
 def test_si_constants_equal_scipy():
@@ -138,3 +140,40 @@ def test_model_params_reject_non_finite(field, value):
     kwargs = {"g": 1.0, "g_eff": 1.0, "phi": 0.0, "n_particles": 1, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         ModelParams(**kwargs)
+
+
+_GRID = dict(potential=lambda x: 0.5 * x * x, x_min=-5.0, x_max=5.0, n_points=32, kinetic_coef=0.5, n_levels=2)
+_RANGE_RULE_ENTRIES = [
+    (derive_ring, dict(radius=1e-6, m_eff_ratio=1.0, energy_unit=1e-24), ("radius", "m_eff_ratio", "energy_unit")),
+    (diamagnetic_stiffness, dict(eps0=1.0, filling=0.5, n_sites=10, phi=0.3), ("eps0", "phi")),
+    (tbring.displacement_matrix_element, dict(m=1, n=2, lam=0.5), ("lam",)),
+    (tbring.displacement_operator, dict(lam=0.5, cutoff=4), ("lam",)),
+    (AnalyticSolution, dict(chi=0.1, alpha=1.0, beta=2.0), ("chi", "alpha", "beta")),
+    (kerr.QuarticSector, dict(m_total=1, alpha4=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0), ("a_coef", "b_coef")),
+    (gridsolve.bound_states, _GRID, ("x_min", "x_max", "kinetic_coef")),
+    (gridsolve.converged_bound_states, _GRID, ("x_min", "x_max", "kinetic_coef")),
+]
+
+
+@pytest.mark.parametrize("entry, kwargs, name", [
+    pytest.param(entry, kwargs, name, id=f"{entry.__name__}-{name}")
+    for entry, kwargs, names in _RANGE_RULE_ENTRIES for name in names
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_range_rule_rejects_non_finite_floats(entry, kwargs, name, value):
+    # each of these once returned NaN or +-inf, ran a solver ladder, or accepted the value
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        entry(**{**kwargs, name: value})
+
+
+@pytest.mark.parametrize("check, values, message", [
+    (core._check_positive, dict(w=1.0, x=0.0, y=-1.0), "x must be positive, got 0.0"),
+    (core._check_non_negative, dict(w=0.0, x=-1e-300, y=-1.0), "x must be non-negative, got -1e-300"),
+    # every value is checked finite before any is range-checked
+    (core._check_positive, dict(w=-1.0, x=math.nan), "x must be finite, got nan"),
+    (core._check_non_negative, dict(w=-1.0, x=1.0, y=-math.inf), "y must be finite, got -inf"),
+])
+def test_range_helpers_name_the_first_bad_value(check, values, message):
+    check(**{key: 1.0 for key in values})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(**values)

@@ -29,6 +29,17 @@ def test_walls_are_checked_on_the_converged_grid_only():
     assert solution.n_points > 96 and solution.max_rel_change < 5e-7
 
 
+@pytest.mark.parametrize("solve", [gridsolve.bound_states, converged_bound_states])
+@pytest.mark.parametrize("x_min, x_max, n_points, kinetic_coef, message", [
+    (-5.0, 5.0, 7, 0.5, "n_points must be >= 8, got 7"),
+    (5.0, -5.0, 32, 0.5, "x_max must exceed x_min, got x_min=5.0, x_max=-5.0"),
+    (-5.0, 5.0, 32, 0.0, "kinetic_coef must be positive, got 0.0"),
+])
+def test_grid_is_checked_before_any_solve(solve, x_min, x_max, n_points, kinetic_coef, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve(harmonic, x_min, x_max, n_points, kinetic_coef, 2)
+
+
 def test_too_small_domain_raises():
     with pytest.raises(GridDomainError, match="wall amplitude"):
         converged_bound_states(harmonic, -2.0, 2.0, 96, kinetic_coef=0.5, n_levels=3)

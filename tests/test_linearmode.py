@@ -190,3 +190,16 @@ def test_solution_internal_consistency():
         sol = squeeze_solution(p)
         assert sol.beta >= sol.alpha > 0
         assert sol.omega_dressed == pytest.approx(math.sqrt(sol.alpha * sol.beta), rel=1e-13)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p, cfg: sector_energy(p, cfg),
+    lambda p, cfg: oracle_spectrum(p, cfg),
+    lambda p, cfg: ground_state_moments(p, cfg),
+], ids=["sector_energy", "oracle_spectrum", "ground_state_moments"])
+def test_particle_count_must_match_the_configuration(entry):
+    # three particles in the parameters, two in the configuration: the oracle once returned the
+    # same wrong energy as the closed form (1.8965 against the two-particle 1.2653)
+    p = ModelParams(g=2.0, g_eff=1.0, phi=0.8, n_particles=3)
+    with pytest.raises(ValueError, match="^configuration has 2 particles, but n_particles = 3$"):
+        entry(p, FermionConfig([0, 1]))

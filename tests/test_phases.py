@@ -16,6 +16,7 @@ from fluxqm import (
     induced_coupling,
     sector_energy,
 )
+from fluxqm.diracring import DiracParams, critical_flux_dirac
 from fluxqm.phases import _sector_table
 
 
@@ -260,3 +261,14 @@ def test_sector_table_keeps_first_row_of_each_sector(n, m_max):
     sectors = sorted(first, key=first.get)
     assert w.tolist() == [float(wk) for _, wk in sectors]
     assert m2.tolist() == [float(mk * mk) for mk, _ in sectors]
+
+
+@pytest.mark.parametrize("phi_c", [
+    # 4 g N (g - g_eff) underflows to 0.0, where the division once raised ZeroDivisionError
+    lambda: critical_flux(ModelParams(g=1e-300, g_eff=5e-301, phi=0.0, n_particles=3)),
+    # hbar_omega / (4 g_d eps0) overflows before the square root, which once gave inf for ~2.5e159
+    lambda: critical_flux_dirac(DiracParams(eps0=1e-320, hbar_omega=1.0, phi=0.0, n_electrons=8)),
+], ids=["phases", "diracring"])
+def test_unrepresentable_critical_flux_raises(phi_c):
+    with pytest.raises(ValueError, match="^phi_c must be finite, got inf$"):
+        phi_c()

@@ -45,7 +45,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import diracring, kerr, linearmode, oracle, phases, spinorbit, tbring
-from .core import FermionConfig, ModelParams, _check_non_negative
+from .core import FermionConfig, ModelParams, _check_int, _check_non_negative
 
 SCHEMA_VERSION = 1
 
@@ -177,8 +177,7 @@ def _parse_spectrum(ps):
     n_levels = ps.int("n_levels", 6)
     p = _model_params(ps, len(orbitals), spin=spins is not None)
     ps.finish()
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
+    _check_int(n_levels, "n_levels", lo=1)
     return {"p": p, "cfg": FermionConfig(orbitals, spins), "n_levels": n_levels}
 
 
@@ -325,8 +324,7 @@ def _parse_nonlinear(ps):
     n_levels = ps.int("n_levels", 0)
     p = _model_params(ps, n)
     ps.finish()
-    if n_levels < 0:
-        raise ValueError("n_levels must be >= 0")
+    _check_int(n_levels, "n_levels", 0, kerr._MAX_LEVELS)  # 0: no anharmonic levels
     return {"p": p, "sector": kerr.displacement_root(m_total, p, alpha4), "n_levels": n_levels}
 
 
@@ -372,7 +370,7 @@ def _parse_tbjj(ps):
     ps.finish()
     if solver not in ("fock", "both"):
         raise ValueError(f"solver must be 'fock' or 'both', got {solver!r}")
-    tbring._check_fock_levels(n_levels)
+    _check_int(n_levels, "n_levels", 1, tbring._MAX_LEVELS)
     sector = tbring.sector_constants(occupied, m_sites)
     squid = tbring.rf_squid_map(sector, t, eta, hbar_omega)
     return {"sector": sector, "squid": squid, "t": t, "n_levels": n_levels, "solver": solver}

@@ -23,6 +23,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -42,6 +43,22 @@ def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_int(value, name: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
+    """Return ``value`` as an int, raising ValueError naming ``name`` unless it is an integer in [lo, hi].
+
+    An integer is anything ``operator.index`` accepts: Python and numpy integers
+    pass, a float such as 2.0 does not.  A bound left as None is not checked.
+    """
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if (lo is not None and n < lo) or (hi is not None and n > hi):
+        bound = f"be >= {lo}" if hi is None else f"be <= {hi}" if lo is None else f"lie in [{lo}, {hi}]"
+        raise ValueError(f"{name} must {bound}, got {n}")
+    return n
 
 
 def _check_positive(**values: float) -> None:
@@ -126,8 +143,7 @@ class ModelParams:
         _check_positive(g=self.g, g_eff=self.g_eff, hbar_omega=self.hbar_omega)
         _check_non_negative(phi=self.phi)
         _check_finite(eta=self.eta)
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
+        object.__setattr__(self, "n_particles", _check_int(self.n_particles, "n_particles", lo=1))
 
 
 @dataclass(frozen=True)
@@ -149,7 +165,7 @@ class FermionConfig:
     w_kinetic: int = field(init=False)
 
     def __init__(self, orbitals: Sequence[int], spins: Optional[Sequence[int]] = None):
-        orbs = tuple(int(m) for m in orbitals)
+        orbs = tuple(_check_int(m, "orbital") for m in orbitals)
         if not orbs:
             raise ValueError("configuration must contain at least one particle")
         if spins is None:
@@ -160,7 +176,7 @@ class FermionConfig:
             object.__setattr__(self, "spins", None)
             object.__setattr__(self, "sigma_total", 0)
         else:
-            sps = tuple(int(s) for s in spins)
+            sps = tuple(_check_int(s, "spin") for s in spins)
             if len(sps) != len(orbs):
                 raise ValueError("spins must match orbitals in length")
             if any(s not in (-1, 1) for s in sps):

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import _check_finite, _check_non_negative, _check_positive
+from .core import _check_finite, _check_int, _check_non_negative, _check_positive
 from .errors import NoTransitionError
 
 _BERRY_SHIFT = 0.5  # half-integer offset of the ring levels eps0 |m + 1/2|
@@ -54,8 +54,8 @@ class DiracParams:
     def __post_init__(self):
         _check_positive(eps0=self.eps0, hbar_omega=self.hbar_omega)
         _check_non_negative(phi=self.phi, d_eff=self.d_eff)
-        if self.n_electrons < 1:
-            raise ValueError(f"n_electrons must be >= 1, got {self.n_electrons}")
+        object.__setattr__(self, "n_electrons", _check_int(self.n_electrons, "n_electrons", lo=1))
+        object.__setattr__(self, "degeneracy", _check_int(self.degeneracy, "degeneracy"))
         if self.degeneracy not in (1, 2, 4):
             raise ValueError(f"degeneracy must be 1, 2 or 4, got {self.degeneracy}")
 
@@ -83,8 +83,8 @@ class ChiralSector:
     n_minus: int
 
     def __post_init__(self):
-        if self.n_plus < 0 or self.n_minus < 0:
-            raise ValueError("branch occupations must be non-negative")
+        object.__setattr__(self, "n_plus", _check_int(self.n_plus, "n_plus", lo=0))
+        object.__setattr__(self, "n_minus", _check_int(self.n_minus, "n_minus", lo=0))
         if self.n_plus + self.n_minus < 1:
             raise ValueError("sector must hold at least one electron")
 
@@ -123,8 +123,7 @@ def diamagnetic_stiffness(
     """
     if not 0.0 < filling < 1.0:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
-    if n_sites < 2:
-        raise ValueError(f"n_sites must be >= 2, got {n_sites}")
+    _check_int(n_sites, "n_sites", lo=2)
     _check_positive(eps0=eps0)
     _check_finite(phi=phi)
     d_eff = eps0 * (2.0 / math.pi) * (phi**2 / n_sites) * math.sin(math.pi * filling)
@@ -150,8 +149,7 @@ def effective_energy(j: int, p: DiracParams, chi: Optional[float] = None) -> flo
     filling (large-N) approximation.  ``chi`` defaults to the value induced by
     the parameters themselves.
     """
-    if abs(j) > p.n_electrons:
-        raise ValueError(f"|j| cannot exceed the electron number: {j} vs {p.n_electrons}")
+    _check_int(j, "j", -p.n_electrons, p.n_electrons)
     if chi is None:
         chi = induced_coupling_dirac(p)
     else:
@@ -185,14 +183,13 @@ def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:
     zero in the balanced phase and jump discontinuously with j across the
     transition; <a> is odd and <n> even under j -> -j.
     """
-    amp = -p.coupling_lambda * j / p.mode_stiffness
+    amp = -p.coupling_lambda * _check_int(j, "j", -p.n_electrons, p.n_electrons) / p.mode_stiffness
     return amp, amp * amp
 
 
-def _check_j_max(j_max: int, n_electrons: int) -> None:
-    """Raise ValueError unless the chirality cutoff lies in [0, n_electrons]."""
-    if not 0 <= j_max <= n_electrons:
-        raise ValueError(f"j_max must lie in [0, n_electrons = {n_electrons}], got {j_max}")
+def _check_j_max(j_max: int, n_electrons: int) -> int:
+    """Return the chirality cutoff as an int; raise ValueError unless it lies in [0, n_electrons]."""
+    return _check_int(j_max, "j_max", 0, n_electrons)
 
 
 def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Optional[int] = None) -> int:
@@ -204,7 +201,7 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
     """
     if j_max is None:
         j_max = p.n_electrons
-    _check_j_max(j_max, p.n_electrons)
+    j_max = _check_j_max(j_max, p.n_electrons)
     if chi is None:
         chi = induced_coupling_dirac(p)
     _check_finite(chi=chi)

@@ -15,7 +15,8 @@ differences, a symmetric tridiagonal matrix solved by LAPACK's bisection
 solver through scipy.  No solver of the package calls it.
 
 Both check their grid before any solve, raising ValueError unless it has at
-least 8 points, finite bounds x_min < x_max and a finite kinetic coefficient c > 0.
+least 8 points, finite bounds x_min < x_max, a finite kinetic coefficient c > 0
+and 1 <= n_levels <= n_points.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .core import _check_finite, _check_positive
+from .core import _check_finite, _check_int, _check_positive
 from .errors import ConvergenceError, GridDomainError
 
 __all__ = ["GridSolution", "bound_states", "converged_bound_states"]
@@ -61,14 +62,15 @@ def _refine(estimates: Iterable, rtol: float, scale: float, failure: str):
     raise ConvergenceError(f"{failure.format(size=size)}: relative change {change}", residual=change)
 
 
-def _check_grid(x_min: float, x_max: float, n_points: int, kinetic_coef: float) -> None:
-    """Raise ValueError unless the grid has at least 8 points on finite x_min < x_max, and kinetic_coef > 0."""
-    if n_points < 8:
-        raise ValueError(f"n_points must be >= 8, got {n_points}")
+def _check_grid(x_min: float, x_max: float, n_points: int, kinetic_coef: float, n_levels: int) -> int:
+    """Return n_points as an int, raising ValueError unless the grid and n_levels pass the module docstring's checks."""
+    n_points = _check_int(n_points, "n_points", lo=8)
     _check_finite(x_min=x_min, x_max=x_max)
     if not x_max > x_min:
         raise ValueError(f"x_max must exceed x_min, got x_min={x_min}, x_max={x_max}")
     _check_positive(kinetic_coef=kinetic_coef)
+    _check_int(n_levels, "n_levels", 1, n_points)
+    return n_points
 
 
 def bound_states(
@@ -80,7 +82,7 @@ def bound_states(
     n_levels: int,
 ):
     """One fixed-grid second-order finite-difference solve; returns (levels, grid, states)."""
-    _check_grid(x_min, x_max, n_points, kinetic_coef)
+    n_points = _check_grid(x_min, x_max, n_points, kinetic_coef, n_levels)
     from scipy.linalg import eigh_tridiagonal
 
     x = np.linspace(x_min, x_max, n_points)
@@ -135,9 +137,7 @@ def converged_bound_states(
     grid solved, converged or not, raises GridDomainError: the domain, not
     the grid spacing, is the problem then.
     """
-    _check_grid(x_min, x_max, n_points, kinetic_coef)
-    if not 1 <= n_levels <= n_points:
-        raise ValueError(f"n_levels must be in [1, n_points], got {n_levels}")
+    n_points = _check_grid(x_min, x_max, n_points, kinetic_coef, n_levels)
 
     states = None
 

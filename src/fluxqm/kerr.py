@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _check_non_negative, _check_positive
+from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive
 from .gridsolve import _refine
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
 _BASIS_CUTOFF = 48  # first oscillator-basis cutoff (at least 4 n_levels), doubled at most _MAX_DOUBLINGS times
 _MAX_DOUBLINGS = 5
 _RTOL = 1e-9  # relative level change that ends the doublings
+_MAX_LEVELS = 32  # n_levels cap, as in tbring: the largest basis is then (4 * 32 << 5) + 1 = 4,097 states
 
 
 @dataclass(frozen=True)
@@ -67,6 +68,8 @@ class QuarticSector:
     def __post_init__(self):
         _check_non_negative(alpha4=self.alpha4)
         _check_positive(a_coef=self.a_coef, b_coef=self.b_coef)
+        object.__setattr__(self, "m_total", _check_int(self.m_total, "m_total"))
+        _check_finite(c_coef=self.c_coef)
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}: the closed-form root overflows")
 
@@ -142,13 +145,12 @@ def anharmonic_spectrum(sector: QuarticSector, n_levels: int = 6) -> np.ndarray:
     """Nonperturbative levels of the residual anharmonic block, ascending.
 
     The cutoff starts at max(4 n_levels, 48) and is doubled, at most five
-    times, until the requested levels move by less than 1e-9 relative
+    times, until the n_levels <= 32 levels move by less than 1e-9 relative
     (floored at the Gaussian spacing); failing that, a ConvergenceError
     carries the residual that was reached.  Full sector energies are obtained
     by adding ``g S2 + v_eff`` (see full_levels).
     """
-    if n_levels < 1:
-        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
+    n_levels = _check_int(n_levels, "n_levels", 1, _MAX_LEVELS)
     basis_cutoff = max(4 * n_levels, _BASIS_CUTOFF)
     cutoffs = (basis_cutoff << k for k in range(_MAX_DOUBLINGS + 1))
     estimates = ((cutoff, _oscillator_levels(sector, n_levels, cutoff)) for cutoff in cutoffs)
@@ -159,5 +161,5 @@ def anharmonic_spectrum(sector: QuarticSector, n_levels: int = 6) -> np.ndarray:
 
 def full_levels(sector: QuarticSector, p: ModelParams, s2: int, n_levels: int = 6) -> np.ndarray:
     """Sector energies g S2 + V_eff + eps_n (bare g multiplies the kinetic sum here)."""
-    eps = anharmonic_spectrum(sector, n_levels=n_levels)
-    return p.g * s2 + sector.v_eff + eps
+    kinetic = p.g * _check_int(s2, "s2", lo=0)
+    return kinetic + sector.v_eff + anharmonic_spectrum(sector, n_levels=n_levels)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import FermionConfig, ModelParams, _check_non_negative, _check_positive
+from .core import FermionConfig, ModelParams, _check_int, _check_non_negative, _check_positive
 
 __all__ = [
     "AnalyticSolution",
@@ -111,8 +111,7 @@ def sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
     spinless sector (S = 0) costs exactly g_eff W - chi M^2 + ...  Level
     spacing in n is exactly hbar_Omega.
     """
-    if n < 0:
-        raise ValueError(f"photon index must be >= 0, got {n}")
+    _check_int(n, "photon index n", lo=0)
     if cfg.n_particles != p.n_particles:
         raise ValueError(f"configuration has {cfg.n_particles} particles, but n_particles = {p.n_particles}")
     orbital = 2.0 * p.g * p.phi * cfg.m_total
@@ -133,5 +132,4 @@ def mode_displacement(p: ModelParams, m_total: int) -> float:
     exactly zero in any balanced (M = 0) sector.  Positive M displaces the
     mode toward positive quadrature for this coupling sign.
     """
-    beta = _stiffness(p)
-    return 2.0 * p.g * p.phi * m_total / beta
+    return 2.0 * p.g * p.phi * _check_int(m_total, "m_total") / _stiffness(p)

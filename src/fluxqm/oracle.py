@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import FermionConfig, ModelParams
+from .core import FermionConfig, ModelParams, _check_int
 
 __all__ = [
     "OracleReport",
@@ -108,12 +108,11 @@ def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
     return ab
 
 
-def _check_cutoff(cutoff: int, n_levels: int) -> None:
-    """Raise ValueError unless the Fock cutoff is at least 50 and holds n_levels levels."""
-    if cutoff < 50:
-        raise ValueError(f"cutoff must be >= 50, got {cutoff}")
-    if not 1 <= n_levels <= cutoff:
-        raise ValueError(f"n_levels must lie in [1, cutoff = {cutoff}], got {n_levels}")
+def _check_cutoff(cutoff: int, n_levels: int) -> int:
+    """Return the Fock cutoff as an int; raise ValueError unless it is at least 50 and holds n_levels levels."""
+    cutoff = _check_int(cutoff, "cutoff", lo=50)
+    _check_int(n_levels, "n_levels", 1, cutoff)
+    return cutoff
 
 
 def oracle_spectrum(
@@ -130,7 +129,7 @@ def oracle_spectrum(
     floored at hbar_omega) is recorded; a movement of 1e-9 or more is flagged
     in the report as non-convergence, never raised.
     """
-    _check_cutoff(cutoff, n_levels)
+    cutoff = _check_cutoff(cutoff, n_levels)
     from scipy.linalg import eig_banded
 
     def lowest(c):
@@ -156,7 +155,7 @@ def oracle_spectrum(
 
 def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) -> GroundStateMoments:
     """Quadrature moments of the sector ground state, from the raw eigenvector; the cutoff must be >= 50."""
-    _check_cutoff(cutoff, 1)
+    cutoff = _check_cutoff(cutoff, 1)
     from scipy.linalg import eig_banded
 
     _, vecs = eig_banded(_assemble(p, cfg, cutoff), select="i", select_range=(0, 0))

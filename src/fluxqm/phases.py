@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FermionConfig, ModelParams, _check_finite
+from .core import FermionConfig, ModelParams, _check_finite, _check_int
 from .errors import NoTransitionError
 from .linearmode import induced_coupling, mode_displacement, sector_energy
 
@@ -72,8 +72,7 @@ def balanced_config(n: int) -> FermionConfig:
     distinct orbitals with M = 0 at minimal W and is rejected; use
     ground_state_search for even particle numbers.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _check_int(n, "n", lo=1)
     if n % 2 == 0:
         raise ValueError(f"balanced_config requires odd n, got {n}")
     k = (n - 1) // 2
@@ -118,10 +117,12 @@ def critical_flux(p: ModelParams) -> float:
     return phi_c
 
 
-def _check_window(n_particles: int, m_max: int) -> None:
-    """Raise ValueError unless the window |m| <= m_max holds n_particles distinct orbitals."""
+def _check_window(n_particles: int, m_max: int) -> int:
+    """Return m_max as an int; raise ValueError unless the window |m| <= m_max holds n_particles distinct orbitals."""
+    m_max = _check_int(m_max, "m_max")
     if 2 * m_max + 1 < n_particles:
         raise ValueError(f"m_max must satisfy 2*m_max+1 >= n_particles = {n_particles}, got {m_max}")
+    return m_max
 
 
 @lru_cache(maxsize=16)
@@ -170,7 +171,7 @@ def ground_state_search(p: ModelParams, m_max: int) -> GroundState:
     label is "balanced" when the winner has the kinetic-optimal (W, |M|) of
     the window and "polarized" otherwise.
     """
-    _check_window(p.n_particles, m_max)
+    m_max = _check_window(p.n_particles, m_max)
     configs, rows, w, m2, w_ref, m_ref = _sector_table(p.n_particles, m_max)
     chi = induced_coupling(p)
     best = rows[int(np.argmin(p.g_eff * w - chi * m2))]

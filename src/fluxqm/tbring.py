@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import _check_finite, _check_non_negative, _check_positive
+from .core import _check_finite, _check_int, _check_non_negative, _check_positive
 from .gridsolve import _refine, converged_bound_states
 
 __all__ = [
@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 _FOCK_CUTOFF = 128  # first Fock-basis cutoff, doubled at most _FOCK_DOUBLINGS times
+_MAX_LEVELS = _FOCK_CUTOFF // 4  # n_levels cap: the first cutoff holds four times the levels asked for
 _FOCK_DOUBLINGS = 4
 _FOCK_RTOL = 1e-9
 _GRID_POINTS = 96  # first real-space DVR grid; refinement doubles its interval count
@@ -71,15 +72,12 @@ class TBSector:
     m_sites: int
 
     def __post_init__(self):
-        occ = tuple(sorted(int(n) for n in self.occupations))
-        if self.m_sites < 1:
-            raise ValueError(f"m_sites must be >= 1, got {self.m_sites}")
+        object.__setattr__(self, "m_sites", _check_int(self.m_sites, "m_sites", lo=1))
+        occ = tuple(sorted(_check_int(n, "occupation", 0, self.m_sites - 1) for n in self.occupations))
         if not occ:
             raise ValueError("sector must occupy at least one momentum index")
         if len(set(occ)) != len(occ):
             raise ValueError(f"Pauli exclusion violated: duplicate momentum indices in {occ}")
-        if occ[0] < 0 or occ[-1] >= self.m_sites:
-            raise ValueError(f"momentum indices must lie in [0, {self.m_sites - 1}], got {occ}")
         object.__setattr__(self, "occupations", occ)
 
     @property
@@ -183,8 +181,7 @@ def displacement_matrix_element(m: int, n: int, lam: float) -> complex:
     e^(-lam^2/2) underflows.  The operator is symmetric, and the element of
     exp(-i lam (a + a^dag)) is its complex conjugate.
     """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be non-negative")
+    m, n = _check_int(m, "m", lo=0), _check_int(n, "n", lo=0)
     delta_idx = abs(m - n)
     magnitude = _displacement_bands(lam, np.array([delta_idx]), max(m, n) + 1)[min(m, n), 0]
     return complex(_PHASES[delta_idx % 4] * magnitude)
@@ -198,7 +195,7 @@ def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
     odd bands imaginary, so the real and imaginary parts are the real
     symmetric matrices of cos and sin of lam (a + a^dag).
     """
-    dim = cutoff + 1
+    dim = _check_int(cutoff, "cutoff", lo=0) + 1
     mags = _displacement_bands(lam, np.arange(dim), dim)
     phases = np.array(_PHASES)[np.arange(dim) % 4]
     op = np.zeros((dim, dim), dtype=complex)
@@ -207,12 +204,6 @@ def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
         op[l:, l] = entries
         op[l, l:] = entries
     return op
-
-
-def _check_fock_levels(n_levels: int) -> None:
-    """Raise ValueError unless the first Fock cutoff holds four times n_levels levels."""
-    if not 1 <= n_levels <= _FOCK_CUTOFF // 4:
-        raise ValueError(f"n_levels must lie in [1, {_FOCK_CUTOFF // 4}], got {n_levels}")
 
 
 def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int, n_levels: int) -> np.ndarray:
@@ -234,7 +225,7 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
     """
     _check_finite(t=t, eta=eta)
     _check_positive(hbar_omega=hbar_omega)
-    _check_fock_levels(n_levels)
+    _check_int(n_levels, "n_levels", 1, _MAX_LEVELS)
     cutoffs = (_FOCK_CUTOFF << k for k in range(_FOCK_DOUBLINGS + 1))
     estimates = ((cutoff, _fock_levels(sector, t, abs(eta), hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)
     levels, _, _ = _refine(estimates, _FOCK_RTOL, hbar_omega, "Fock-basis levels not converged at cutoff {size}")
@@ -271,8 +262,6 @@ def rf_squid_spectrum(params: RfSquidParams, n_levels: int = 5) -> np.ndarray:
     the Fock-basis sector spectrum up to one additive constant (the
     quadrature-form zero point hbar_omega/2).
     """
-    if n_levels < 1:
-        raise ValueError(f"n_levels must be >= 1, got {n_levels}")
     half_span = _SQUID_HALF_SPAN * (8.0 * params.e_c / params.e_l) ** 0.25
 
     def potential(y):

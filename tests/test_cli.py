@@ -138,6 +138,10 @@ def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monke
     (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "solver=both", "--set", "scan_param=eta",
       "--set", "scan_min=0.5", "--set", "scan_max=1.5", "--set", "scan_steps=12", "--out", "{tmp}/missing/x.csv"),
      "output directory of '{tmp}/missing/x.csv' does not exist"),
+    # the Kerr basis grows with n_levels, so nonlinear caps it as tbjj does; 0 means no levels
+    (("nonlinear", "--set", "n_particles=3", "--set", "n_levels=33"), "n_levels must lie in [0, 32], got 33"),
+    (("nonlinear", "--set", "n_particles=3", "--set", "n_levels=-1"), "n_levels must lie in [0, 32], got -1"),
+    (("spectrum", "--set", "orbitals=0,1", "--set", "n_levels=0"), "n_levels must be >= 1, got 0"),
 ])
 def test_unusable_run_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, message):
     def no_row(task):
@@ -199,7 +203,7 @@ def test_invalid_first_scan_point_flags_only_its_row(tmp_path, args, error):
     # j_max = 6 exceeds n_electrons = 4 only; the scan runs 4, 6, 8, 10
     (("dirac-scan", "--set", "n_electrons=8", "--set", "j_max=6", "--set", "scan_param=n_electrons",
       "--set", "scan_min=4", "--set", "scan_max=10", "--set", "scan_steps=4"),
-     "j_max must lie in [0, n_electrons = 4], got 6"),
+     "j_max must lie in [0, 4], got 6"),
 ], ids=["phase-scan", "dirac-scan"])
 def test_out_of_range_scan_point_flags_only_its_row(tmp_path, args, error):
     out = tmp_path / "x.csv"

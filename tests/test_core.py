@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.constants
 from scipy.constants import hbar
 
-from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring, gridsolve, kerr, tbring
-from fluxqm.diracring import diamagnetic_stiffness
+from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring, diracring, gridsolve, kerr, linearmode
+from fluxqm import oracle, phases, tbring
+from fluxqm.diracring import ChiralSector, DiracParams, diamagnetic_stiffness
 from fluxqm.linearmode import AnalyticSolution
 
 
@@ -149,7 +151,9 @@ _RANGE_RULE_ENTRIES = [
     (tbring.displacement_matrix_element, dict(m=1, n=2, lam=0.5), ("lam",)),
     (tbring.displacement_operator, dict(lam=0.5, cutoff=4), ("lam",)),
     (AnalyticSolution, dict(chi=0.1, alpha=1.0, beta=2.0), ("chi", "alpha", "beta")),
-    (kerr.QuarticSector, dict(m_total=1, alpha4=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0), ("a_coef", "b_coef")),
+    # a non-finite c_coef was once blamed on the closed-form root: "x0 must be finite"
+    (kerr.QuarticSector, dict(m_total=1, alpha4=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0),
+     ("a_coef", "b_coef", "c_coef")),
     (gridsolve.bound_states, _GRID, ("x_min", "x_max", "kinetic_coef")),
     (gridsolve.converged_bound_states, _GRID, ("x_min", "x_max", "kinetic_coef")),
 ]
@@ -177,3 +181,138 @@ def test_range_helpers_name_the_first_bad_value(check, values, message):
     check(**{key: 1.0 for key in values})
     with pytest.raises(ValueError, match=f"^{message}$"):
         check(**values)
+
+
+@pytest.mark.parametrize("value, lo, hi, message", [
+    (2.0, None, None, "k must be an integer, got 2.0"),
+    (np.float64(0.5), 0, None, "k must be an integer, got np.float64(0.5)"),
+    ("3", None, None, "k must be an integer, got '3'"),
+    (0, 1, None, "k must be >= 1, got 0"),
+    (np.int8(5), None, 4, "k must be <= 4, got 5"),
+    (-1, 0, 4, "k must lie in [0, 4], got -1"),
+    (5, 0, 4, "k must lie in [0, 4], got 5"),
+])
+def test_integer_rule_names_the_value_and_its_bounds(value, lo, hi, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        core._check_int(value, "k", lo, hi)
+
+
+@pytest.mark.parametrize("value, lo, hi", [
+    (0, 0, 4), (4, 0, 4), (np.int64(7), 1, None), (np.uint8(3), None, 3), (True, None, None),
+])
+def test_integer_rule_returns_a_python_int(value, lo, hi):
+    result = core._check_int(value, "k", lo, hi)
+    assert type(result) is int and result == value
+
+
+_P = dict(g=1.0, g_eff=1.0, phi=0.2, n_particles=1)
+_DIRAC = DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=8)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: FermionConfig([0.7, 1.2]), "orbital"),
+    (lambda: FermionConfig([0, 1], [1, -1.7]), "spin"),
+    (lambda: tbring.TBSector((0.9, 1.5), 6), "occupation"),
+    (lambda: phases.critical_flux(ModelParams(g=2.0, g_eff=1.0, phi=0.3, n_particles=2.5)), "n_particles"),
+    (lambda: linearmode.sector_energy(ModelParams(**_P), FermionConfig([0]), 0.5), "photon index n"),
+    (lambda: linearmode.mode_displacement(ModelParams(**_P), 1.5), "m_total"),
+    (lambda: kerr.displacement_root(1.5, ModelParams(**_P), 0.1), "m_total"),
+    (lambda: diracring.effective_energy(0.5, _DIRAC), "j"),
+    (lambda: diracring.flux_displacement(0.5, _DIRAC), "j"),
+], ids=["orbitals", "spins", "occupations", "n_particles", "photon-index", "mode_displacement", "displacement_root",
+        "effective_energy", "flux_displacement"])
+def test_integer_arguments_refuse_fractions(call, name):
+    # each of these once truncated the value, or computed with it, and returned a number
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ModelParams(**{**_P, "n_particles": 0}), "n_particles must be >= 1, got 0"),
+    (lambda: linearmode.sector_energy(ModelParams(**_P), FermionConfig([0]), -1),
+     "photon index n must be >= 0, got -1"),
+    (lambda: linearmode.mode_displacement(ModelParams(**_P), 2.0), "m_total must be an integer, got 2.0"),
+    (lambda: phases.balanced_config(0), "n must be >= 1, got 0"),
+    (lambda: phases.balanced_config(4), "balanced_config requires odd n, got 4"),
+    (lambda: phases.ground_state_search(ModelParams(**_P), 1.0), "m_max must be an integer, got 1.0"),
+    (lambda: phases.ground_state_search(ModelParams(**{**_P, "n_particles": 5}), 1),
+     "m_max must satisfy 2*m_max+1 >= n_particles = 5, got 1"),
+    (lambda: DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=0), "n_electrons must be >= 1, got 0"),
+    (lambda: DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=4, degeneracy=2.0),
+     "degeneracy must be an integer, got 2.0"),
+    (lambda: DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=4, degeneracy=3),
+     "degeneracy must be 1, 2 or 4, got 3"),
+    (lambda: ChiralSector(-1, 2), "n_plus must be >= 0, got -1"),
+    (lambda: ChiralSector(2, -1), "n_minus must be >= 0, got -1"),
+    (lambda: ChiralSector(0, 0), "sector must hold at least one electron"),
+    (lambda: diamagnetic_stiffness(1.0, 0.5, 1, 1.0), "n_sites must be >= 2, got 1"),
+    (lambda: diracring.effective_energy(9, _DIRAC), "j must lie in [-8, 8], got 9"),
+    (lambda: diracring.flux_displacement(-9, _DIRAC), "j must lie in [-8, 8], got -9"),
+    (lambda: diracring.optimal_chirality(_DIRAC, j_max=9), "j_max must lie in [0, 8], got 9"),
+    (lambda: diracring.optimal_chirality(_DIRAC, j_max=-1), "j_max must lie in [0, 8], got -1"),
+    (lambda: kerr.QuarticSector(0.5, 0.0, 1.0, 1.0, 1.0), "m_total must be an integer, got 0.5"),
+    (lambda: kerr.full_levels(kerr.displacement_root(0, ModelParams(**_P), 0.0), ModelParams(**_P), 1.5),
+     "s2 must be an integer, got 1.5"),
+    (lambda: kerr.full_levels(kerr.displacement_root(0, ModelParams(**_P), 0.0), ModelParams(**_P), -1),
+     "s2 must be >= 0, got -1"),
+    (lambda: kerr.anharmonic_spectrum(kerr.displacement_root(0, ModelParams(**_P), 0.1), n_levels=0),
+     "n_levels must lie in [1, 32], got 0"),
+    (lambda: tbring.TBSector((0,), 0), "m_sites must be >= 1, got 0"),
+    (lambda: tbring.TBSector((0, 6), 6), "occupation must lie in [0, 5], got 6"),
+    (lambda: tbring.TBSector((-1, 2), 6), "occupation must lie in [0, 5], got -1"),
+    (lambda: tbring.TBSector((1, 1), 6), "Pauli exclusion violated: duplicate momentum indices in (1, 1)"),
+    (lambda: tbring.displacement_matrix_element(-1, 0, 0.5), "m must be >= 0, got -1"),
+    (lambda: tbring.displacement_matrix_element(0, -1, 0.5), "n must be >= 0, got -1"),
+    (lambda: tbring.displacement_operator(0.5, -1), "cutoff must be >= 0, got -1"),
+    (lambda: tbring.sector_spectrum_fock(tbring.TBSector((0, 1), 6), 0.5, 1.0, 1.0, n_levels=33),
+     "n_levels must lie in [1, 32], got 33"),
+    (lambda: tbring.rf_squid_spectrum(tbring.RfSquidParams(1.0, 0.0, 1.0, 1.0), n_levels=0),
+     "n_levels must lie in [1, 96], got 0"),
+    (lambda: gridsolve.converged_bound_states(**{**_GRID, "n_points": 7.0}), "n_points must be an integer, got 7.0"),
+    (lambda: oracle.oracle_spectrum(ModelParams(**_P), FermionConfig([0]), cutoff=49), "cutoff must be >= 50, got 49"),
+    (lambda: oracle.oracle_spectrum(ModelParams(**_P), FermionConfig([0]), cutoff=60, n_levels=61),
+     "n_levels must lie in [1, 60], got 61"),
+    (lambda: FermionConfig([0, 1], [1, 0]), "spins must be +1 or -1, got (1, 0)"),
+])
+def test_integer_rule_refuses_out_of_range_values(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda k: ModelParams(**{**_P, "n_particles": k}),
+    lambda k: linearmode.sector_energy(ModelParams(**_P), FermionConfig([0]), k),
+    lambda k: linearmode.mode_displacement(ModelParams(**_P), k),
+    lambda k: phases.balanced_config(k),
+    lambda k: phases.ground_state_search(ModelParams(**{**_P, "n_particles": 3}), k),
+    lambda k: diracring.effective_energy(k, _DIRAC),
+    lambda k: diracring.flux_displacement(k, _DIRAC),
+    lambda k: diracring.optimal_chirality(_DIRAC, chi=1.0, j_max=k),
+    lambda k: kerr.displacement_root(k, ModelParams(**_P), 0.1).x0,
+    lambda k: tbring.displacement_operator(0.5, k),
+    lambda k: tbring.displacement_matrix_element(k, 1, 0.5),
+    lambda k: oracle.oracle_spectrum(ModelParams(**_P), FermionConfig([0]), cutoff=50 + k, n_levels=k,
+                                     check_convergence=False).levels,
+], ids=["ModelParams", "sector_energy", "mode_displacement", "balanced_config", "ground_state_search",
+        "effective_energy", "flux_displacement", "optimal_chirality", "displacement_root", "displacement_operator",
+        "displacement_matrix_element", "oracle_spectrum"])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16])
+def test_numpy_integers_give_the_python_int_result(call, dtype):
+    np.testing.assert_equal(call(dtype(3)), call(3))
+
+
+def test_records_store_numpy_integers_as_python_ints():
+    cfg = FermionConfig(np.array([1, 0], dtype=np.int8), np.array([-1, 1]))
+    assert (cfg.orbitals, cfg.spins) == ((0, 1), (1, -1))
+    sector = tbring.TBSector(np.array([4, 1], dtype=np.int16), np.int64(6))
+    assert sector.occupations == (1, 4)
+    p = ModelParams(**{**_P, "n_particles": np.int8(3)})
+    dirac = DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=np.int8(100), degeneracy=np.uint8(2))
+    # n_electrons**2 overflowed int8 while the value was stored as given
+    assert diracring.effective_energy(0, dirac, chi=0.0) == dirac.branch_stiffness * 100**2
+    chiral = ChiralSector(np.int8(2), np.int64(1))
+    quartic = kerr.displacement_root(np.int16(2), p, 0.1)
+    for value in (*cfg.orbitals, *cfg.spins, cfg.m_total, cfg.sigma_total, cfg.w_kinetic, *sector.occupations,
+                  sector.m_sites, p.n_particles, dirac.n_electrons, dirac.degeneracy, chiral.n_plus, chiral.n_minus,
+                  quartic.m_total):
+        assert type(value) is int

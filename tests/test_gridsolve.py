@@ -40,6 +40,14 @@ def test_grid_is_checked_before_any_solve(solve, x_min, x_max, n_points, kinetic
         solve(harmonic, x_min, x_max, n_points, kinetic_coef, 2)
 
 
+@pytest.mark.parametrize("solve", [gridsolve.bound_states, converged_bound_states])
+@pytest.mark.parametrize("n_levels", [0, 33])
+def test_levels_are_checked_with_the_grid(solve, n_levels):
+    # bound_states once handed these to scipy, which failed with its own select_range text
+    with pytest.raises(ValueError, match=rf"^n_levels must lie in \[1, 32\], got {n_levels}$"):
+        solve(harmonic, -5.0, 5.0, 32, 0.5, n_levels)
+
+
 def test_too_small_domain_raises():
     with pytest.raises(GridDomainError, match="wall amplitude"):
         converged_bound_states(harmonic, -2.0, 2.0, 96, kinetic_coef=0.5, n_levels=3)

@@ -209,6 +209,16 @@ def test_full_levels_offsets():
     assert np.allclose(total, p.g * 9 + sector.v_eff + eps, rtol=1e-15)
 
 
+def test_n_levels_cap_is_refused_before_any_solve(monkeypatch):
+    # the basis starts at 4 n_levels and may double five times, so n_levels is capped at 32 before any solve
+    def no_solve(*args):
+        raise AssertionError("a basis was diagonalised")
+
+    monkeypatch.setattr(kerr, "_oscillator_levels", no_solve)
+    with pytest.raises(ValueError, match=r"^n_levels must lie in \[1, 32\], got 33$"):
+        anharmonic_spectrum(displacement_root(0, _p(), 0.02), n_levels=33)
+
+
 def test_cutoff_guard_and_convergence_error(monkeypatch):
     # the first cutoff is at least 4 n_levels; an unreachable tolerance ends the doublings
     monkeypatch.setattr(kerr, "_RTOL", 0.0)

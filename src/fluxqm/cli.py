@@ -7,22 +7,25 @@ Usage:
 Run configurations are flat, typed key=value assignments; ``--set`` pairs
 override the config file.  A scan is declared with the four keys
 ``scan_param``, ``scan_min``, ``scan_max``, ``scan_steps`` and produces one
-output row per grid point.  A point is just its scan value: it is merged into
-the base parameters when its row runs.  The command's parse types the axis:
-a key it reads as an integer is an integer axis, whose grid is rounded to the
-nearest integers and written as integers.  Rows that only evaluate closed
-forms run in the main process whatever ``--jobs`` says; only rows that
-diagonalise (``tbjj``, ``oracle-check``, ``nonlinear`` with ``n_levels > 0``)
-are dispatched to a process pool.  Each evaluated result becomes its output
-row once, a dict keyed in column order with ``status`` last, and both writers
+output row per grid point, the points of ``numpy.linspace`` computed in plain
+floats.  A point is just its scan value: it is merged into the base
+parameters when its row runs.  The command's parse types the axis: a key it
+reads as an integer is an integer axis, whose grid is rounded to the nearest
+integers and written as integers.  Rows that only evaluate closed forms run
+in the main process whatever ``--jobs`` says; only rows that diagonalise
+(``tbjj``, ``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are
+dispatched to a process pool.  Each evaluated result becomes its output row
+once, a dict keyed in column order with ``status`` last, and both writers
 write those rows as given, in scan order with shortest round-trip float
 formatting, so output files are byte-identical for any worker count.
-Exit code 2, before any row runs and with no file written, is a UsageError (text
-a parse cannot read, unknown or missing keys, the scan declaration, the flags,
-a missing output directory), a value that no point can use, or a scan whose
-points would write different columns (a scan of ``n_levels``).  Any other
-failure flags only its own row and the run ends with exit code 1, as it does
-when an ``oracle-check`` row fails.
+Exit code 2, before any row runs and with no file written, is a UsageError
+(text a parse cannot read, unknown or missing keys, the scan declaration with
+its non-finite bounds, the flags, a missing output directory), a value that
+no point can use, or a scan whose points would write different columns (a
+scan of ``n_levels``).  A value's range, finiteness included, is checked only
+by the layer that takes it, so a non-finite command key exits 2 with that
+layer's message naming the key.  Any other failure flags only its own row and
+the run ends with exit code 1, as it does when an ``oracle-check`` row fails.
 
 Commands: spectrum, phase-scan, spin-phase, dirac-scan, nonlinear, tbjj,
 oracle-check.  ``oracle-check`` runs a fixed suite of cases and takes no scan.
@@ -42,8 +45,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import diracring, kerr, linearmode, oracle, phases, spinorbit, tbring
 from .core import FermionConfig, ModelParams, _check_int, _check_non_negative
 
@@ -56,6 +57,9 @@ class UsageError(ValueError):
     """Configuration or command-line problem; maps to exit code 2."""
 
 
+_REQUIRED = object()  # the default of a ParamSet getter whose key must be present
+
+
 # ---------------------------------------------------------------------------
 # configuration parsing
 
@@ -63,9 +67,11 @@ class UsageError(ValueError):
 class ParamSet:
     """Typed access to a flat parameter mapping of user text and at most one scan value.
 
-    Tracks which keys were consumed so unknown (likely misspelled) keys can be
-    rejected, and which were read as integers, which makes a scanned key an
-    integer axis; text it cannot read, and missing or unknown keys, raise UsageError.
+    A key is required exactly when its getter is given no default.  Tracks which
+    keys were consumed so unknown (likely misspelled) keys can be rejected, and
+    which were read as integers, which makes a scanned key an integer axis; text
+    it cannot read, and missing or unknown keys, raise UsageError.  Ranges,
+    finiteness included, are checked by the layer that takes the value.
     """
 
     def __init__(self, raw: dict):
@@ -73,51 +79,32 @@ class ParamSet:
         self.used: set = set()
         self.ints: set = set()
 
-    def _fetch(self, key, required):
+    def _read(self, key, default, convert, kind):
+        """``convert`` of the key's value, or ``default`` when the key is absent and not required."""
         self.used.add(key)
         if key not in self.raw:
-            if required:
+            if default is _REQUIRED:
                 raise UsageError(f"missing required parameter '{key}'")
-            return None
-        return self.raw[key]
-
-    def float(self, key, default=None, required=False):
-        text = self._fetch(key, required)
-        if text is None:
             return default
         try:
-            value = float(text)
+            return convert(self.raw[key])
         except ValueError:
-            raise UsageError(f"parameter '{key}' must be a number, got {text!r}") from None
-        if not math.isfinite(value):
-            raise UsageError(f"parameter '{key}' must be finite, got {text!r}")
-        return value
+            raise UsageError(f"parameter '{key}' must be {kind}, got {str(self.raw[key])!r}") from None
 
-    def int(self, key, default=None, required=False):
+    def float(self, key, default=_REQUIRED):
+        return self._read(key, default, float, "a number")
+
+    def int(self, key, default=_REQUIRED):
         self.ints.add(key)
-        text = self._fetch(key, required)
-        if text is None:
-            return default
-        if isinstance(text, float):
-            return round(text)  # a point of a float grid: integer axes take the nearest integer
-        try:
-            return int(text)
-        except ValueError:
-            raise UsageError(f"parameter '{key}' must be an integer, got {text!r}") from None
+        # a point of a float grid: integer axes take the nearest integer
+        return self._read(key, default, lambda v: round(v) if isinstance(v, float) else int(v), "an integer")
 
-    def str(self, key, default=None, required=False):
-        text = self._fetch(key, required)
-        return default if text is None else str(text)
+    def str(self, key, default=_REQUIRED):
+        return self._read(key, default, str, "text")
 
-    def int_list(self, key, default=None, required=False):
-        text = self._fetch(key, required)
-        if text is None:
-            return default
-        text = str(text)
-        try:
-            return tuple(int(tok) for tok in text.replace(" ", "").split(",") if tok)
-        except ValueError:
-            raise UsageError(f"parameter '{key}' must be a comma-separated integer list, got {text!r}") from None
+    def int_list(self, key, default=_REQUIRED):
+        return self._read(key, default, lambda v: tuple(int(tok) for tok in str(v).replace(" ", "").split(",") if tok),
+                          "a comma-separated integer list")
 
     def finish(self):
         unknown = set(self.raw) - self.used
@@ -160,6 +147,16 @@ class RunConfig:
 # command implementations
 
 
+def _level_columns(prefix, description, n_levels):
+    """Columns ``{prefix}{k}`` of a level family, k < n_levels, described by ``description.format(k=k)``."""
+    return [(f"{prefix}{k}", description.format(k=k)) for k in range(n_levels)]
+
+
+def _level_cells(prefix, levels):
+    """Row cells ``{prefix}{k}`` holding each level ``k`` as a float."""
+    return {f"{prefix}{k}": float(value) for k, value in enumerate(levels)}
+
+
 def _model_params(ps: ParamSet, n_particles: int, spin: bool = False) -> ModelParams:
     return ModelParams(
         g=ps.float("g", 1.0),
@@ -172,8 +169,8 @@ def _model_params(ps: ParamSet, n_particles: int, spin: bool = False) -> ModelPa
 
 
 def _parse_spectrum(ps):
-    orbitals = ps.int_list("orbitals", required=True)
-    spins = ps.int_list("spins")
+    orbitals = ps.int_list("orbitals")
+    spins = ps.int_list("spins", None)
     n_levels = ps.int("n_levels", 6)
     p = _model_params(ps, len(orbitals), spin=spins is not None)
     ps.finish()
@@ -182,33 +179,29 @@ def _parse_spectrum(ps):
 
 
 def _columns_spectrum(parsed):
-    cols = [
+    return [
         ("omega_dressed", "dressed cavity quantum hbar*Omega, units of E0"),
         ("chi", "induced collective coupling"),
         ("squeeze_r", "squeeze parameter of the cavity ground state"),
         ("var_x", "ground-state variance of x = (a+a^dag)/sqrt(2)"),
+        *_level_columns("e", "sector level {k} (photon index {k})", parsed["n_levels"]),
     ]
-    for k in range(parsed["n_levels"]):
-        cols.append((f"e{k}", f"sector level {k} (photon index {k})"))
-    return cols
 
 
 def _row_spectrum(parsed):
     p, cfg = parsed["p"], parsed["cfg"]
     sol = linearmode.squeeze_solution(p)
-    row = {
+    return {
         "omega_dressed": sol.omega_dressed,
         "chi": sol.chi,
         "squeeze_r": sol.squeeze_r,
         "var_x": sol.variance_x(),
+        **_level_cells("e", (linearmode.sector_energy(p, cfg, k) for k in range(parsed["n_levels"]))),
     }
-    for k in range(parsed["n_levels"]):
-        row[f"e{k}"] = linearmode.sector_energy(p, cfg, k)
-    return row
 
 
 def _parse_phase_scan(ps):
-    n = ps.int("n_particles", required=True)
+    n = ps.int("n_particles")
     m_max = ps.int("m_max", 8)
     p = _model_params(ps, n)
     ps.finish()
@@ -243,7 +236,7 @@ def _row_phase_scan(parsed):
 
 
 def _parse_spin_phase(ps):
-    n = ps.int("n_particles", required=True)
+    n = ps.int("n_particles")
     p = _model_params(ps, n, spin=True)
     ps.finish()
     return {"p": p}
@@ -280,7 +273,7 @@ def _parse_dirac_scan(ps):
         eps0=ps.float("eps0", 1.0),
         hbar_omega=ps.float("hbar_omega", 1.0),
         phi=ps.float("phi", 0.0),
-        n_electrons=ps.int("n_electrons", required=True),
+        n_electrons=ps.int("n_electrons"),
         degeneracy=ps.int("degeneracy", 4),
         d_eff=ps.float("d_eff", 0.0),
     )
@@ -318,7 +311,7 @@ def _row_dirac_scan(parsed):
 
 
 def _parse_nonlinear(ps):
-    n = ps.int("n_particles", required=True)
+    n = ps.int("n_particles")
     m_total = ps.int("m_total", 0)
     alpha4 = ps.float("alpha4", 0.0)
     n_levels = ps.int("n_levels", 0)
@@ -329,17 +322,15 @@ def _parse_nonlinear(ps):
 
 
 def _columns_nonlinear(parsed):
-    cols = [
+    return [
         ("m_total", "fermion-sector total angular momentum"),
         ("x0", "quadrature displacement of the sector minimum"),
         ("b_eff", "curvature coefficient of the displaced potential"),
         ("beta3", "residual cubic coefficient"),
         ("v_eff", "sector offset of the displaced potential"),
         ("omega_ratio", "curvature spacing Omega(M) over the bare quantum"),
+        *_level_columns("eps", "anharmonic level {k} of the residual block", parsed["n_levels"]),
     ]
-    for k in range(parsed["n_levels"]):
-        cols.append((f"eps{k}", f"anharmonic level {k} of the residual block"))
-    return cols
 
 
 def _row_nonlinear(parsed):
@@ -353,15 +344,13 @@ def _row_nonlinear(parsed):
         "omega_ratio": kerr.gaussian_frequency(sector) / p.hbar_omega,
     }
     if parsed["n_levels"]:
-        eps = kerr.anharmonic_spectrum(sector, n_levels=parsed["n_levels"])
-        for k, value in enumerate(eps):
-            row[f"eps{k}"] = float(value)
+        row.update(_level_cells("eps", kerr.anharmonic_spectrum(sector, n_levels=parsed["n_levels"])))
     return row
 
 
 def _parse_tbjj(ps):
-    m_sites = ps.int("m_sites", required=True)
-    occupied = ps.int_list("occupied", required=True)
+    m_sites = ps.int("m_sites")
+    occupied = ps.int_list("occupied")
     t = ps.float("t", 1.0)
     eta = ps.float("eta", 1.0)
     hbar_omega = ps.float("hbar_omega", 1.0)
@@ -386,12 +375,11 @@ def _columns_tbjj(parsed):
         ("e_l", "inductive energy hbar_omega / eta^2"),
         ("e_c", "charging energy hbar_omega eta^2 / 8"),
         ("beta_ratio", "double-well parameter E_J / E_L"),
+        *_level_columns("fock_e", "sector level {k}, Fock-basis solver", parsed["n_levels"]),
     ]
-    for k in range(parsed["n_levels"]):
-        cols.append((f"fock_e{k}", f"sector level {k}, Fock-basis solver"))
     if parsed["solver"] == "both":
-        for k in range(parsed["n_levels"]):
-            cols.append((f"xrep_e{k}", f"sector level {k}, real-space solver (carries +hbar_omega/2)"))
+        cols += _level_columns("xrep_e", "sector level {k}, real-space solver (carries +hbar_omega/2)",
+                               parsed["n_levels"])
     return cols
 
 
@@ -407,13 +395,11 @@ def _row_tbjj(parsed):
         "e_c": squid.e_c,
         "beta_ratio": squid.beta_ratio,
     }
-    fock = tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega, n_levels=parsed["n_levels"])
-    for k, value in enumerate(fock):
-        row[f"fock_e{k}"] = float(value)
+    row.update(_level_cells("fock_e", tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega,
+                                                                  n_levels=parsed["n_levels"])))
     if parsed["solver"] == "both":
-        xrep = tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega, n_levels=parsed["n_levels"])
-        for k, value in enumerate(xrep):
-            row[f"xrep_e{k}"] = float(value)
+        row.update(_level_cells("xrep_e", tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega,
+                                                                      n_levels=parsed["n_levels"])))
     return row
 
 
@@ -427,7 +413,7 @@ _ORACLE_SUITE = tuple(
 
 
 def _parse_oracle_check(ps):
-    case = ps.int("case", required=True)
+    case = ps.int("case")
     tol = ps.float("tol", 1e-8)
     cutoff = ps.int("cutoff", 300)
     n_levels = ps.int("n_levels", 6)
@@ -620,6 +606,29 @@ def _write_json(fh, config, columns, rows, summary):
     fh.write("\n  ]\n}\n" if rows else "]\n}\n")
 
 
+def _finite_bound(scan: ParamSet, key):
+    """A scan bound; no layer reads it, so it is refused here unless finite."""
+    value = scan.float(key)
+    if not math.isfinite(value):
+        raise UsageError(f"parameter '{key}' must be finite, got {scan.raw[key]!r}")
+    return value
+
+
+def _scan_grid(lo, hi, steps):
+    """``numpy.linspace(lo, hi, steps)`` as a tuple of floats, computed as numpy computes it.
+
+    ``lo <= hi`` with a finite span.  The points are ``i * step + lo``, or, when
+    the step underflows to zero, ``(i / (steps - 1)) * span + lo``; the last is ``hi``.
+    """
+    span, div = hi - lo, steps - 1
+    if div == 0:
+        return (0.0 * span + lo,)  # as numpy adds it: -0.0 becomes 0.0
+    step = span / div
+    points = [(i / div) * span + lo if step == 0 else i * step + lo for i in range(steps)]
+    points[-1] = hi
+    return tuple(points)
+
+
 def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
     """Validate the scan axis, jobs and output directory; argparse has checked ``command`` and ``fmt``."""
     params = dict(params)
@@ -640,14 +649,15 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
         if scan_min is None or scan_max is None or scan_steps is None:
             raise UsageError("a scan needs all of scan_param, scan_min, scan_max, scan_steps")
         scan = ParamSet({"scan_min": scan_min, "scan_max": scan_max, "scan_steps": scan_steps})
-        lo, hi, steps = scan.float("scan_min"), scan.float("scan_max"), scan.int("scan_steps")
+        lo, hi = (_finite_bound(scan, key) for key in ("scan_min", "scan_max"))
+        steps = scan.int("scan_steps")
         if steps < 1:
             raise UsageError(f"scan_steps must be >= 1, got {steps}")
         if lo > hi:
             raise UsageError(f"scan_min must not exceed scan_max, got {lo} > {hi}")
         if not math.isfinite(hi - lo):
             raise UsageError(f"scan_max - scan_min must be finite, got {hi} - {lo}")
-        values = tuple(float(v) for v in np.linspace(lo, hi, steps))
+        values = _scan_grid(lo, hi, steps)
     if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be >= 1, got {jobs}")
     if not os.path.isdir(os.path.dirname(out) or "."):

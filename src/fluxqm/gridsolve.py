@@ -132,12 +132,13 @@ def converged_bound_states(
 
     The returned ``levels`` are the finest grid's and ``n_points`` is its
     size; at most four doublings follow the first solve.  The relative change
-    is floored at ``scale`` so levels near zero do not stall the refinement.
-    Wavefunction amplitude at the walls above 1e-6 of the peak on the last
-    grid solved, converged or not, raises GridDomainError: the domain, not
-    the grid spacing, is the problem then.
+    is floored at ``scale``, which must be finite and > 0, so levels near zero
+    do not stall the refinement.  Wavefunction amplitude at the walls above
+    1e-6 of the peak on the last grid solved, converged or not, raises
+    GridDomainError: the domain, not the grid spacing, is the problem then.
     """
     n_points = _check_grid(x_min, x_max, n_points, kinetic_coef, n_levels)
+    _check_positive(scale=scale)
 
     states = None
 

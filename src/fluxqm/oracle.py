@@ -21,7 +21,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import FermionConfig, ModelParams, _check_int
+from .core import FermionConfig, ModelParams, _check_int, _check_non_negative, _check_positive
 
 __all__ = [
     "OracleReport",
@@ -181,13 +181,17 @@ def compare_spectra(
     """Level-by-level check of analytic values against oracle eigenvalues.
 
     Relative error of level i is |a_i - o_i| / max(scale, |o_i|); the
-    ``scale`` floor keeps levels at or near zero comparable.
+    ``scale`` floor keeps levels at or near zero comparable.  ``tol`` must be
+    finite and >= 0, ``scale`` finite and > 0, and the spectra equally long and not empty.
     """
+    _check_non_negative(tol=tol)
+    _check_positive(scale=scale)
     a = np.asarray(analytic, dtype=float)
     levels = oracle.levels if isinstance(oracle, OracleReport) else oracle
     o = np.asarray(levels, dtype=float)
     if a.shape != o.shape:
         raise ValueError(f"spectrum length mismatch: {a.shape} vs {o.shape}")
+    _check_int(len(o), "spectrum length", lo=1)
     rel = np.abs(a - o) / np.maximum(scale, np.abs(o))
     worst = int(np.argmax(rel))
     return SpectrumComparison(

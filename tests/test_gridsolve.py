@@ -91,3 +91,17 @@ def test_refine_exhausted_raises_last_change():
     with pytest.raises(ConvergenceError, match=r"^not converged at 40: relative change 0\.2$") as info:
         _refine(iter(sequence), 1e-6, 1.0, "not converged at {size}")
     assert info.value.residual == 0.5 / 2.5
+
+
+@pytest.mark.parametrize("scale, message", [
+    (np.inf, "scale must be finite, got inf"),  # once reported convergence without comparing a level
+    (np.nan, "scale must be finite, got nan"),  # once ran all five solves, then failed on a NaN change
+    (0.0, "scale must be positive, got 0.0"),
+])
+def test_scale_is_checked_before_any_solve(monkeypatch, scale, message):
+    def no_solve(*args):
+        raise AssertionError("a grid was solved")
+
+    monkeypatch.setattr(gridsolve, "_dvr_bound_states", no_solve)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        converged_bound_states(harmonic, -14.0, 14.0, 96, kinetic_coef=0.5, n_levels=3, scale=scale)

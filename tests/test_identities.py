@@ -2,8 +2,9 @@
 the closed-form sector levels, spinless and Zeeman-coupled, against the brute-force oracle on
 drawn sectors, the closed-form stability Hessian against a dense eigensolver, the Dirac-ring
 chirality argmin against a brute-force minimum at and beside the branch stiffness, the unitarity of the
-truncated displacement operator within its cutoff, and the CLI output bytes: the streamed JSON
-writer against ``json.dumps(indent=2)``, and any worker count against one worker."""
+truncated displacement operator within its cutoff, the CLI scan grid against ``numpy.linspace``, and
+the CLI output bytes: the streamed JSON writer against ``json.dumps(indent=2)``, and any worker
+count against one worker."""
 
 import copy
 import io
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fluxqm import (
@@ -249,6 +250,30 @@ def test_junction_levels_match_finite_differences_and_the_fock_basis(occupied, t
         for n in (2049, 4097)
     )
     assert np.max(np.abs(levels - (4.0 * fine - coarse) / 3.0)) <= 1e-7
+
+
+scan_bounds = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-306, max_value=1e-306),  # subnormal spans, whose step can underflow to zero
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+@PROPERTY
+@given(scan_bounds, scan_bounds, st.integers(min_value=1, max_value=400))
+@example(0.3, 0.3, 1)
+@example(-0.0, 0.0, 1)
+@example(-0.0, 1.0, 7)
+@example(2.5, 2.5, 6)
+@example(-3.7, -1.1, 13)
+@example(5e-324, 2e-323, 9)
+@example(-1e-310, 3e-310, 400)
+def test_scan_grid_is_numpy_linspace_bit_for_bit(a, b, steps):
+    lo, hi = sorted((a, b))
+    assume(math.isfinite(hi - lo))
+    scan = {"scan_param": "phi", "scan_min": repr(lo), "scan_max": repr(hi), "scan_steps": str(steps)}
+    values = cli.build_run_config("phase-scan", scan, "out.csv", "csv", None).scan_values
+    assert [v.hex() for v in values] == [float(v).hex() for v in np.linspace(lo, hi, steps)]
 
 
 # text that the JSON encoder must escape, and the row separator of the streamed writer

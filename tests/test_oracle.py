@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -172,3 +174,19 @@ def test_compare_fault_injection_localizes_error():
 def test_compare_length_mismatch_is_usage_error():
     with pytest.raises(ValueError):
         compare_spectra([1.0, 2.0], [1.0, 2.0, 3.0], tol=1e-6)
+
+
+@pytest.mark.parametrize("levels, kwargs, message", [
+    # a NaN tol once failed identical spectra, scale=0 on a zero level gave max_rel_error=nan,
+    # and empty spectra failed inside numpy with "attempt to get argmax of an empty sequence"
+    ([0.0, 2.0], dict(tol=math.nan), "tol must be finite, got nan"),
+    ([0.0, 2.0], dict(tol=-1e-9), "tol must be non-negative, got -1e-09"),
+    ([0.0, 2.0], dict(tol=1e-6, scale=0.0), "scale must be positive, got 0.0"),
+    ([0.0, 2.0], dict(tol=1e-6, scale=-1.0), "scale must be positive, got -1.0"),
+    ([0.0, 2.0], dict(tol=1e-6, scale=math.inf), "scale must be finite, got inf"),
+    ([0.0, 2.0], dict(tol=1e-6, scale=math.nan), "scale must be finite, got nan"),
+    ([], dict(tol=1e-6), "spectrum length must be >= 1, got 0"),
+])
+def test_compare_checks_its_inputs_by_name(levels, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compare_spectra(levels, list(levels), **kwargs)

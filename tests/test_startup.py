@@ -1,8 +1,10 @@
-"""What ``fluxqm`` imports at start-up and before its worker pool forks.
+"""What ``fluxqm`` imports at start-up and before its worker pool forks, and the names it exports.
 
-pytest itself loads scipy, so every check runs in a fresh interpreter.
+pytest itself loads scipy, so every import check runs in a fresh interpreter.
 """
 
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -12,6 +14,22 @@ import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 LAYERS = ("cli", "phases", "spinorbit", "diracring", "linearmode", "kerr", "oracle", "tbring", "gridsolve")
+
+
+# the layers whose __all__ the package namespace re-exports
+EXPORTING_LAYERS = ("core", "diracring", "kerr", "linearmode", "oracle", "phases", "spinorbit", "tbring")
+
+
+def test_package_exports_exactly_the_layers_all_and_the_errors():
+    import fluxqm
+
+    public = {name for name, value in vars(fluxqm).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    layers = [importlib.import_module(f"fluxqm.{layer}") for layer in EXPORTING_LAYERS]
+    declared = {name for layer in layers for name in layer.__all__}
+    assert public == declared | {"ConvergenceError", "GridDomainError", "NoTransitionError"}
+    for layer in layers:
+        assert all(getattr(fluxqm, name) is getattr(layer, name) for name in layer.__all__)
 
 
 def run_python(code, cwd):

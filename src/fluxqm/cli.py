@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import importlib
 import json
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import diracring, kerr, linearmode, oracle, phases, spinorbit, tbring
@@ -261,7 +260,7 @@ def _row_spin_phase(parsed):
         "determinant": rep.determinant,
         "eig_low": low,
         "eig_high": high,
-        "stable": rep.stable,
+        "stable": low > 0,
         "soft_m": soft_m,
         "soft_sigma": soft_s,
         "locking_ratio": spinorbit.locking_ratio(parsed["p"]),
@@ -457,22 +456,22 @@ def _row_oracle_check(parsed):
     }
 
 
-def _scan_summary(key, critical_flux, parsed, scan_param, values, rows):
-    """Bracket of the first change in the ``key`` column between adjacent good rows; on a ``phi``
-    axis also the model's closed-form ``critical_flux``, if any (on other axes phi_c varies by point)."""
+def _scan_summary(cmd, parsed, scan_param, values, rows):
+    """Bracket of the first change in the command's jump column between adjacent good rows, and the
+    closed-form threshold of the scan axis, if the model has one (another axis would move it by point)."""
     summary = {}
     for (v0, r0), (v1, r1) in zip(zip(values, rows), zip(values[1:], rows[1:])):
         if r0["status"] != "ok" or r1["status"] != "ok":
             continue
-        if r0.get(key) != r1.get(key):
-            summary["jump_column"] = key
+        if r0.get(cmd.jump_column) != r1.get(cmd.jump_column):
+            summary["jump_column"] = cmd.jump_column
             summary[f"jump_{scan_param}_low"] = v0
             summary[f"jump_{scan_param}_high"] = v1
             break
-    if critical_flux is not None and scan_param == "phi":
+    if scan_param in cmd.closed_forms:
         try:
-            summary["phi_c_closed_form"] = critical_flux(parsed["p"])
-        except ValueError:  # no transition (NoTransitionError), or a phi_c that floats cannot hold
+            summary[f"{scan_param}_c_closed_form"] = cmd.closed_forms[scan_param](parsed["p"])
+        except ValueError:  # no transition (NoTransitionError), or a threshold that floats cannot hold
             pass
     return summary
 
@@ -482,7 +481,8 @@ class _Command:
     parse: Callable  # ParamSet -> parsed config
     columns: Callable
     row: Callable
-    summary: Optional[Callable] = None
+    jump_column: Optional[str] = None  # a scan's summary brackets the first change of this column
+    closed_forms: dict = field(default_factory=dict)  # scan axis -> its closed-form threshold, of parsed["p"]
     fixed_cases: tuple = ()  # a fixed suite of case indices replaces the scan
     # whether the rows of a parsed config diagonalise; only those runs use the worker pool
     diagonalises: Callable = lambda parsed: False
@@ -493,11 +493,11 @@ class _Command:
 _COMMANDS = {
     "spectrum": _Command(_parse_spectrum, _columns_spectrum, _row_spectrum),
     "phase-scan": _Command(_parse_phase_scan, lambda parsed: list(_PHASE_COLUMNS), _row_phase_scan,
-                           functools.partial(_scan_summary, "phase", phases.critical_flux)),
+                           "phase", {"phi": phases.critical_flux}),
     "spin-phase": _Command(_parse_spin_phase, lambda parsed: list(_SPIN_COLUMNS), _row_spin_phase,
-                           functools.partial(_scan_summary, "stable", None)),
+                           "stable", {"eta": spinorbit.critical_eta, "phi": spinorbit.critical_flux_spin}),
     "dirac-scan": _Command(_parse_dirac_scan, lambda parsed: list(_DIRAC_COLUMNS), _row_dirac_scan,
-                           functools.partial(_scan_summary, "phase", diracring.critical_flux_dirac)),
+                           "phase", {"phi": diracring.critical_flux_dirac}),
     "nonlinear": _Command(_parse_nonlinear, _columns_nonlinear, _row_nonlinear,
                           diagonalises=lambda parsed: parsed["n_levels"] > 0),
     "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, diagonalises=lambda parsed: True),
@@ -721,8 +721,8 @@ def run(config: RunConfig) -> int:
         failed = failed or rows[i]["status"] != "ok" or rows[i].get("passed") is False
 
     summary = {}
-    if cmd.summary is not None and config.scan_param is not None and len(rows) > 1:
-        summary = cmd.summary(first_parsed, config.scan_param, config.scan_values, rows)
+    if cmd.jump_column is not None and config.scan_param is not None and len(rows) > 1:
+        summary = _scan_summary(cmd, first_parsed, config.scan_param, config.scan_values, rows)
 
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         if config.format == "csv":

@@ -10,10 +10,11 @@ Expanding the ground-state energy to quadratic order in the order parameters
 (M, S), with Fermi-liquid stiffnesses 2 g_eff / N and g_eff N / 2, gives a 2x2
 Hessian whose lowest eigenvalue crossing zero marks the instability; on closed
 shells the exact spectrum leaves (M, Sigma) = (0, 0) at the same eta (checked
-by brute force in the tests).  The orbital channel screens
-the diamagnetic stiffening of the spin channel, so at g_eff = g the critical
-Zeeman coupling collapses to eta_c = sqrt(g N hbar_omega) / 2 independent of
-phi, and the soft mode is a locked spin-orbital combination.
+by brute force in the tests).  The determinant is linear in eta^2, so its zero
+has one closed form at any g_eff: ``critical_eta``, solved for phi by
+``critical_flux_spin``.  At g_eff = g the orbital channel screens the diamagnetic
+stiffening of the spin channel: eta_c = sqrt(g N hbar_omega) / 2 at any phi, and
+the soft mode is a locked spin-orbital combination.
 """
 
 from __future__ import annotations
@@ -21,17 +22,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams
+from .core import ModelParams, _check_positive
 from .errors import NoTransitionError
 from .linearmode import _stiffness
 
-__all__ = [
-    "HessianReport",
-    "hessian",
-    "critical_eta",
-    "critical_flux_spin",
-    "locking_ratio",
-]
+__all__ = ["HessianReport", "hessian", "critical_eta", "critical_flux_spin", "locking_ratio"]
 
 
 @dataclass(frozen=True)
@@ -95,45 +90,46 @@ def hessian(p: ModelParams) -> HessianReport:
     )
 
 
-def _equal_scales(p: ModelParams) -> bool:
-    """g_eff = g to 1e-12 relative, where the flux terms drop out of the threshold."""
-    return math.isclose(p.g_eff, p.g, rel_tol=1e-12, abs_tol=1e-12 * max(p.g, p.g_eff))
+def _threshold_terms(p: ModelParams) -> tuple[float, float]:
+    """A = N g_eff hbar_omega / 4 > 0 and B = N^2 g (g_eff - g): A + B phi^2 = mm N^2 D / 8 is eta_c^2."""
+    n = p.n_particles
+    return 0.25 * n * p.g_eff * p.hbar_omega, n * n * p.g * (p.g_eff - p.g)
 
 
 def critical_eta(p: ModelParams) -> float:
-    """Critical Zeeman coupling eta_c = sqrt(g N hbar_omega) / 2 at g_eff = g.
+    """Critical Zeeman coupling eta_c = sqrt(N g_eff hbar_omega / 4 + N^2 g (g_eff - g) phi^2).
 
-    At equal orbital scales the flux terms cancel in the determinant condition
-    and eta_c is independent of phi.  For g_eff != g there is no such closed
-    form; locate the zero of hessian(p).determinant in eta instead.
+    The balanced state is stable below it.  The radicand is mm N^2 D / 8, so once g > g_eff and phi
+    reaches the orbital critical flux there is none: NoTransitionError.  An eta_c that floats cannot
+    hold (it overflows, or underflows to 0) raises ValueError.
     """
-    if not _equal_scales(p):
-        raise ValueError(
-            f"critical_eta holds only for g_eff = g (got g={p.g}, g_eff={p.g_eff}); "
-            "find the root of hessian(p).determinant in eta for unequal couplings"
-        )
-    return 0.5 * math.sqrt(p.g * p.n_particles * p.hbar_omega)
+    a, b = _threshold_terms(p)
+    radicand = a + b * p.phi**2
+    if p.g_eff < p.g and radicand <= 0:  # a > 0, so only a negative b closes the window
+        raise NoTransitionError(f"no Zeeman-driven instability for g={p.g}, g_eff={p.g_eff}, phi={p.phi}: "
+                                "the orbital channel is already unstable (hessian(p).mm <= 0)")
+    eta_c = math.sqrt(radicand)
+    _check_positive(eta_c=eta_c)
+    return eta_c
 
 
 def critical_flux_spin(p: ModelParams) -> float:
-    """Critical flux of the Zeeman-assisted transition at fixed eta.
+    """Critical flux at fixed eta: critical_eta's eta^2 = A + B phi^2 solved for phi.
 
-    phi_c = (1/N) sqrt((eta^2 - N g_eff hbar_omega / 4) / (g (g_eff - g))).
-    Reduces to the purely orbital critical flux as eta -> 0.  A spin-driven
-    transition (positive numerator) requires g_eff > g; the orbital-driven
-    one (negative numerator) requires g_eff < g.
+    It reduces to the orbital critical flux as eta -> 0.  A spin-driven transition
+    (eta^2 > A) needs g_eff > g, an orbital-driven one (eta^2 < A) g_eff < g.  At
+    g_eff = g, where phi drops out, and for a phi_c that floats cannot hold, ValueError.
     """
-    if _equal_scales(p):
-        raise ValueError(
-            "g_eff = g makes the flux dependence drop out; the threshold is critical_eta(p)"
-        )
-    radicand = (p.eta**2 - 0.25 * p.n_particles * p.g_eff * p.hbar_omega) / (p.g * (p.g_eff - p.g))
-    if radicand <= 0:
-        raise NoTransitionError(
-            f"no flux-driven instability for eta={p.eta}, g={p.g}, g_eff={p.g_eff}: "
-            "the determinant condition has no real root in phi"
-        )
-    return math.sqrt(radicand) / p.n_particles
+    if p.g_eff == p.g:
+        raise ValueError("g_eff = g makes the flux dependence drop out; the threshold is critical_eta(p)")
+    a, b = _threshold_terms(p)
+    excess = p.eta**2 - a
+    if not (excess > 0 if p.g_eff > p.g else excess < 0):  # the signs decide, not a quotient that underflowed
+        raise NoTransitionError(f"no flux-driven instability for eta={p.eta}, g={p.g}, g_eff={p.g_eff}: "
+                                "the determinant condition has no real root in phi")
+    phi_c = math.sqrt(excess / b) if b else math.inf
+    _check_positive(phi_c=phi_c)
+    return phi_c
 
 
 def locking_ratio(p: ModelParams) -> float:

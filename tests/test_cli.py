@@ -12,7 +12,9 @@ from fluxqm import (
     DiracParams,
     FermionConfig,
     ModelParams,
+    critical_eta,
     critical_flux,
+    critical_flux_spin,
     dressed_frequency,
     ground_state_search,
     optimal_chirality,
@@ -42,6 +44,11 @@ def read_csv(path):
                 data.append(line)
     rows = list(csv.reader(data))
     return comments, rows[0], rows[1:]
+
+
+def read_summary(comments):
+    """The ``# summary key = value`` footer lines of a CSV as a dict of text values."""
+    return dict(line[len("# summary "):].split(" = ") for line in comments if line.startswith("# summary "))
 
 
 def test_unknown_parameter_is_usage_error(tmp_path, capsys):
@@ -349,30 +356,46 @@ def test_phase_scan_bracket_contains_closed_form(tmp_path):
                    "--set", "scan_steps=101", "--out", str(out), "--jobs", "1")
     assert code == 0
     comments, header, rows = read_csv(out)
-    summary = {}
-    for line in comments:
-        if line.startswith("# summary "):
-            key, _, value = line[len("# summary "):].partition(" = ")
-            summary[key] = value
+    summary = read_summary(comments)
     lo, hi = float(summary["jump_phi_low"]), float(summary["jump_phi_high"])
     assert lo <= phi_c <= hi
     assert hi - lo == pytest.approx(2 * phi_c / 100, rel=1e-9)
     assert float(summary["phi_c_closed_form"]) == phi_c
 
 
+@pytest.mark.parametrize("axis, fixed, threshold, other", [
+    ("eta", ("phi", 0.4), critical_eta, "phi"),
+    ("phi", ("eta", 2.0), critical_flux_spin, "eta"),
+], ids=["eta", "phi"])
+def test_spin_phase_bracket_contains_closed_form_at_unequal_couplings(tmp_path, axis, fixed, threshold, other):
+    out = tmp_path / "scan.csv"
+    key, value = fixed
+    x_c = threshold(ModelParams(**{"g": 1.0, "g_eff": 1.6, "phi": 0.0, "n_particles": 5, key: value}))
+    code = run_cli("spin-phase", "--set", "n_particles=5", "--set", "g=1.0", "--set", "g_eff=1.6",
+                   "--set", f"{key}={value}", "--set", f"scan_param={axis}", "--set", "scan_min=0",
+                   "--set", f"scan_max={2 * x_c}", "--set", "scan_steps=101", "--out", str(out), "--jobs", "1")
+    assert code == 0
+    summary = read_summary(read_csv(out)[0])
+    assert summary["jump_column"] == "stable"
+    assert float(summary[f"jump_{axis}_low"]) <= x_c <= float(summary[f"jump_{axis}_high"])
+    assert float(summary[f"{axis}_c_closed_form"]) == x_c
+    assert f"{other}_c_closed_form" not in summary
+
+
 @pytest.mark.parametrize("args", [
     ["phase-scan", "--set", "n_particles=3", "--set", "g=2", "--set", "scan_param=g_eff"],
     ["dirac-scan", "--set", "n_electrons=8", "--set", "scan_param=eps0"],
-], ids=["phase-scan", "dirac-scan"])
-def test_closed_form_phi_c_is_written_only_on_a_phi_axis(tmp_path, args):
-    # phi_c depends on the scanned key here, so the first point's value would not hold at the others
+    ["spin-phase", "--set", "n_particles=3", "--set", "g_eff=1.6", "--set", "phi=0.4", "--set", "scan_param=g"],
+], ids=["phase-scan", "dirac-scan", "spin-phase"])
+def test_closed_forms_are_written_only_on_their_own_axis(tmp_path, args):
+    # each threshold depends on the scanned key here, so the first point's value would not hold at the others
     out = tmp_path / "scan.csv"
     code = run_cli(*args, "--set", "scan_min=0.5", "--set", "scan_max=1.5", "--set", "scan_steps=5",
                    "--out", str(out), "--jobs", "1")
     assert code == 0
     comments, _, rows = read_csv(out)
     assert len(rows) == 5
-    assert [line for line in comments if line.startswith("# summary phi_c_closed_form")] == []
+    assert [key for key in read_summary(comments) if key.endswith("_c_closed_form")] == []
 
 
 @pytest.mark.parametrize("args", [
@@ -383,7 +406,9 @@ def test_closed_form_phi_c_is_written_only_on_a_phi_axis(tmp_path, args):
     ["phase-scan", "--set", "n_particles=3", "--set", "g=1e-300", "--set", "g_eff=5e-301"],
     # ... or hbar_omega / (4 g_d eps0) overflows to inf before the square root
     ["dirac-scan", "--set", "n_electrons=8", "--set", "eps0=1e-320"],
-], ids=["phase-scan", "dirac-scan", "phase-scan-underflow", "dirac-scan-overflow"])
+    # ... or N^2 g (g_eff - g) underflows to 0, while its sign says eta = 2 drives a transition
+    ["spin-phase", "--set", "n_particles=3", "--set", "g=1e-300", "--set", "g_eff=2e-300", "--set", "eta=2.0"],
+], ids=["phase-scan", "dirac-scan", "phase-scan-underflow", "dirac-scan-overflow", "spin-phase-underflow"])
 def test_phi_axis_without_a_transition_writes_no_closed_form(tmp_path, args):
     out = tmp_path / "scan.csv"
     code = run_cli(*args, "--set", "scan_param=phi", "--set", "scan_min=0", "--set", "scan_max=2",

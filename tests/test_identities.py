@@ -11,6 +11,7 @@ import io
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,10 @@ from fluxqm import (
     HessianReport,
     LCParams,
     ModelParams,
+    NoTransitionError,
     compare_spectra,
+    critical_eta,
+    critical_flux_spin,
     displacement_operator,
     dressed_frequency,
     effective_energy,
@@ -142,6 +146,24 @@ entry = st.floats(min_value=-1e3, max_value=1e3)
 def test_closed_form_2x2_matches_a_dense_eigensolver(mm, ms, ss):
     # ss = None draws mm = ss, where both candidate vectors are equally long
     assert_matches_eigh(HessianReport(mm=mm, ms=ms, ss=mm if ss is None else ss))
+
+
+@PROPERTY
+@given(model_params())
+def test_critical_eta_is_where_the_balanced_state_turns_unstable(p):
+    # eta_c^2 = N g_eff hw / 4 + N^2 g (g_eff - g) phi^2 = mm N^2 D / 8: a threshold exists exactly while mm > 0
+    if hessian(p).mm <= 0:
+        with pytest.raises(NoTransitionError):
+            critical_eta(p)
+        return
+    eta_c = critical_eta(p)
+    # the flip, not det = 0: at eta_c the determinant's two terms cancel
+    assert hessian(replace(p, eta=eta_c * (1 - 1e-3))).stable
+    assert not hessian(replace(p, eta=eta_c * (1 + 1e-3))).stable
+    # critical_flux_spin solves the same condition for phi, unless g_eff = g drops phi from it or
+    # eta_c^2 - N g_eff hw / 4 = N^2 g (g_eff - g) phi^2 cancels to rounding
+    if p.n_particles * p.g * abs(p.g_eff - p.g) * p.phi**2 >= 1e-5 * p.g_eff * p.hbar_omega / 4:
+        assert math.isclose(critical_flux_spin(replace(p, eta=eta_c)), p.phi, rel_tol=1e-9)
 
 
 @st.composite

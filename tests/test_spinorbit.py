@@ -122,9 +122,36 @@ def test_critical_eta_marks_stability_flip():
     assert not hessian(replace(p, eta=eta_c * (1 + 1e-6))).stable
 
 
-def test_critical_eta_rejects_unequal_couplings():
-    with pytest.raises(ValueError):
-        critical_eta(_p(g=1.0, g_eff=1.2))
+def test_critical_eta_at_unequal_couplings():
+    # eta_c^2 = N g_eff hw / 4 + N^2 g (g_eff - g) phi^2 = 3 * 1.2 / 4 + 9 * 0.2 * 0.09
+    p = _p(g=1.0, g_eff=1.2, phi=0.3)
+    eta_c = critical_eta(p)
+    assert eta_c == pytest.approx(math.sqrt(0.9 + 0.162), rel=1e-15)
+    assert hessian(replace(p, eta=eta_c * (1 - 1e-6))).stable
+    assert not hessian(replace(p, eta=eta_c * (1 + 1e-6))).stable
+    # g > g_eff: below the orbital critical flux a threshold exists, at or past it the orbital channel is soft
+    p = _p(g=2.0, g_eff=0.5, n_particles=3)
+    phi_orb = critical_flux(p)
+    inside = replace(p, phi=0.5 * phi_orb)
+    assert critical_flux_spin(replace(inside, eta=critical_eta(inside))) == pytest.approx(inside.phi, rel=1e-12)
+    for phi in (phi_orb * (1 + 1e-9), 2 * phi_orb):
+        assert hessian(replace(p, phi=phi)).mm <= 0
+        with pytest.raises(NoTransitionError):
+            critical_eta(replace(p, phi=phi))
+
+
+@pytest.mark.parametrize("threshold, p, message", [
+    # g (g_eff - g) underflows to 0, but the signs say a threshold exists: phi_c overflows
+    (critical_flux_spin, _p(g=1e-300, g_eff=2e-300, n_particles=3, eta=2.0), "phi_c must be finite, got inf"),
+    # N g_eff hw / 4 overflows
+    (critical_eta, _p(g=1e300, g_eff=1e300, n_particles=30, hbar_omega=1e300), "eta_c must be finite, got inf"),
+    # N g_eff hw / 4 underflows to 0, although eta_c = 5e-201 is a float
+    (critical_eta, _p(g=1e-200, g_eff=1e-200, n_particles=1, hbar_omega=1e-200), "eta_c must be positive, got 0.0"),
+], ids=["phi_c-overflow", "eta_c-overflow", "eta_c-underflow"])
+def test_threshold_that_floats_cannot_hold_raises(threshold, p, message):
+    with pytest.raises(ValueError) as info:
+        threshold(p)
+    assert type(info.value) is ValueError and str(info.value) == message
 
 
 def test_critical_eta_matches_determinant_bisection():

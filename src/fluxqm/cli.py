@@ -189,12 +189,11 @@ def _columns_spectrum(parsed):
 
 def _row_spectrum(parsed):
     p, cfg = parsed["p"], parsed["cfg"]
-    sol = linearmode.squeeze_solution(p)
     return {
-        "omega_dressed": sol.omega_dressed,
-        "chi": sol.chi,
-        "squeeze_r": sol.squeeze_r,
-        "var_x": sol.variance_x(),
+        "omega_dressed": linearmode.dressed_frequency(p),
+        "chi": linearmode.induced_coupling(p),
+        "squeeze_r": linearmode.squeeze_parameter(p),
+        "var_x": linearmode.quadrature_variances(p)[0],
         **_level_cells("e", (linearmode.sector_energy(p, cfg, k) for k in range(parsed["n_levels"]))),
     }
 
@@ -443,7 +442,7 @@ def _row_oracle_check(parsed):
     analytic = [linearmode.sector_energy(p, cfg, k) for k in range(parsed["n_levels"])]
     report = oracle.oracle_spectrum(p, cfg, cutoff=parsed["cutoff"],
                                     n_levels=parsed["n_levels"])
-    comparison = oracle.compare_spectra(analytic, report, parsed["tol"], scale=p.hbar_omega)
+    max_rel_error = oracle.compare_spectra(analytic, report.levels, scale=p.hbar_omega)
     return {
         "case": parsed["case"],
         "n_particles": cfg.n_particles,
@@ -451,8 +450,8 @@ def _row_oracle_check(parsed):
         "g_eff": p.g_eff,
         "phi": p.phi,
         "orbitals": "|".join(str(m) for m in cfg.orbitals),
-        "max_rel_error": comparison.max_rel_error,
-        "passed": comparison.passed and report.converged,
+        "max_rel_error": max_rel_error,
+        "passed": max_rel_error <= parsed["tol"] and report.converged,
     }
 
 
@@ -714,9 +713,13 @@ def run(config: RunConfig) -> int:
 
     # each evaluated dict is replaced by its output row, keyed in column order, so one copy exists
     failed = False
+    name_set = set(names)
     for i, row in enumerate(rows):
         if config.scan_param is not None:
             row.setdefault(config.scan_param, config.scan_values[i])
+        # a row key that misses its column would otherwise leave an empty cell in an ok row
+        if row["status"] == "ok" and row.keys() != name_set:
+            raise RuntimeError(f"{config.command} row keys do not match its columns: {sorted(row.keys() ^ name_set)}")
         rows[i] = {name: row.get(name) for name in names}
         failed = failed or rows[i]["status"] != "ok" or rows[i].get("passed") is False
 

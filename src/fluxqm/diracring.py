@@ -163,7 +163,8 @@ def critical_flux_dirac(p: DiracParams) -> float:
 
     phi_c^2 = hbar_omega / (4 g_d eps0 - 2 D_eff); the stiffness-saturated
     coupling never reaches threshold once 2 D_eff >= 4 g_d eps0.  A phi_c
-    that overflows (a subnormal eps0) raises ValueError.
+    that overflows (a subnormal eps0) or underflows to 0 (a subnormal
+    hbar_omega) raises ValueError.
     """
     denom = 4.0 * p.degeneracy * p.eps0 - 2.0 * p.d_eff
     if denom <= 0:
@@ -172,7 +173,7 @@ def critical_flux_dirac(p: DiracParams) -> float:
             f"coupling below the branch stiffness (need 4 g_d eps0 > 2 D_eff)"
         )
     phi_c = math.sqrt(p.hbar_omega / denom)
-    _check_finite(phi_c=phi_c)
+    _check_positive(phi_c=phi_c)
     return phi_c
 
 

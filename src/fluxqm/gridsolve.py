@@ -81,7 +81,7 @@ def bound_states(
     kinetic_coef: float,
     n_levels: int,
 ):
-    """One fixed-grid second-order finite-difference solve; returns (levels, grid, states)."""
+    """One fixed-grid second-order finite-difference solve; returns the lowest ``n_levels`` levels."""
     n_points = _check_grid(x_min, x_max, n_points, kinetic_coef, n_levels)
     from scipy.linalg import eigh_tridiagonal
 
@@ -89,8 +89,7 @@ def bound_states(
     h = x[1] - x[0]
     diag = 2.0 * kinetic_coef / h**2 + potential(x)
     offdiag = np.full(n_points - 1, -kinetic_coef / h**2)
-    levels, states = eigh_tridiagonal(diag, offdiag, select="i", select_range=(0, n_levels - 1))
-    return levels, x, states
+    return eigh_tridiagonal(diag, offdiag, eigvals_only=True, select="i", select_range=(0, n_levels - 1))
 
 
 def _check_walls(states):

@@ -20,64 +20,32 @@ Sector energies are exact:
 
 where W = sum m_i^2.  The trailing constant is the number-operator zero
 point, so these values equal brute-force spectra with no offset.
+
+Each normal-mode quantity has one function: ``dressed_frequency``,
+``induced_coupling``, ``squeeze_parameter`` and ``quadrature_variances``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import FermionConfig, ModelParams, _check_int, _check_non_negative, _check_positive
+from .core import FermionConfig, ModelParams, _check_finite, _check_int
 
 __all__ = [
-    "AnalyticSolution",
     "dressed_frequency",
     "induced_coupling",
-    "squeeze_solution",
+    "squeeze_parameter",
+    "quadrature_variances",
     "sector_energy",
     "mode_displacement",
 ]
 
 
-@dataclass(frozen=True)
-class AnalyticSolution:
-    """Exact normal-mode data of the linear model at fixed couplings.
-
-    The properties ``omega_dressed = sqrt(alpha beta)`` (the dressed quantum
-    hbar*Omega in E0) and ``squeeze_r = ln(beta/alpha)/4`` follow from
-    ``alpha`` and ``beta``.
-    """
-
-    chi: float
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        _check_positive(alpha=self.alpha, beta=self.beta)
-        if self.beta < self.alpha:
-            raise ValueError(f"beta >= alpha required, got beta={self.beta}, alpha={self.alpha}")
-        _check_non_negative(chi=self.chi)
-
-    @property
-    def omega_dressed(self) -> float:
-        return math.sqrt(self.alpha * self.beta)
-
-    @property
-    def squeeze_r(self) -> float:
-        return 0.25 * math.log(self.beta / self.alpha)
-
-    def variance_x(self) -> float:
-        """Ground-state variance of x = (a + a^dag)/sqrt(2): squeezed below 1/2."""
-        return 0.5 * math.exp(-2.0 * self.squeeze_r)
-
-    def variance_p(self) -> float:
-        """Conjugate quadrature variance; the product with variance_x is 1/4."""
-        return 0.5 * math.exp(2.0 * self.squeeze_r)
-
-
 def _stiffness(p: ModelParams) -> float:
-    """Mode stiffness beta = hbar_omega + 4 g N phi^2: the bare quantum plus the diamagnetic term."""
-    return p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    """Mode stiffness beta = hbar_omega + 4 g N phi^2 (bare quantum plus diamagnetic term); raises if it overflows."""
+    beta = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    _check_finite(beta=beta)
+    return beta
 
 
 def dressed_frequency(p: ModelParams) -> float:
@@ -97,9 +65,18 @@ def induced_coupling(p: ModelParams) -> float:
     return 4.0 * p.g**2 * p.phi**2 / _stiffness(p)
 
 
-def squeeze_solution(p: ModelParams) -> AnalyticSolution:
-    """Full normal-mode solution: dressed quantum, chi and squeeze parameter."""
-    return AnalyticSolution(chi=induced_coupling(p), alpha=p.hbar_omega, beta=_stiffness(p))
+def squeeze_parameter(p: ModelParams) -> float:
+    """Squeeze parameter r = ln(beta / alpha) / 4 of the cavity ground state, alpha = hw, beta = D."""
+    return 0.25 * math.log(_stiffness(p) / p.hbar_omega)
+
+
+def quadrature_variances(p: ModelParams) -> tuple[float, float]:
+    """Ground-state variances (0.5 e^{-2r}, 0.5 e^{2r}) of x = (a + a^dag)/sqrt(2) and its conjugate.
+
+    x is squeezed below the vacuum 1/2 and the product is 1/4.
+    """
+    r = squeeze_parameter(p)
+    return 0.5 * math.exp(-2.0 * r), 0.5 * math.exp(2.0 * r)
 
 
 def sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:

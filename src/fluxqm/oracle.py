@@ -17,15 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
-from .core import FermionConfig, ModelParams, _check_int, _check_non_negative, _check_positive
+from .core import FermionConfig, ModelParams, _check_int, _check_positive
 
 __all__ = [
     "OracleReport",
-    "SpectrumComparison",
     "GroundStateMoments",
     "oracle_spectrum",
     "ground_state_moments",
@@ -48,16 +47,6 @@ class OracleReport:
     cutoff_used: int
     converged: bool
     max_rel_change: float
-
-
-@dataclass(frozen=True)
-class SpectrumComparison:
-    """Per-level comparison of an analytic spectrum against oracle levels."""
-
-    passed: bool
-    rel_errors: tuple[float, ...]
-    max_rel_error: float
-    argmax_level: int
 
 
 @dataclass(frozen=True)
@@ -138,7 +127,7 @@ def oracle_spectrum(
     levels = lowest(cutoff)
     if check_convergence:
         refined = lowest(2 * cutoff)
-        max_change = compare_spectra(levels, refined, _RTOL, scale=p.hbar_omega).max_rel_error
+        max_change = compare_spectra(levels, refined, scale=p.hbar_omega)
         return OracleReport(
             levels=tuple(float(v) for v in refined),
             cutoff_used=2 * cutoff,
@@ -172,31 +161,17 @@ def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) 
     )
 
 
-def compare_spectra(
-    analytic: Sequence[float],
-    oracle: Union[OracleReport, Sequence[float]],
-    tol: float,
-    scale: float = 1.0,
-) -> SpectrumComparison:
-    """Level-by-level check of analytic values against oracle eigenvalues.
+def compare_spectra(analytic: Sequence[float], levels: Sequence[float], scale: float = 1.0) -> float:
+    """Worst level-by-level relative error of analytic values against oracle eigenvalues.
 
     Relative error of level i is |a_i - o_i| / max(scale, |o_i|); the
-    ``scale`` floor keeps levels at or near zero comparable.  ``tol`` must be
-    finite and >= 0, ``scale`` finite and > 0, and the spectra equally long and not empty.
+    ``scale`` floor keeps levels at or near zero comparable.  ``scale`` must be
+    finite and > 0, and the spectra equally long and not empty.
     """
-    _check_non_negative(tol=tol)
     _check_positive(scale=scale)
     a = np.asarray(analytic, dtype=float)
-    levels = oracle.levels if isinstance(oracle, OracleReport) else oracle
     o = np.asarray(levels, dtype=float)
     if a.shape != o.shape:
         raise ValueError(f"spectrum length mismatch: {a.shape} vs {o.shape}")
     _check_int(len(o), "spectrum length", lo=1)
-    rel = np.abs(a - o) / np.maximum(scale, np.abs(o))
-    worst = int(np.argmax(rel))
-    return SpectrumComparison(
-        passed=bool(rel[worst] <= tol),
-        rel_errors=tuple(float(r) for r in rel),
-        max_rel_error=float(rel[worst]),
-        argmax_level=worst,
-    )
+    return float(np.max(np.abs(a - o) / np.maximum(scale, np.abs(o))))

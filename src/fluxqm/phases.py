@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import FermionConfig, ModelParams, _check_finite, _check_int
+from .core import FermionConfig, ModelParams, _check_int, _check_positive
 from .errors import NoTransitionError
 from .linearmode import induced_coupling, mode_displacement, sector_energy
 
@@ -104,7 +104,7 @@ def critical_flux(p: ModelParams) -> float:
     phi_c = sqrt(g_eff hbar_omega / (4 g N (g - g_eff))).  Since chi saturates
     at g/N, the crossing exists only for g > g_eff (effective mass heavier
     than bare).  A phi_c that floats cannot hold (the denominator underflows
-    to 0, or the result overflows) raises ValueError.
+    to 0, or the result overflows or underflows to 0) raises ValueError.
     """
     if p.g <= p.g_eff:
         raise NoTransitionError(
@@ -113,7 +113,7 @@ def critical_flux(p: ModelParams) -> float:
         )
     denom = 4.0 * p.g * p.n_particles * (p.g - p.g_eff)  # underflows to 0 for tiny g
     phi_c = math.sqrt(p.g_eff * p.hbar_omega / denom) if denom else math.inf
-    _check_finite(phi_c=phi_c)
+    _check_positive(phi_c=phi_c)
     return phi_c
 
 

@@ -33,12 +33,12 @@ from fluxqm import (
     locking_ratio,
     optimal_chirality,
     oracle_spectrum,
+    quadrature_variances,
     rf_squid_map,
     sector_constants,
     sector_energy,
     sector_spectrum_fock,
     sector_spectrum_xrep,
-    squeeze_solution,
 )
 from fluxqm.cli import main as cli_main
 
@@ -59,10 +59,10 @@ def test_criterion_1_analytic_oracle_equivalence():
             assert max(abs(m) for m in cfg.orbitals) <= 3
             analytic = [sector_energy(p, cfg, k) for k in range(6)]
             report = oracle_spectrum(p, cfg, cutoff=400, n_levels=6, check_convergence=False)
-            result = compare_spectra(analytic, report, tol=1e-8, scale=1.0)
-            worst = max(worst, result.max_rel_error)
+            max_rel_error = compare_spectra(analytic, report.levels, scale=1.0)
+            worst = max(worst, max_rel_error)
             points += 1
-            assert result.passed, (n, ratio, phi, cfg.orbitals, result.max_rel_error)
+            assert max_rel_error <= 1e-8, (n, ratio, phi, cfg.orbitals, max_rel_error)
     elapsed = time.perf_counter() - start
     ok = points >= 50 and worst <= 1e-8 and elapsed <= 60.0
     _report(
@@ -84,13 +84,13 @@ def test_criterion_2_squeezing_identities():
             n_particles=int(rng.integers(1, 10)),
             hbar_omega=float(rng.uniform(0.2, 4.0)),
         )
-        sol = squeeze_solution(p)
-        worst_product = max(worst_product, abs(sol.variance_x() * sol.variance_p() - 0.25))
+        var_x, var_p = quadrature_variances(p)
+        worst_product = max(worst_product, abs(var_x * var_p - 0.25))
     worst_var = 0.0
     for g, phi, n, orbitals in ((0.75, 1.0, 1, (1,)), (0.5, 1.5, 3, (-1, 0, 1)), (2.0, 0.7, 2, (0, 2))):
         p = ModelParams(g=g, g_eff=1.0, phi=phi, n_particles=n, hbar_omega=1.0)
         moments = ground_state_moments(p, FermionConfig(orbitals), cutoff=300)
-        worst_var = max(worst_var, abs(moments.var_x - squeeze_solution(p).variance_x()))
+        worst_var = max(worst_var, abs(moments.var_x - quadrature_variances(p)[0]))
     ok = worst_product <= 1e-12 and worst_var <= 1e-6
     _report(
         "criterion 2 (squeezing identities)",

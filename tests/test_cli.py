@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,12 +18,15 @@ from fluxqm import (
     critical_flux_spin,
     dressed_frequency,
     ground_state_search,
+    induced_coupling,
     optimal_chirality,
     oracle_spectrum,
+    quadrature_variances,
     rf_squid_map,
     sector_constants,
+    sector_energy,
     sector_spectrum_fock,
-    squeeze_solution,
+    squeeze_parameter,
 )
 from fluxqm import cli
 from fluxqm.cli import main
@@ -273,6 +277,19 @@ def test_overflowing_dirac_coupling_flags_its_row(tmp_path):
     assert row["chi"] == row["energy"] == row["j_opt"] == ""
 
 
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--set", "orbitals=-1,0,1"],
+    ["phase-scan", "--set", "n_particles=3"],
+    ["spin-phase", "--set", "n_particles=3", "--set", "eta=1.0"],
+], ids=["spectrum", "phase-scan", "spin-phase"])
+def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args):
+    # phi = 1e154 overflows the mode stiffness to inf; phase-scan and spin-phase once wrote NaN rows with status=ok
+    out = tmp_path / "overflow.csv"
+    assert run_cli(*args, "--set", "phi=1e154", "--out", str(out), "--jobs", "1") == 1
+    _, header, rows = read_csv(out)
+    assert rows[0][header.index("status")] == "error: ValueError: beta must be finite, got inf"
+
+
 def test_csv_and_json_write_the_same_rows(tmp_path):
     # row 0 (phi = -1) is flagged, so its cells are empty in CSV and null in JSON
     args = ["nonlinear", "--set", "n_particles=3", "--set", "alpha4=0.05", "--set", "n_levels=2",
@@ -315,19 +332,29 @@ def test_unknown_command_is_usage_error(tmp_path):
 
 def test_spectrum_row_matches_api(tmp_path):
     out = tmp_path / "spectrum.csv"
-    code = run_cli("spectrum", "--set", "orbitals=-1,0,1", "--set", "g=0.6",
-                   "--set", "g_eff=0.8", "--set", "phi=0.9", "--set", "n_levels=3",
-                   "--out", str(out), "--jobs", "1")
-    assert code == 0
-    comments, header, rows = read_csv(out)
-    assert "# schema_version = 1" in comments
-    assert any(c.startswith("# column omega_dressed:") for c in comments)
-    assert len(rows) == 1
-    row = dict(zip(header, rows[0]))
-    p = ModelParams(g=0.6, g_eff=0.8, phi=0.9, n_particles=3)
-    assert float(row["omega_dressed"]) == dressed_frequency(p)
-    assert float(row["chi"]) == squeeze_solution(p).chi
-    assert row["status"] == "ok"
+    for spins, eta in ((None, 0.0), ((1, 1, -1), 0.3)):
+        spin_args = ("--set", f"spins={','.join(map(str, spins))}", "--set", f"eta={eta}") if spins else ()
+        code = run_cli("spectrum", "--set", "orbitals=-1,0,1", "--set", "g=0.6",
+                       "--set", "g_eff=0.8", "--set", "phi=0.9", "--set", "n_levels=3", *spin_args,
+                       "--out", str(out), "--jobs", "1")
+        assert code == 0
+        comments, header, rows = read_csv(out)
+        assert "# schema_version = 1" in comments
+        assert any(c.startswith("# column omega_dressed:") for c in comments)
+        assert len(rows) == 1
+        p = ModelParams(g=0.6, g_eff=0.8, phi=0.9, n_particles=3, eta=eta)
+        cfg = FermionConfig([-1, 0, 1], spins)
+        expected = {
+            "omega_dressed": dressed_frequency(p),
+            "chi": induced_coupling(p),
+            "squeeze_r": squeeze_parameter(p),
+            "var_x": quadrature_variances(p)[0],
+            **{f"e{k}": sector_energy(p, cfg, k) for k in range(3)},
+        }
+        # every cell, bit for bit: the CSV writes repr(float), which round-trips
+        assert header == [*expected, "status"]
+        assert [float(cell) for cell in rows[0][:-1]] == list(expected.values()), spins
+        assert rows[0][-1] == "ok"
 
 
 def test_spinful_spectrum_equals_the_oracle_levels(tmp_path):
@@ -408,7 +435,10 @@ def test_closed_forms_are_written_only_on_their_own_axis(tmp_path, args):
     ["dirac-scan", "--set", "n_electrons=8", "--set", "eps0=1e-320"],
     # ... or N^2 g (g_eff - g) underflows to 0, while its sign says eta = 2 drives a transition
     ["spin-phase", "--set", "n_particles=3", "--set", "g=1e-300", "--set", "g_eff=2e-300", "--set", "eta=2.0"],
-], ids=["phase-scan", "dirac-scan", "phase-scan-underflow", "dirac-scan-overflow", "spin-phase-underflow"])
+    # ... or g_eff hbar_omega underflows to 0, so the root is 0.0, not phi_c ~ 2.5e-166
+    ["phase-scan", "--set", "n_particles=1", "--set", "g=2", "--set", "g_eff=1e-300", "--set", "hbar_omega=1e-30"],
+], ids=["phase-scan", "dirac-scan", "phase-scan-underflow", "dirac-scan-overflow", "spin-phase-underflow",
+        "phase-scan-root-underflow"])
 def test_phi_axis_without_a_transition_writes_no_closed_form(tmp_path, args):
     out = tmp_path / "scan.csv"
     code = run_cli(*args, "--set", "scan_param=phi", "--set", "scan_min=0", "--set", "scan_max=2",
@@ -457,6 +487,22 @@ def test_failed_points_flag_rows_and_exit_one(tmp_path, monkeypatch):
     status_idx = header.index("status")
     assert len(rows) == 3
     assert all(r[status_idx].startswith("error: ConvergenceError: anharmonic levels not converged") for r in rows)
+
+
+def test_misnamed_row_key_fails_the_run_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    # a row key that differs from its column name once left that column empty with status=ok and exit 0
+    def misnamed_row(parsed):
+        row = cli._row_dirac_scan(parsed)
+        row["chi_critical"] = row.pop("chi_crit")
+        return row
+
+    monkeypatch.setitem(cli._COMMANDS, "dirac-scan", replace(cli._COMMANDS["dirac-scan"], row=misnamed_row))
+    out = tmp_path / "dirac.csv"
+    code = run_cli("dirac-scan", "--set", "n_electrons=8", "--set", "scan_param=phi", "--set", "scan_min=0",
+                   "--set", "scan_max=1", "--set", "scan_steps=3", "--out", str(out), "--jobs", "1")
+    assert code == 1
+    assert not out.exists()
+    assert "row keys do not match its columns: ['chi_crit', 'chi_critical']" in capsys.readouterr().err
 
 
 def test_oracle_check_default_suite_passes(tmp_path):

@@ -9,7 +9,6 @@ from scipy.constants import hbar
 from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring, diracring, gridsolve, kerr, linearmode
 from fluxqm import oracle, phases, tbring
 from fluxqm.diracring import ChiralSector, DiracParams, diamagnetic_stiffness
-from fluxqm.linearmode import AnalyticSolution
 
 
 def test_si_constants_equal_scipy():
@@ -150,7 +149,6 @@ _RANGE_RULE_ENTRIES = [
     (diamagnetic_stiffness, dict(eps0=1.0, filling=0.5, n_sites=10, phi=0.3), ("eps0", "phi")),
     (tbring.displacement_matrix_element, dict(m=1, n=2, lam=0.5), ("lam",)),
     (tbring.displacement_operator, dict(lam=0.5, cutoff=4), ("lam",)),
-    (AnalyticSolution, dict(chi=0.1, alpha=1.0, beta=2.0), ("chi", "alpha", "beta")),
     # a non-finite c_coef was once blamed on the closed-form root: "x0 must be finite"
     (kerr.QuarticSector, dict(m_total=1, alpha4=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0),
      ("a_coef", "b_coef", "c_coef")),

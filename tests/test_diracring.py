@@ -211,6 +211,13 @@ def test_critical_flux_existence_boundary():
         critical_flux_dirac(p)
 
 
+def test_critical_flux_that_underflows_to_zero_raises():
+    # hbar_omega / (4 g_d eps0) underflows to 0.0 for a subnormal hbar_omega, which once returned phi_c = 0.0
+    p = DiracParams(eps0=1.0, hbar_omega=5e-324, phi=0.0, n_electrons=1)
+    with pytest.raises(ValueError, match="^phi_c must be positive, got 0.0$"):
+        critical_flux_dirac(p)
+
+
 def test_critical_flux_lattice_value_and_scan_bracket():
     p = _p(eps0=1.0, hbar_omega=1.0, degeneracy=4, d_eff=0.1)
     phi_c = critical_flux_dirac(p)

@@ -35,12 +35,12 @@ from fluxqm import (
     hessian,
     optimal_chirality,
     oracle_spectrum,
+    quadrature_variances,
     rf_squid_map,
     rf_squid_spectrum,
     sector_constants,
     sector_energy,
     sector_spectrum_fock,
-    squeeze_solution,
 )
 from fluxqm import cli, gridsolve
 from fluxqm.core import HBAR
@@ -84,8 +84,9 @@ def test_squid_energies_obey_the_junction_map(occupied, t, eta, hbar_omega):
 
 @PROPERTY
 @given(model_params())
-def test_normal_mode_quantum_equals_dressed_frequency(p):
-    assert squeeze_solution(p).omega_dressed == dressed_frequency(p)
+def test_squeezed_variance_is_the_bare_over_the_dressed_quantum(p):
+    # 0.5 e^{-2r} with r = ln(D / hbar_omega) / 4 is 0.5 sqrt(hbar_omega / D) = hbar_omega / (2 hbar_Omega)
+    assert math.isclose(quadrature_variances(p)[0], 0.5 * p.hbar_omega / dressed_frequency(p), rel_tol=1e-12)
 
 
 @PROPERTY
@@ -203,8 +204,8 @@ def assert_sector_levels_match_the_oracle(cfg, g, g_eff, phi, hbar_omega, eta):
     report = oracle_spectrum(p, cfg, n_levels=6, check_convergence=True)
     assert report.converged, report.max_rel_change
     analytic = [sector_energy(p, cfg, k) for k in range(6)]
-    result = compare_spectra(analytic, report, tol=1e-8, scale=hbar_omega)
-    assert result.passed, result.max_rel_error
+    max_rel_error = compare_spectra(analytic, report.levels, scale=hbar_omega)
+    assert max_rel_error <= 1e-8, max_rel_error
 
 
 @settings(PROPERTY, max_examples=50)
@@ -268,7 +269,7 @@ def test_junction_levels_match_finite_differences_and_the_fock_basis(occupied, t
 
     coarse, fine = (
         gridsolve.bound_states(potential, squid.phi_ext - half_span, squid.phi_ext + half_span, n,
-                               4.0 * squid.e_c, 5)[0]
+                               4.0 * squid.e_c, 5)
         for n in (2049, 4097)
     )
     assert np.max(np.abs(levels - (4.0 * fine - coarse) / 3.0)) <= 1e-7

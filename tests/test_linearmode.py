@@ -12,8 +12,9 @@ from fluxqm import (
     induced_coupling,
     mode_displacement,
     oracle_spectrum,
+    quadrature_variances,
     sector_energy,
-    squeeze_solution,
+    squeeze_parameter,
 )
 
 
@@ -51,6 +52,22 @@ def test_dressed_frequency_never_below_bare():
         )
 
 
+@pytest.mark.parametrize("entry", [
+    dressed_frequency,
+    induced_coupling,
+    squeeze_parameter,
+    quadrature_variances,
+    lambda p: sector_energy(p, FermionConfig([-1, 0, 1])),
+    lambda p: mode_displacement(p, 1),
+], ids=["dressed_frequency", "induced_coupling", "squeeze_parameter", "quadrature_variances",
+        "sector_energy", "mode_displacement"])
+def test_stiffness_overflow_is_rejected(entry):
+    # 4 g N phi^2 overflows to inf without raising; chi = inf / inf once made the sector energies NaN
+    p = ModelParams(g=1.0, g_eff=1.0, phi=1e154, n_particles=3)
+    with pytest.raises(ValueError, match="^beta must be finite, got inf$"):
+        entry(p)
+
+
 def test_induced_coupling_zero_flux():
     p = ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=2)
     assert induced_coupling(p) == 0.0
@@ -76,10 +93,9 @@ def test_induced_coupling_saturates_below_g_over_n():
 
 
 def test_squeeze_vacuum_limit():
-    sol = squeeze_solution(ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=3))
-    assert sol.squeeze_r == 0.0
-    assert sol.variance_x() == pytest.approx(0.5, rel=1e-15)
-    assert sol.variance_p() == pytest.approx(0.5, rel=1e-15)
+    p = ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=3)
+    assert squeeze_parameter(p) == 0.0
+    assert quadrature_variances(p) == (0.5, 0.5)
 
 
 def test_uncertainty_product_is_quarter():
@@ -92,18 +108,18 @@ def test_uncertainty_product_is_quarter():
             n_particles=int(rng.integers(1, 9)),
             hbar_omega=float(rng.uniform(0.2, 4.0)),
         )
-        sol = squeeze_solution(p)
-        assert sol.variance_x() * sol.variance_p() == pytest.approx(0.25, abs=1e-12)
+        var_x, var_p = quadrature_variances(p)
+        assert var_x * var_p == pytest.approx(0.25, abs=1e-12)
+        assert var_x <= 0.5 <= var_p
 
 
 def test_squeeze_parameter_quarter_log4_and_oracle_variance():
     # beta/alpha = 4 at 4 g phi^2 N = 3 hbar_omega
     p = ModelParams(g=0.75, g_eff=1.0, phi=1.0, n_particles=1, hbar_omega=1.0)
-    sol = squeeze_solution(p)
-    assert sol.squeeze_r == pytest.approx(0.25 * math.log(4.0), rel=1e-14)
-    assert sol.squeeze_r == pytest.approx(0.34657359027997264, rel=1e-12)
+    assert squeeze_parameter(p) == pytest.approx(0.25 * math.log(4.0), rel=1e-14)
+    assert squeeze_parameter(p) == pytest.approx(0.34657359027997264, rel=1e-12)
     moments = ground_state_moments(p, FermionConfig([1]), cutoff=240)
-    assert abs(moments.var_x - sol.variance_x()) <= 1e-6
+    assert abs(moments.var_x - quadrature_variances(p)[0]) <= 1e-6
 
 
 def test_sector_energy_trivial_zero():
@@ -133,8 +149,7 @@ def test_sector_energy_matches_oracle_ladder():
     cfg = FermionConfig([0, 1])
     analytic = [sector_energy(p, cfg, n) for n in range(6)]
     report = oracle_spectrum(p, cfg, cutoff=300, n_levels=6, check_convergence=False)
-    result = compare_spectra(analytic, report, tol=1e-8, scale=p.hbar_omega)
-    assert result.passed, result
+    assert compare_spectra(analytic, report.levels, scale=p.hbar_omega) <= 1e-8
 
 
 def test_sector_energy_exhaustive_small_instances():
@@ -150,8 +165,8 @@ def test_sector_energy_exhaustive_small_instances():
                 analytic = [sector_energy(p, cfg, k) for k in range(3)]
                 report = oracle_spectrum(p, cfg, cutoff=200, n_levels=3,
                                          check_convergence=False)
-                result = compare_spectra(analytic, report, tol=1e-8, scale=p.hbar_omega)
-                assert result.passed, (orbs, g, phi, result.max_rel_error)
+                max_rel_error = compare_spectra(analytic, report.levels, scale=p.hbar_omega)
+                assert max_rel_error <= 1e-8, (orbs, g, phi, max_rel_error)
 
 
 def test_sector_energy_rejects_negative_photon_index():
@@ -168,7 +183,7 @@ def test_mode_displacement_sign_and_value_against_oracle():
     assert predicted > 0  # positive M displaces toward positive quadrature
     assert moments.displacement == pytest.approx(predicted, rel=1e-8)
     # total quanta = coherent part + squeezing part
-    r = squeeze_solution(p).squeeze_r
+    r = squeeze_parameter(p)
     assert moments.photon_number == pytest.approx(predicted**2 + math.sinh(r) ** 2, rel=1e-6)
 
 
@@ -187,9 +202,10 @@ def test_solution_internal_consistency():
             n_particles=int(rng.integers(1, 7)),
             hbar_omega=float(rng.uniform(0.3, 3.0)),
         )
-        sol = squeeze_solution(p)
-        assert sol.beta >= sol.alpha > 0
-        assert sol.omega_dressed == pytest.approx(math.sqrt(sol.alpha * sol.beta), rel=1e-13)
+        # hbar_Omega = sqrt(alpha beta) and r = ln(beta / alpha) / 4 give hbar_Omega = alpha e^{2r}
+        r = squeeze_parameter(p)
+        assert r >= 0.0
+        assert dressed_frequency(p) == pytest.approx(p.hbar_omega * math.exp(2.0 * r), rel=1e-13)
 
 
 @pytest.mark.parametrize("entry", [

@@ -156,36 +156,32 @@ def test_ground_state_moments_photon_number_decoupled():
 
 
 def test_compare_identical_lists_pass():
-    result = compare_spectra([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], tol=1e-12)
-    assert result.passed
-    assert result.max_rel_error == 0.0
+    assert compare_spectra([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
 
 
 def test_compare_fault_injection_localizes_error():
     clean = [0.5, 1.5, 2.5, 3.5, 4.5]
     dirty = list(clean)
     dirty[3] += 1e-3
-    result = compare_spectra(dirty, clean, tol=1e-6)
-    assert not result.passed
-    assert result.argmax_level == 3
-    assert result.max_rel_error == pytest.approx(1e-3 / 3.5, rel=1e-6)
+    # relative to level 3's 3.5, not to any other level's magnitude
+    assert compare_spectra(dirty, clean) == pytest.approx(1e-3 / 3.5, rel=1e-6)
 
 
 def test_compare_length_mismatch_is_usage_error():
     with pytest.raises(ValueError):
-        compare_spectra([1.0, 2.0], [1.0, 2.0, 3.0], tol=1e-6)
+        compare_spectra([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("levels, kwargs, message", [
-    # a NaN tol once failed identical spectra, scale=0 on a zero level gave max_rel_error=nan,
-    # and empty spectra failed inside numpy with "attempt to get argmax of an empty sequence"
-    ([0.0, 2.0], dict(tol=math.nan), "tol must be finite, got nan"),
-    ([0.0, 2.0], dict(tol=-1e-9), "tol must be non-negative, got -1e-09"),
-    ([0.0, 2.0], dict(tol=1e-6, scale=0.0), "scale must be positive, got 0.0"),
-    ([0.0, 2.0], dict(tol=1e-6, scale=-1.0), "scale must be positive, got -1.0"),
-    ([0.0, 2.0], dict(tol=1e-6, scale=math.inf), "scale must be finite, got inf"),
-    ([0.0, 2.0], dict(tol=1e-6, scale=math.nan), "scale must be finite, got nan"),
-    ([], dict(tol=1e-6), "spectrum length must be >= 1, got 0"),
+    # scale=0 on a zero level gave max_rel_error=nan, and empty spectra failed inside numpy
+    # with "attempt to get argmax of an empty sequence"
+    ([0.0, 2.0], dict(scale=-0.0), "scale must be positive, got -0.0"),
+    ([0.0, 2.0], dict(scale=-math.inf), "scale must be finite, got -inf"),
+    ([0.0, 2.0], dict(scale=0.0), "scale must be positive, got 0.0"),
+    ([0.0, 2.0], dict(scale=-1.0), "scale must be positive, got -1.0"),
+    ([0.0, 2.0], dict(scale=math.inf), "scale must be finite, got inf"),
+    ([0.0, 2.0], dict(scale=math.nan), "scale must be finite, got nan"),
+    ([], {}, "spectrum length must be >= 1, got 0"),
 ])
 def test_compare_checks_its_inputs_by_name(levels, kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -263,12 +263,15 @@ def test_sector_table_keeps_first_row_of_each_sector(n, m_max):
     assert m2.tolist() == [float(mk * mk) for mk, _ in sectors]
 
 
-@pytest.mark.parametrize("phi_c", [
+@pytest.mark.parametrize("phi_c, message", [
     # 4 g N (g - g_eff) underflows to 0.0, where the division once raised ZeroDivisionError
-    lambda: critical_flux(ModelParams(g=1e-300, g_eff=5e-301, phi=0.0, n_particles=3)),
+    (lambda: critical_flux(ModelParams(g=1e-300, g_eff=5e-301, phi=0.0, n_particles=3)), "finite, got inf"),
     # hbar_omega / (4 g_d eps0) overflows before the square root, which once gave inf for ~2.5e159
-    lambda: critical_flux_dirac(DiracParams(eps0=1e-320, hbar_omega=1.0, phi=0.0, n_electrons=8)),
-], ids=["phases", "diracring"])
-def test_unrepresentable_critical_flux_raises(phi_c):
-    with pytest.raises(ValueError, match="^phi_c must be finite, got inf$"):
+    (lambda: critical_flux_dirac(DiracParams(eps0=1e-320, hbar_omega=1.0, phi=0.0, n_electrons=8)), "finite, got inf"),
+    # g_eff hbar_omega = 1e-330 underflows to 0.0, so the root was once 0.0 where phi_c ~ 2.5e-166
+    (lambda: critical_flux(ModelParams(g=2.0, g_eff=1e-300, phi=0.0, n_particles=1, hbar_omega=1e-30)),
+     "positive, got 0.0"),
+], ids=["phases", "diracring", "phases-underflow"])
+def test_unrepresentable_critical_flux_raises(phi_c, message):
+    with pytest.raises(ValueError, match=f"^phi_c must be {message}$"):
         phi_c()

@@ -42,7 +42,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import diracring, kerr, linearmode, oracle, phases, spinorbit, tbring
 from .core import FermionConfig, ModelParams, _check_int, _check_non_negative
@@ -167,44 +167,37 @@ def _model_params(ps: ParamSet, n_particles: int, spin: bool = False) -> ModelPa
     )
 
 
-def _parse_spectrum(ps):
+class _Point(NamedTuple):
+    """One parsed point of a command: what its row writes, and how the run treats it."""
+
+    columns: tuple  # (name, description) pairs, level families included
+    row: Callable[[], dict]  # evaluates the point's row
+    p: object = None  # the model whose closed-form thresholds a scan's summary reads
+    diagonalises: bool = False  # only runs whose rows diagonalise use the worker pool
+
+
+def _spectrum(ps):
     orbitals = ps.int_list("orbitals")
     spins = ps.int_list("spins", None)
     n_levels = ps.int("n_levels", 6)
     p = _model_params(ps, len(orbitals), spin=spins is not None)
     ps.finish()
     _check_int(n_levels, "n_levels", lo=1)
-    return {"p": p, "cfg": FermionConfig(orbitals, spins), "n_levels": n_levels}
-
-
-def _columns_spectrum(parsed):
-    return [
+    cfg = FermionConfig(orbitals, spins)
+    columns = (
         ("omega_dressed", "dressed cavity quantum hbar*Omega, units of E0"),
         ("chi", "induced collective coupling"),
         ("squeeze_r", "squeeze parameter of the cavity ground state"),
         ("var_x", "ground-state variance of x = (a+a^dag)/sqrt(2)"),
-        *_level_columns("e", "sector level {k} (photon index {k})", parsed["n_levels"]),
-    ]
-
-
-def _row_spectrum(parsed):
-    p, cfg = parsed["p"], parsed["cfg"]
-    return {
+        *_level_columns("e", "sector level {k} (photon index {k})", n_levels),
+    )
+    return _Point(columns, lambda: {
         "omega_dressed": linearmode.dressed_frequency(p),
         "chi": linearmode.induced_coupling(p),
         "squeeze_r": linearmode.squeeze_parameter(p),
         "var_x": linearmode.quadrature_variances(p)[0],
-        **_level_cells("e", (linearmode.sector_energy(p, cfg, k) for k in range(parsed["n_levels"]))),
-    }
-
-
-def _parse_phase_scan(ps):
-    n = ps.int("n_particles")
-    m_max = ps.int("m_max", 8)
-    p = _model_params(ps, n)
-    ps.finish()
-    phases._check_window(n, m_max)
-    return {"p": p, "m_max": m_max}
+        **_level_cells("e", (linearmode.sector_energy(p, cfg, k) for k in range(n_levels))),
+    }, p)
 
 
 _PHASE_COLUMNS = (
@@ -219,25 +212,26 @@ _PHASE_COLUMNS = (
 )
 
 
-def _row_phase_scan(parsed):
-    gs = phases.ground_state_search(parsed["p"], parsed["m_max"])
-    return {
-        "m_total": gs.order_m,
-        "w_kinetic": gs.config.w_kinetic,
-        "energy": gs.energy,
-        "displacement_a": gs.displacement_a,
-        "photon_number": gs.photon_number,
-        "phase": gs.phase_label,
-        "boundary_contact": gs.boundary_contact,
-        "orbitals": "|".join(str(m) for m in gs.config.orbitals),
-    }
-
-
-def _parse_spin_phase(ps):
+def _phase_scan(ps):
     n = ps.int("n_particles")
-    p = _model_params(ps, n, spin=True)
+    m_max = ps.int("m_max", 8)
+    p = _model_params(ps, n)
     ps.finish()
-    return {"p": p}
+    phases._check_window(n, m_max)
+
+    def row():
+        gs = phases.ground_state_search(p, m_max)
+        return {
+            "m_total": gs.order_m,
+            "w_kinetic": gs.config.w_kinetic,
+            "energy": gs.energy,
+            "displacement_a": gs.displacement_a,
+            "photon_number": gs.photon_number,
+            "phase": gs.phase_label,
+            "boundary_contact": gs.boundary_contact,
+            "orbitals": "|".join(str(m) for m in gs.config.orbitals),
+        }
+    return _Point(_PHASE_COLUMNS, row, p)
 
 
 _SPIN_COLUMNS = (
@@ -251,34 +245,24 @@ _SPIN_COLUMNS = (
 )
 
 
-def _row_spin_phase(parsed):
-    rep = spinorbit.hessian(parsed["p"])
-    low, high = rep.eigenvalues
-    soft_m, soft_s = rep.soft_vector
-    return {
-        "determinant": rep.determinant,
-        "eig_low": low,
-        "eig_high": high,
-        "stable": low > 0,
-        "soft_m": soft_m,
-        "soft_sigma": soft_s,
-        "locking_ratio": spinorbit.locking_ratio(parsed["p"]),
-    }
-
-
-def _parse_dirac_scan(ps):
-    p = diracring.DiracParams(
-        eps0=ps.float("eps0", 1.0),
-        hbar_omega=ps.float("hbar_omega", 1.0),
-        phi=ps.float("phi", 0.0),
-        n_electrons=ps.int("n_electrons"),
-        degeneracy=ps.int("degeneracy", 4),
-        d_eff=ps.float("d_eff", 0.0),
-    )
-    j_max = ps.int("j_max", p.n_electrons)
+def _spin_phase(ps):
+    p = _model_params(ps, ps.int("n_particles"), spin=True)
     ps.finish()
-    diracring._check_j_max(j_max, p.n_electrons)
-    return {"p": p, "j_max": j_max}
+
+    def row():
+        rep = spinorbit.hessian(p)
+        low, high = rep.eigenvalues
+        soft_m, soft_s = rep.soft_vector
+        return {
+            "determinant": rep.determinant,
+            "eig_low": low,
+            "eig_high": high,
+            "stable": low > 0,
+            "soft_m": soft_m,
+            "soft_sigma": soft_s,
+            "locking_ratio": spinorbit.locking_ratio(p),
+        }
+    return _Point(_SPIN_COLUMNS, row, p)
 
 
 _DIRAC_COLUMNS = (
@@ -292,23 +276,36 @@ _DIRAC_COLUMNS = (
 )
 
 
-def _row_dirac_scan(parsed):
-    p = parsed["p"]
-    chi = diracring.induced_coupling_dirac(p)
-    j_opt = diracring.optimal_chirality(p, chi, parsed["j_max"])
-    amp, photons = diracring.flux_displacement(j_opt, p)
-    return {
-        "chi": chi,
-        "chi_crit": p.branch_stiffness,
-        "j_opt": j_opt,
-        "energy": diracring.effective_energy(j_opt, p, chi),
-        "displacement_a": amp,
-        "photon_number": photons,
-        "phase": "balanced" if j_opt == 0 else "polarized",
-    }
+def _dirac_scan(ps):
+    p = diracring.DiracParams(
+        eps0=ps.float("eps0", 1.0),
+        hbar_omega=ps.float("hbar_omega", 1.0),
+        phi=ps.float("phi", 0.0),
+        n_electrons=ps.int("n_electrons"),
+        degeneracy=ps.int("degeneracy", 4),
+        d_eff=ps.float("d_eff", 0.0),
+    )
+    j_max = ps.int("j_max", p.n_electrons)
+    ps.finish()
+    diracring._check_j_max(j_max, p.n_electrons)
+
+    def row():
+        chi = diracring.induced_coupling_dirac(p)
+        j_opt = diracring.optimal_chirality(p, chi, j_max)
+        amp, photons = diracring.flux_displacement(j_opt, p)
+        return {
+            "chi": chi,
+            "chi_crit": p.branch_stiffness,
+            "j_opt": j_opt,
+            "energy": diracring.effective_energy(j_opt, p, chi),
+            "displacement_a": amp,
+            "photon_number": photons,
+            "phase": "balanced" if j_opt == 0 else "polarized",
+        }
+    return _Point(_DIRAC_COLUMNS, row, p)
 
 
-def _parse_nonlinear(ps):
+def _nonlinear(ps):
     n = ps.int("n_particles")
     m_total = ps.int("m_total", 0)
     alpha4 = ps.float("alpha4", 0.0)
@@ -316,37 +313,28 @@ def _parse_nonlinear(ps):
     p = _model_params(ps, n)
     ps.finish()
     _check_int(n_levels, "n_levels", 0, kerr._MAX_LEVELS)  # 0: no anharmonic levels
-    return {"p": p, "sector": kerr.displacement_root(m_total, p, alpha4), "n_levels": n_levels}
-
-
-def _columns_nonlinear(parsed):
-    return [
+    sector = kerr.displacement_root(m_total, p, alpha4)
+    columns = (
         ("m_total", "fermion-sector total angular momentum"),
         ("x0", "quadrature displacement of the sector minimum"),
         ("b_eff", "curvature coefficient of the displaced potential"),
         ("beta3", "residual cubic coefficient"),
         ("v_eff", "sector offset of the displaced potential"),
         ("omega_ratio", "curvature spacing Omega(M) over the bare quantum"),
-        *_level_columns("eps", "anharmonic level {k} of the residual block", parsed["n_levels"]),
-    ]
-
-
-def _row_nonlinear(parsed):
-    p, sector = parsed["p"], parsed["sector"]
-    row = {
+        *_level_columns("eps", "anharmonic level {k} of the residual block", n_levels),
+    )
+    return _Point(columns, lambda: {
         "m_total": sector.m_total,
         "x0": sector.x0,
         "b_eff": sector.b_eff,
         "beta3": sector.beta3,
         "v_eff": sector.v_eff,
         "omega_ratio": kerr.gaussian_frequency(sector) / p.hbar_omega,
-    }
-    if parsed["n_levels"]:
-        row.update(_level_cells("eps", kerr.anharmonic_spectrum(sector, n_levels=parsed["n_levels"])))
-    return row
+        **_level_cells("eps", kerr.anharmonic_spectrum(sector, n_levels=n_levels) if n_levels else ()),
+    }, p, n_levels > 0)
 
 
-def _parse_tbjj(ps):
+def _tbjj(ps):
     m_sites = ps.int("m_sites")
     occupied = ps.int_list("occupied")
     t = ps.float("t", 1.0)
@@ -360,11 +348,8 @@ def _parse_tbjj(ps):
     _check_int(n_levels, "n_levels", 1, tbring._MAX_LEVELS)
     sector = tbring.sector_constants(occupied, m_sites)
     squid = tbring.rf_squid_map(sector, t, eta, hbar_omega)
-    return {"sector": sector, "squid": squid, "t": t, "n_levels": n_levels, "solver": solver}
-
-
-def _columns_tbjj(parsed):
-    cols = [
+    both = solver == "both"
+    columns = (
         ("c_sum", "occupied-momentum cosine sum C"),
         ("s_sum", "occupied-momentum sine sum S"),
         ("e_j_amp", "sqrt(C^2 + S^2)"),
@@ -373,17 +358,11 @@ def _columns_tbjj(parsed):
         ("e_l", "inductive energy hbar_omega / eta^2"),
         ("e_c", "charging energy hbar_omega eta^2 / 8"),
         ("beta_ratio", "double-well parameter E_J / E_L"),
-        *_level_columns("fock_e", "sector level {k}, Fock-basis solver", parsed["n_levels"]),
-    ]
-    if parsed["solver"] == "both":
-        cols += _level_columns("xrep_e", "sector level {k}, real-space solver (carries +hbar_omega/2)",
-                               parsed["n_levels"])
-    return cols
-
-
-def _row_tbjj(parsed):
-    sector, squid, t = parsed["sector"], parsed["squid"], parsed["t"]
-    row = {
+        *_level_columns("fock_e", "sector level {k}, Fock-basis solver", n_levels),
+        *_level_columns("xrep_e", "sector level {k}, real-space solver (carries +hbar_omega/2)",
+                        n_levels if both else 0),
+    )
+    return _Point(columns, lambda: {
         "c_sum": sector.c_sum,
         "s_sum": sector.s_sum,
         "e_j_amp": sector.e_j_amp,
@@ -392,13 +371,11 @@ def _row_tbjj(parsed):
         "e_l": squid.e_l,
         "e_c": squid.e_c,
         "beta_ratio": squid.beta_ratio,
-    }
-    row.update(_level_cells("fock_e", tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega,
-                                                                  n_levels=parsed["n_levels"])))
-    if parsed["solver"] == "both":
-        row.update(_level_cells("xrep_e", tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega,
-                                                                      n_levels=parsed["n_levels"])))
-    return row
+        **_level_cells("fock_e", tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega,
+                                                             n_levels=n_levels)),
+        **_level_cells("xrep_e", tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega,
+                                                             n_levels=n_levels) if both else ()),
+    }, diagonalises=True)
 
 
 # oracle-check: a fixed self-test suite comparing closed forms and brute force.
@@ -408,22 +385,6 @@ _ORACLE_SUITE = tuple(
     for ratio in (0.5, 2.0)
     for phi in (0.0, 0.8)
 )
-
-
-def _parse_oracle_check(ps):
-    case = ps.int("case")
-    tol = ps.float("tol", 1e-8)
-    cutoff = ps.int("cutoff", 300)
-    n_levels = ps.int("n_levels", 6)
-    hbar_omega = ps.float("hbar_omega", 1.0)
-    ps.finish()
-    oracle._check_cutoff(cutoff, n_levels)
-    _check_non_negative(tol=tol)
-    orbitals, ratio, phi = _ORACLE_SUITE[case]
-    cfg = FermionConfig(orbitals)
-    p = ModelParams(g=ratio, g_eff=1.0, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
-    return {"case": case, "p": p, "cfg": cfg, "tol": tol, "cutoff": cutoff, "n_levels": n_levels}
-
 
 _ORACLE_COLUMNS = (
     ("case", "index into the built-in comparison suite"),
@@ -437,25 +398,37 @@ _ORACLE_COLUMNS = (
 )
 
 
-def _row_oracle_check(parsed):
-    p, cfg = parsed["p"], parsed["cfg"]
-    analytic = [linearmode.sector_energy(p, cfg, k) for k in range(parsed["n_levels"])]
-    report = oracle.oracle_spectrum(p, cfg, cutoff=parsed["cutoff"],
-                                    n_levels=parsed["n_levels"])
-    max_rel_error = oracle.compare_spectra(analytic, report.levels, scale=p.hbar_omega)
-    return {
-        "case": parsed["case"],
-        "n_particles": cfg.n_particles,
-        "g": p.g,
-        "g_eff": p.g_eff,
-        "phi": p.phi,
-        "orbitals": "|".join(str(m) for m in cfg.orbitals),
-        "max_rel_error": max_rel_error,
-        "passed": max_rel_error <= parsed["tol"] and report.converged,
-    }
+def _oracle_check(ps):
+    case = ps.int("case")
+    tol = ps.float("tol", 1e-8)
+    cutoff = ps.int("cutoff", 300)
+    n_levels = ps.int("n_levels", 6)
+    hbar_omega = ps.float("hbar_omega", 1.0)
+    ps.finish()
+    oracle._check_cutoff(cutoff, n_levels)
+    _check_non_negative(tol=tol)
+    orbitals, ratio, phi = _ORACLE_SUITE[case]
+    cfg = FermionConfig(orbitals)
+    p = ModelParams(g=ratio, g_eff=1.0, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
+
+    def row():
+        analytic = [linearmode.sector_energy(p, cfg, k) for k in range(n_levels)]
+        report = oracle.oracle_spectrum(p, cfg, cutoff=cutoff, n_levels=n_levels)
+        max_rel_error = oracle.compare_spectra(analytic, report.levels, scale=p.hbar_omega)
+        return {
+            "case": case,
+            "n_particles": cfg.n_particles,
+            "g": p.g,
+            "g_eff": p.g_eff,
+            "phi": p.phi,
+            "orbitals": "|".join(str(m) for m in cfg.orbitals),
+            "max_rel_error": max_rel_error,
+            "passed": max_rel_error <= tol and report.converged,
+        }
+    return _Point(_ORACLE_COLUMNS, row, p, True)
 
 
-def _scan_summary(cmd, parsed, scan_param, values, rows):
+def _scan_summary(cmd, p, scan_param, values, rows):
     """Bracket of the first change in the command's jump column between adjacent good rows, and the
     closed-form threshold of the scan axis, if the model has one (another axis would move it by point)."""
     summary = {}
@@ -469,7 +442,7 @@ def _scan_summary(cmd, parsed, scan_param, values, rows):
             break
     if scan_param in cmd.closed_forms:
         try:
-            summary[f"{scan_param}_c_closed_form"] = cmd.closed_forms[scan_param](parsed["p"])
+            summary[f"{scan_param}_c_closed_form"] = cmd.closed_forms[scan_param](p)
         except ValueError:  # no transition (NoTransitionError), or a threshold that floats cannot hold
             pass
     return summary
@@ -477,33 +450,24 @@ def _scan_summary(cmd, parsed, scan_param, values, rows):
 
 @dataclass(frozen=True)
 class _Command:
-    parse: Callable  # ParamSet -> parsed config
-    columns: Callable
-    row: Callable
+    parse: Callable  # ParamSet -> _Point
     jump_column: Optional[str] = None  # a scan's summary brackets the first change of this column
-    closed_forms: dict = field(default_factory=dict)  # scan axis -> its closed-form threshold, of parsed["p"]
+    closed_forms: dict = field(default_factory=dict)  # scan axis -> its closed-form threshold, of the point's p
     fixed_cases: tuple = ()  # a fixed suite of case indices replaces the scan
-    # whether the rows of a parsed config diagonalise; only those runs use the worker pool
-    diagonalises: Callable = lambda parsed: False
     # modules the rows import; a pool imports them once before it forks, so its workers share them
     row_imports: tuple = ()
 
 
 _COMMANDS = {
-    "spectrum": _Command(_parse_spectrum, _columns_spectrum, _row_spectrum),
-    "phase-scan": _Command(_parse_phase_scan, lambda parsed: list(_PHASE_COLUMNS), _row_phase_scan,
-                           "phase", {"phi": phases.critical_flux}),
-    "spin-phase": _Command(_parse_spin_phase, lambda parsed: list(_SPIN_COLUMNS), _row_spin_phase,
-                           "stable", {"eta": spinorbit.critical_eta, "phi": spinorbit.critical_flux_spin}),
-    "dirac-scan": _Command(_parse_dirac_scan, lambda parsed: list(_DIRAC_COLUMNS), _row_dirac_scan,
-                           "phase", {"phi": diracring.critical_flux_dirac}),
-    "nonlinear": _Command(_parse_nonlinear, _columns_nonlinear, _row_nonlinear,
-                          diagonalises=lambda parsed: parsed["n_levels"] > 0),
-    "tbjj": _Command(_parse_tbjj, _columns_tbjj, _row_tbjj, diagonalises=lambda parsed: True),
-    "oracle-check": _Command(_parse_oracle_check, lambda parsed: list(_ORACLE_COLUMNS),
-                             _row_oracle_check,
-                             fixed_cases=tuple(range(len(_ORACLE_SUITE))),
-                             diagonalises=lambda parsed: True, row_imports=("scipy.linalg",)),
+    "spectrum": _Command(_spectrum),
+    "phase-scan": _Command(_phase_scan, "phase", {"phi": phases.critical_flux}),
+    "spin-phase": _Command(_spin_phase, "stable",
+                           {"eta": spinorbit.critical_eta, "phi": spinorbit.critical_flux_spin}),
+    "dirac-scan": _Command(_dirac_scan, "phase", {"phi": diracring.critical_flux_dirac}),
+    "nonlinear": _Command(_nonlinear),
+    "tbjj": _Command(_tbjj),
+    "oracle-check": _Command(_oracle_check, fixed_cases=tuple(range(len(_ORACLE_SUITE))),
+                             row_imports=("scipy.linalg",)),
 }
 
 
@@ -521,7 +485,7 @@ def _eval_point(task):
     command, params, key, value = task
     cmd = _COMMANDS[command]
     try:
-        row = cmd.row(cmd.parse(_point(params, key, value)))
+        row = cmd.parse(_point(params, key, value)).row()
         row["status"] = "ok"
         return row
     except Exception as exc:
@@ -666,7 +630,7 @@ def build_run_config(command, params, out, fmt, jobs) -> RunConfig:
 
 
 def _first_parse(cmd: _Command, params, key, values):
-    """The ParamSet and parsed config of the first point that parses; when none does, its first error as a UsageError."""
+    """The ParamSet and _Point of the first point that parses; when none does, its first error as a UsageError."""
     first_error = None
     for value in values:
         ps = _point(params, key, value)
@@ -685,15 +649,15 @@ def run(config: RunConfig) -> int:
     # a point is its scan value, its suite case, or the single point of a run without a scan
     key, values = ("case", cmd.fixed_cases) if cmd.fixed_cases else (config.scan_param, config.scan_values or (None,))
     # validate the configuration before spawning any workers
-    ps, first_parsed = _first_parse(cmd, config.params, key, values)
+    ps, first = _first_parse(cmd, config.params, key, values)
     if config.scan_param in ps.ints:
         # the parse reads the scanned key as an integer, so the grid is rounded and written as integers
         config = replace(config, scan_values=tuple(round(v) for v in config.scan_values))
         values = config.scan_values
-    columns = list(cmd.columns(first_parsed))
+    columns = list(first.columns)
     # every row is written under the first point's columns; the only scannable key that shapes them,
     # n_levels, adds columns as it grows, so the first and last points that parse bound them all
-    if len(values) > 1 and columns != cmd.columns(_first_parse(cmd, config.params, key, values[::-1])[1]):
+    if len(values) > 1 and first.columns != _first_parse(cmd, config.params, key, values[::-1])[1].columns:
         raise UsageError(f"scanning '{key}' changes the output columns; run each value on its own")
     if config.scan_param is not None and config.scan_param not in {name for name, _ in columns}:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))
@@ -703,7 +667,7 @@ def run(config: RunConfig) -> int:
     tasks = ((config.command, config.params, key, value) for value in values)
     jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
     # closed-form rows take microseconds: a pool would only add start-up and pickling
-    if not cmd.diagonalises(first_parsed) or jobs == 1 or len(values) == 1:
+    if not first.diagonalises or jobs == 1 or len(values) == 1:
         rows = list(map(_eval_point, tasks))
     else:
         for module in cmd.row_imports:
@@ -725,7 +689,7 @@ def run(config: RunConfig) -> int:
 
     summary = {}
     if cmd.jump_column is not None and config.scan_param is not None and len(rows) > 1:
-        summary = _scan_summary(cmd, first_parsed, config.scan_param, config.scan_values, rows)
+        summary = _scan_summary(cmd, first.p, config.scan_param, config.scan_values, rows)
 
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         if config.format == "csv":

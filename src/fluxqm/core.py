@@ -45,6 +45,14 @@ def _check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _square(x: float, name: str) -> float:
+    """``x**2``, raising ValueError naming ``name``, the quantity it feeds, where float ``**`` overflows."""
+    try:
+        return x**2  # not x * x, which can differ in the last bit
+    except OverflowError:  # where x * x would give inf
+        raise ValueError(f"{name} must be finite, but {x}**2 overflows") from None
+
+
 def _check_int(value, name: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
     """Return ``value`` as an int, raising ValueError naming ``name`` unless it is an integer in [lo, hi].
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import _check_finite, _check_int, _check_non_negative, _check_positive
+from .core import _check_finite, _check_int, _check_non_negative, _check_positive, _square
 from .errors import NoTransitionError
 
 _BERRY_SHIFT = 0.5  # half-integer offset of the ring levels eps0 |m + 1/2|
@@ -72,7 +72,7 @@ class DiracParams:
     @property
     def mode_stiffness(self) -> float:
         """Cavity stiffness hbar_omega + 2 D_eff phi^2 that the chirality drive displaces."""
-        return self.hbar_omega + 2.0 * self.d_eff * self.phi**2
+        return self.hbar_omega + 2.0 * self.d_eff * _square(self.phi, "mode_stiffness")
 
 
 @dataclass(frozen=True)
@@ -137,7 +137,7 @@ def induced_coupling_dirac(p: DiracParams) -> float:
     chi = lambda^2 / hbar_omega; a finite stiffness saturates the coupling.
     """
     lam = p.coupling_lambda
-    chi = lam**2 / p.mode_stiffness
+    chi = _square(lam, "chi") / p.mode_stiffness
     _check_finite(chi=chi)  # eps0 * phi can overflow to inf without raising
     return chi
 

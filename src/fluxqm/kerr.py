@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive
+from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive, _square
 from .gridsolve import _refine
 
 __all__ = [
@@ -105,7 +105,7 @@ def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSec
         m_total=m_total,
         alpha4=alpha4,
         a_coef=0.25 * p.hbar_omega,
-        b_coef=0.25 * p.hbar_omega + p.g * p.phi**2 * p.n_particles,
+        b_coef=0.25 * p.hbar_omega + p.g * _square(p.phi, "b_coef") * p.n_particles,
         c_coef=2.0 * p.g * p.phi,
     )
 

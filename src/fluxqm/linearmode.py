@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FermionConfig, ModelParams, _check_finite, _check_int
+from .core import FermionConfig, ModelParams, _check_finite, _check_int, _square
 
 __all__ = [
     "dressed_frequency",
@@ -43,7 +43,7 @@ __all__ = [
 
 def _stiffness(p: ModelParams) -> float:
     """Mode stiffness beta = hbar_omega + 4 g N phi^2 (bare quantum plus diamagnetic term); raises if it overflows."""
-    beta = p.hbar_omega + 4.0 * p.g * p.n_particles * p.phi**2
+    beta = p.hbar_omega + 4.0 * p.g * p.n_particles * _square(p.phi, "beta")
     _check_finite(beta=beta)
     return beta
 
@@ -54,7 +54,9 @@ def dressed_frequency(p: ModelParams) -> float:
     The quadratic flux term only stiffens the mode, so Omega >= omega with
     equality at phi = 0 (or g = 0 in the decoupled limit).
     """
-    return math.sqrt(p.hbar_omega * _stiffness(p))
+    hbar_Omega = math.sqrt(p.hbar_omega * _stiffness(p))
+    _check_finite(hbar_Omega=hbar_Omega)
+    return hbar_Omega
 
 
 def induced_coupling(p: ModelParams) -> float:
@@ -62,12 +64,14 @@ def induced_coupling(p: ModelParams) -> float:
 
     Monotone in phi, saturating at g/N as phi grows.
     """
-    return 4.0 * p.g**2 * p.phi**2 / _stiffness(p)
+    return 4.0 * _square(p.g, "chi") * _square(p.phi, "chi") / _stiffness(p)
 
 
 def squeeze_parameter(p: ModelParams) -> float:
     """Squeeze parameter r = ln(beta / alpha) / 4 of the cavity ground state, alpha = hw, beta = D."""
-    return 0.25 * math.log(_stiffness(p) / p.hbar_omega)
+    r = 0.25 * math.log(_stiffness(p) / p.hbar_omega)
+    _check_finite(r=r)
+    return r
 
 
 def quadrature_variances(p: ModelParams) -> tuple[float, float]:
@@ -93,13 +97,15 @@ def sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
         raise ValueError(f"configuration has {cfg.n_particles} particles, but n_particles = {p.n_particles}")
     orbital = 2.0 * p.g * p.phi * cfg.m_total
     zeeman = 0.5 * p.eta * cfg.sigma_total
-    return (
+    energy = (
         p.g_eff * cfg.w_kinetic
         - induced_coupling(p) * cfg.m_total**2
         - zeeman * (2.0 * orbital + zeeman) / _stiffness(p)
         + dressed_frequency(p) * (n + 0.5)
         - 0.5 * p.hbar_omega
     )
+    _check_finite(energy=energy)
+    return energy
 
 
 def mode_displacement(p: ModelParams, m_total: int) -> float:

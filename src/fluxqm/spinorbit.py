@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, _check_positive
+from .core import ModelParams, _check_positive, _square
 from .errors import NoTransitionError
 from .linearmode import _stiffness
 
@@ -84,9 +84,9 @@ def hessian(p: ModelParams) -> HessianReport:
     d_stiff = _stiffness(p)
     n = p.n_particles
     return HessianReport(
-        mm=2.0 * p.g_eff / n - 8.0 * p.g**2 * p.phi**2 / d_stiff,
+        mm=2.0 * p.g_eff / n - 8.0 * _square(p.g, "mm") * _square(p.phi, "mm") / d_stiff,
         ms=-4.0 * p.g * p.phi * p.eta / d_stiff,
-        ss=0.5 * p.g_eff * n - 2.0 * p.eta**2 / d_stiff,
+        ss=0.5 * p.g_eff * n - 2.0 * _square(p.eta, "ss") / d_stiff,
     )
 
 
@@ -104,7 +104,7 @@ def critical_eta(p: ModelParams) -> float:
     hold (it overflows, or underflows to 0) raises ValueError.
     """
     a, b = _threshold_terms(p)
-    radicand = a + b * p.phi**2
+    radicand = a + b * _square(p.phi, "eta_c")
     if p.g_eff < p.g and radicand <= 0:  # a > 0, so only a negative b closes the window
         raise NoTransitionError(f"no Zeeman-driven instability for g={p.g}, g_eff={p.g_eff}, phi={p.phi}: "
                                 "the orbital channel is already unstable (hessian(p).mm <= 0)")
@@ -123,7 +123,7 @@ def critical_flux_spin(p: ModelParams) -> float:
     if p.g_eff == p.g:
         raise ValueError("g_eff = g makes the flux dependence drop out; the threshold is critical_eta(p)")
     a, b = _threshold_terms(p)
-    excess = p.eta**2 - a
+    excess = _square(p.eta, "phi_c") - a
     if not (excess > 0 if p.g_eff > p.g else excess < 0):  # the signs decide, not a quotient that underflowed
         raise NoTransitionError(f"no flux-driven instability for eta={p.eta}, g={p.g}, g_eff={p.g_eff}: "
                                 "the determinant condition has no real root in phi")
@@ -143,7 +143,7 @@ def locking_ratio(p: ModelParams) -> float:
     """
     d_stiff = _stiffness(p)
     num = 2.0 * p.g * p.phi * p.eta
-    den = p.g_eff * d_stiff / p.n_particles - 4.0 * p.g**2 * p.phi**2
+    den = p.g_eff * d_stiff / p.n_particles - 4.0 * _square(p.g, "locking_ratio") * _square(p.phi, "locking_ratio")
     if den == 0.0:
         return math.copysign(math.inf, num) if num != 0.0 else math.inf
     return num / den

@@ -277,17 +277,66 @@ def test_overflowing_dirac_coupling_flags_its_row(tmp_path):
     assert row["chi"] == row["energy"] == row["j_opt"] == ""
 
 
-@pytest.mark.parametrize("args", [
-    ["spectrum", "--set", "orbitals=-1,0,1"],
-    ["phase-scan", "--set", "n_particles=3"],
-    ["spin-phase", "--set", "n_particles=3", "--set", "eta=1.0"],
-], ids=["spectrum", "phase-scan", "spin-phase"])
-def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args):
+@pytest.mark.parametrize("args, message", [
     # phi = 1e154 overflows the mode stiffness to inf; phase-scan and spin-phase once wrote NaN rows with status=ok
+    (["spectrum", "--set", "orbitals=-1,0,1", "--set", "phi=1e154"], "beta must be finite, got inf"),
+    (["phase-scan", "--set", "n_particles=3", "--set", "phi=1e154"], "beta must be finite, got inf"),
+    (["spin-phase", "--set", "n_particles=3", "--set", "eta=1.0", "--set", "phi=1e154"],
+     "beta must be finite, got inf"),
+    # the closed forms below once wrote inf cells with status=ok: hbar_omega * D overflows in the dressed quantum ...
+    (["spectrum", "--set", "orbitals=0", "--set", "hbar_omega=1e200"], "hbar_Omega must be finite, got inf"),
+    (["phase-scan", "--set", "n_particles=3", "--set", "hbar_omega=1e200"], "hbar_Omega must be finite, got inf"),
+    # ... the Zeeman term of the sector energy overflows ...
+    (["spectrum", "--set", "orbitals=0,1", "--set", "spins=1,1", "--set", "eta=1e200"],
+     "energy must be finite, got -inf"),
+    # ... and D / hbar_omega overflows for a subnormal hbar_omega (var_x read 0.0)
+    (["spectrum", "--set", "orbitals=0", "--set", "hbar_omega=1e-320", "--set", "phi=1"], "r must be finite, got inf"),
+], ids=["spectrum", "phase-scan", "spin-phase", "spectrum-dressed-quantum", "phase-scan-dressed-quantum",
+        "spectrum-zeeman-energy", "spectrum-squeeze"])
+def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     out = tmp_path / "overflow.csv"
-    assert run_cli(*args, "--set", "phi=1e154", "--out", str(out), "--jobs", "1") == 1
+    assert run_cli(*args, "--out", str(out), "--jobs", "1") == 1
     _, header, rows = read_csv(out)
-    assert rows[0][header.index("status")] == "error: ValueError: beta must be finite, got inf"
+    assert rows[0][header.index("status")] == f"error: ValueError: {message}"
+    assert set(rows[0][:-1]) == {""}  # no cell holds inf
+
+
+@pytest.mark.parametrize("args, code, message", [
+    (["nonlinear", "--set", "n_particles=3", "--set", "phi=1e160"], 2,
+     "b_coef must be finite, but 1e+160**2 overflows"),
+    (["spin-phase", "--set", "n_particles=3", "--set", "phi=1e160", "--set", "eta=1"], 1,
+     "beta must be finite, but 1e+160**2 overflows"),
+    (["spin-phase", "--set", "n_particles=3", "--set", "eta=1e200"], 1, "ss must be finite, but 1e+200**2 overflows"),
+    (["phase-scan", "--set", "n_particles=3", "--set", "g=1e200", "--set", "phi=1"], 1,
+     "chi must be finite, but 1e+200**2 overflows"),
+    (["dirac-scan", "--set", "n_electrons=4", "--set", "eps0=1e200", "--set", "phi=1"], 1,
+     "chi must be finite, but 1e+200**2 overflows"),
+], ids=["nonlinear", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan"])
+def test_overflowing_square_names_its_quantity(tmp_path, capsys, args, code, message):
+    # float ** raises OverflowError where * gives inf; these once reported "(34, 'Numerical result out of range')"
+    out = tmp_path / "overflow.csv"
+    assert run_cli(*args, "--out", str(out), "--jobs", "1") == code
+    if code == 2:  # the fixed point fails in the parse, so no point can run
+        assert capsys.readouterr().err == f"fluxqm: error: {message}\n"
+        assert not out.exists()
+    else:
+        _, header, rows = read_csv(out)
+        assert rows[0][header.index("status")] == f"error: ValueError: {message}"
+
+
+@pytest.mark.parametrize("args", [
+    ["--set", "phi=1e160", "--set", "scan_param=eta"],
+    ["--set", "eta=1e200", "--set", "g_eff=2", "--set", "scan_param=phi"],
+], ids=["eta-axis", "phi-axis"])
+def test_threshold_whose_square_overflows_writes_no_closed_form(tmp_path, args):
+    # the threshold's OverflowError once ended the run with exit 1 and no file
+    out = tmp_path / "scan.csv"
+    code = run_cli("spin-phase", "--set", "n_particles=3", *args, "--set", "scan_min=0", "--set", "scan_max=1",
+                   "--set", "scan_steps=2", "--out", str(out), "--jobs", "1")
+    assert code == 1
+    comments, header, rows = read_csv(out)
+    assert len(rows) == 2 and all(row[header.index("status")].startswith("error: ValueError: ") for row in rows)
+    assert [line for line in comments if "closed_form" in line] == []
 
 
 def test_csv_and_json_write_the_same_rows(tmp_path):
@@ -491,12 +540,18 @@ def test_failed_points_flag_rows_and_exit_one(tmp_path, monkeypatch):
 
 def test_misnamed_row_key_fails_the_run_and_writes_no_file(tmp_path, monkeypatch, capsys):
     # a row key that differs from its column name once left that column empty with status=ok and exit 0
-    def misnamed_row(parsed):
-        row = cli._row_dirac_scan(parsed)
-        row["chi_critical"] = row.pop("chi_crit")
-        return row
+    parse = cli._COMMANDS["dirac-scan"].parse
 
-    monkeypatch.setitem(cli._COMMANDS, "dirac-scan", replace(cli._COMMANDS["dirac-scan"], row=misnamed_row))
+    def misnamed_parse(ps):
+        point = parse(ps)
+
+        def row():
+            cells = point.row()
+            cells["chi_critical"] = cells.pop("chi_crit")
+            return cells
+        return point._replace(row=row)
+
+    monkeypatch.setitem(cli._COMMANDS, "dirac-scan", replace(cli._COMMANDS["dirac-scan"], parse=misnamed_parse))
     out = tmp_path / "dirac.csv"
     code = run_cli("dirac-scan", "--set", "n_electrons=8", "--set", "scan_param=phi", "--set", "scan_min=0",
                    "--set", "scan_max=1", "--set", "scan_steps=3", "--out", str(out), "--jobs", "1")

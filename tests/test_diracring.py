@@ -118,6 +118,14 @@ def test_coupling_overflow_is_rejected():
         induced_coupling_dirac(_p(eps0=1e300, phi=1e10, n_electrons=3))
 
 
+def test_overflowing_square_names_its_quantity():
+    # float ** raises OverflowError where * would give inf
+    with pytest.raises(ValueError, match=r"^chi must be finite, but 1e\+200\*\*2 overflows$"):
+        induced_coupling_dirac(_p(eps0=1e200, phi=1.0))
+    with pytest.raises(ValueError, match=r"^mode_stiffness must be finite, but 1e\+160\*\*2 overflows$"):
+        _p(phi=1e160, d_eff=1.0).mode_stiffness
+
+
 def test_coupling_saturation_with_stiffness():
     weak = induced_coupling_dirac(_p(phi=1.0, d_eff=1e6))
     assert weak < 1e-5

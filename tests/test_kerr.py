@@ -130,6 +130,12 @@ def test_root_overflow_names_x0():
         displacement_root(10**6, p, 1e200)
 
 
+def test_overflowing_square_names_b_coef():
+    # float ** raises OverflowError where * would give inf
+    with pytest.raises(ValueError, match=r"^b_coef must be finite, but 1e\+160\*\*2 overflows$"):
+        displacement_root(0, _p(phi=1e160), 0.0)
+
+
 def test_gaussian_frequency_matches_linear_model_at_zero_momentum():
     p = _p()
     sector = displacement_root(0, p, 0.0)

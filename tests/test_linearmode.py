@@ -68,6 +68,33 @@ def test_stiffness_overflow_is_rejected(entry):
         entry(p)
 
 
+_HUGE_QUANTUM = ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=1, hbar_omega=1e200)
+_SUBNORMAL_QUANTUM = ModelParams(g=1.0, g_eff=1.0, phi=1.0, n_particles=1, hbar_omega=1e-320)
+
+
+@pytest.mark.parametrize("entry, p, message", [
+    # hbar_omega * D overflows, although hbar_Omega = 1e200
+    (dressed_frequency, _HUGE_QUANTUM, "hbar_Omega must be finite, got inf"),
+    (lambda p: sector_energy(p, FermionConfig([0])), _HUGE_QUANTUM, "hbar_Omega must be finite, got inf"),
+    # D / hbar_omega overflows, although r is about 184.5
+    (squeeze_parameter, _SUBNORMAL_QUANTUM, "r must be finite, got inf"),
+    (quadrature_variances, _SUBNORMAL_QUANTUM, "r must be finite, got inf"),
+    # the Zeeman term eta S (4 g phi M + eta S) / D overflows
+    (lambda p: sector_energy(p, FermionConfig([0, 1], [1, 1])),
+     ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=2, eta=1e200), "energy must be finite, got -inf"),
+    # float ** raises OverflowError where * would give inf
+    (dressed_frequency, ModelParams(g=1.0, g_eff=1.0, phi=1e160, n_particles=3),
+     "beta must be finite, but 1e+160**2 overflows"),
+    (induced_coupling, ModelParams(g=1e200, g_eff=1.0, phi=1.0, n_particles=3),
+     "chi must be finite, but 1e+200**2 overflows"),
+], ids=["dressed_frequency", "sector_energy-quantum", "squeeze_parameter", "quadrature_variances",
+        "sector_energy-zeeman", "beta-square", "chi-square"])
+def test_result_that_floats_cannot_hold_raises(entry, p, message):
+    with pytest.raises(ValueError) as info:
+        entry(p)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
 def test_induced_coupling_zero_flux():
     p = ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=2)
     assert induced_coupling(p) == 0.0

@@ -147,10 +147,25 @@ def test_critical_eta_at_unequal_couplings():
     (critical_eta, _p(g=1e300, g_eff=1e300, n_particles=30, hbar_omega=1e300), "eta_c must be finite, got inf"),
     # N g_eff hw / 4 underflows to 0, although eta_c = 5e-201 is a float
     (critical_eta, _p(g=1e-200, g_eff=1e-200, n_particles=1, hbar_omega=1e-200), "eta_c must be positive, got 0.0"),
-], ids=["phi_c-overflow", "eta_c-overflow", "eta_c-underflow"])
+    # float ** raises OverflowError where * would give inf
+    (critical_eta, _p(phi=1e160), "eta_c must be finite, but 1e+160**2 overflows"),
+    (critical_flux_spin, _p(g_eff=2.0, eta=1e200), "phi_c must be finite, but 1e+200**2 overflows"),
+], ids=["phi_c-overflow", "eta_c-overflow", "eta_c-underflow", "eta_c-square-overflow", "phi_c-square-overflow"])
 def test_threshold_that_floats_cannot_hold_raises(threshold, p, message):
     with pytest.raises(ValueError) as info:
         threshold(p)
+    assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("entry, p, message", [
+    (hessian, _p(g=1e200, phi=1.0), "mm must be finite, but 1e+200**2 overflows"),
+    (hessian, _p(eta=1e200), "ss must be finite, but 1e+200**2 overflows"),
+    (locking_ratio, _p(g=1e200, phi=1.0, eta=1.0), "locking_ratio must be finite, but 1e+200**2 overflows"),
+], ids=["mm", "ss", "locking_ratio"])
+def test_overflowing_square_names_its_quantity(entry, p, message):
+    # float ** raises OverflowError where * would give inf
+    with pytest.raises(ValueError) as info:
+        entry(p)
     assert type(info.value) is ValueError and str(info.value) == message
 
 

@@ -153,3 +153,14 @@ def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, co
     argv = [command, *_LOADS_SCIPY[command], "--out", "out.csv", "--jobs", "2"]
     result = run_recording_pool(argv, tmp_path)
     assert result == {"code": 0, "seen": [True]}, (tmp_path / "out.csv").read_text()
+
+
+# tbjj, and nonlinear with n_levels > 0, diagonalise with numpy alone: each run starts one pool and no scipy.
+@pytest.mark.parametrize(("command", "argv"), [
+    pytest.param("nonlinear", _NONLINEAR, id="nonlinear"),
+    pytest.param("tbjj", [*_TBJJ, "--set", "solver=fock"], id="tbjj-fock"),
+    pytest.param("tbjj", [*_TBJJ, "--set", "solver=both"], id="tbjj-both"),
+])
+def test_numpy_diagonalising_commands_start_one_pool_without_scipy(tmp_path, command, argv):
+    result = run_recording_pool([command, *argv, "--out", "out.csv", "--jobs", "2"], tmp_path)
+    assert result == {"code": 0, "seen": [False]}, (tmp_path / "out.csv").read_text()

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Optional
 
 HBAR = 1.0545718176461565e-34  # J s, exact in the 2019 SI (h / 2 pi)
 ELECTRON_MASS = 9.1093837139e-31  # kg, CODATA 2022
@@ -51,6 +52,16 @@ def _square(x: float, name: str) -> float:
         return x**2  # not x * x, which can differ in the last bit
     except OverflowError:  # where x * x would give inf
         raise ValueError(f"{name} must be finite, but {x}**2 overflows") from None
+
+
+def _root_product(a: float, b: float) -> float:
+    """``sqrt(a * b)`` for a, b >= 0, as ``sqrt(a) * sqrt(b)`` where the product is below the smallest normal float.
+
+    A subnormal product has lost digits and one that underflows to 0 has lost
+    them all; the two roots keep them.  A normal product keeps the one root.
+    """
+    product = a * b
+    return math.sqrt(product) if product >= sys.float_info.min else math.sqrt(a) * math.sqrt(b)
 
 
 def _check_int(value, name: str, lo: Optional[int] = None, hi: Optional[int] = None) -> int:
@@ -124,11 +135,16 @@ def derive_ring(radius: float, m_eff_ratio: float, energy_unit: float) -> tuple[
     ``m_eff_ratio`` is m_eff/m0 and ``energy_unit`` is the reference quantum
     E0 in joules.  Returns ``(g, g_eff)`` in units of E0, with
     ``g = hbar^2/(2 m0 R^2)`` and ``g_eff = g / m_eff_ratio``.  Each input
-    must be finite and positive.
+    must be finite and positive, and so must both results.
     """
     _check_positive(radius=radius, m_eff_ratio=m_eff_ratio, energy_unit=energy_unit)
-    g = HBAR**2 / (2.0 * ELECTRON_MASS * radius**2) / energy_unit
-    return g, g / m_eff_ratio
+    mass_radius2 = 2.0 * ELECTRON_MASS * _square(radius, "g")
+    if mass_radius2 == 0.0:
+        raise ValueError(f"g must be finite, but 2 m0 {radius}**2 underflows to 0")
+    g = HBAR**2 / mass_radius2 / energy_unit
+    g_eff = g / m_eff_ratio
+    _check_positive(g=g, g_eff=g_eff)
+    return g, g_eff
 
 
 @dataclass(frozen=True)
@@ -162,42 +178,45 @@ class FermionConfig:
     have pairwise distinct orbitals, spinful ones pairwise distinct
     ``(orbital, spin)`` pairs.  Orbitals are stored sorted (spins reordered
     alongside) so equal configurations compare equal.  The total angular
-    momentum ``m_total``, total spin ``sigma_total`` and kinetic weight
-    ``w_kinetic = sum(m_i^2)`` are cached as exact integers.
+    momentum ``m_total``, total spin ``sigma_total`` (0 without spins) and
+    kinetic weight ``w_kinetic = sum(m_i^2)`` are exact integer properties.
     """
 
     orbitals: tuple[int, ...]
     spins: Optional[tuple[int, ...]] = None
-    m_total: int = field(init=False)
-    sigma_total: int = field(init=False)
-    w_kinetic: int = field(init=False)
 
-    def __init__(self, orbitals: Sequence[int], spins: Optional[Sequence[int]] = None):
-        orbs = tuple(_check_int(m, "orbital") for m in orbitals)
+    def __post_init__(self):
+        orbs = tuple(_check_int(m, "orbital") for m in self.orbitals)
         if not orbs:
             raise ValueError("configuration must contain at least one particle")
-        if spins is None:
-            orbs = tuple(sorted(orbs))
-            if len(set(orbs)) != len(orbs):
-                raise ValueError(f"Pauli exclusion violated: duplicate orbitals in {orbs}")
-            object.__setattr__(self, "orbitals", orbs)
-            object.__setattr__(self, "spins", None)
-            object.__setattr__(self, "sigma_total", 0)
+        if self.spins is None:
+            sps = (0,) * len(orbs)  # spin 0 stands in for "no spins" while sorting and checking Pauli
         else:
-            sps = tuple(_check_int(s, "spin") for s in spins)
+            sps = tuple(_check_int(s, "spin") for s in self.spins)
             if len(sps) != len(orbs):
                 raise ValueError("spins must match orbitals in length")
             if any(s not in (-1, 1) for s in sps):
                 raise ValueError(f"spins must be +1 or -1, got {sps}")
-            pairs = sorted(zip(orbs, sps))
-            if len(set(pairs)) != len(pairs):
-                raise ValueError(f"Pauli exclusion violated: duplicate (orbital, spin) in {pairs}")
-            object.__setattr__(self, "orbitals", tuple(m for m, _ in pairs))
+        pairs = sorted(zip(orbs, sps))
+        object.__setattr__(self, "orbitals", tuple(m for m, _ in pairs))
+        if self.spins is not None:
             object.__setattr__(self, "spins", tuple(s for _, s in pairs))
-            object.__setattr__(self, "sigma_total", sum(s for _, s in pairs))
-        object.__setattr__(self, "m_total", sum(self.orbitals))
-        object.__setattr__(self, "w_kinetic", sum(m * m for m in self.orbitals))
+        if len(set(pairs)) != len(pairs):
+            duplicate = f"orbitals in {self.orbitals}" if self.spins is None else f"(orbital, spin) in {pairs}"
+            raise ValueError(f"Pauli exclusion violated: duplicate {duplicate}")
 
     @property
     def n_particles(self) -> int:
         return len(self.orbitals)
+
+    @property
+    def m_total(self) -> int:
+        return sum(self.orbitals)
+
+    @property
+    def sigma_total(self) -> int:
+        return sum(self.spins) if self.spins is not None else 0
+
+    @property
+    def w_kinetic(self) -> int:
+        return sum(m * m for m in self.orbitals)

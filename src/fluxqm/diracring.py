@@ -89,10 +89,6 @@ class ChiralSector:
             raise ValueError("sector must hold at least one electron")
 
     @property
-    def n_total(self) -> int:
-        return self.n_plus + self.n_minus
-
-    @property
     def j_chirality(self) -> int:
         return self.n_plus - self.n_minus
 
@@ -126,7 +122,8 @@ def diamagnetic_stiffness(
     _check_int(n_sites, "n_sites", lo=2)
     _check_positive(eps0=eps0)
     _check_finite(phi=phi)
-    d_eff = eps0 * (2.0 / math.pi) * (phi**2 / n_sites) * math.sin(math.pi * filling)
+    d_eff = eps0 * (2.0 / math.pi) * (_square(phi, "d_eff") / n_sites) * math.sin(math.pi * filling)
+    _check_finite(d_eff=d_eff)
     return 2.0 * d_eff if spinful else d_eff
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive, _square
+from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive, _root_product, _square
 from .gridsolve import _refine
 
 __all__ = [
@@ -91,7 +91,9 @@ class QuarticSector:
 
     @property
     def v_eff(self) -> float:
-        return self.b_coef * self.x0**2 - self.c_coef * self.m_total * self.x0 + self.alpha4 * self.x0**4
+        x0 = self.x0
+        v = self.b_coef * x0**2 - self.c_coef * self.m_total * x0
+        return v + self.alpha4 * x0**4 if self.alpha4 != 0.0 else v  # x0**4 can overflow where alpha4 = 0 zeroes it
 
 
 def displacement_root(m_total: int, p: ModelParams, alpha4: float) -> QuarticSector:
@@ -116,7 +118,7 @@ def gaussian_frequency(sector: QuarticSector) -> float:
     Even in M (x0 is odd, x0^2 even); at M = 0 and alpha4 -> 0 it reduces to
     the linear dressed quantum sqrt(hw_p (hw_p + 4 g phi^2 N)).
     """
-    return 4.0 * math.sqrt(sector.a_coef * sector.b_eff)
+    return 4.0 * _root_product(sector.a_coef, sector.b_eff)
 
 
 def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.ndarray:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FermionConfig, ModelParams, _check_finite, _check_int, _square
+from .core import FermionConfig, ModelParams, _check_finite, _check_int, _root_product, _square
 
 __all__ = [
     "dressed_frequency",
@@ -52,9 +52,11 @@ def dressed_frequency(p: ModelParams) -> float:
     """Dressed cavity quantum hbar*Omega = sqrt(hw (hw + 4 g N phi^2)).
 
     The quadratic flux term only stiffens the mode, so Omega >= omega with
-    equality at phi = 0 (or g = 0 in the decoupled limit).
+    equality at phi = 0 (or g = 0 in the decoupled limit).  Where the product
+    falls below the smallest normal float (hbar_omega below ~1e-154 at
+    phi = 0), the root is taken of each factor.
     """
-    hbar_Omega = math.sqrt(p.hbar_omega * _stiffness(p))
+    hbar_Omega = _root_product(p.hbar_omega, _stiffness(p))
     _check_finite(hbar_Omega=hbar_Omega)
     return hbar_Omega
 

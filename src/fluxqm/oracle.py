@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FermionConfig, ModelParams, _check_int, _check_positive
+from .core import FermionConfig, ModelParams, _check_int, _check_positive, _square
 
 __all__ = [
     "OracleReport",
@@ -38,29 +38,36 @@ _RTOL = 1e-9  # relative level change between cutoff and 2 * cutoff that counts 
 class OracleReport:
     """Eigenvalues of one brute-force diagonalization plus convergence data.
 
-    ``converged`` means doubling the Fock cutoff moved the reported levels by
-    less than 1e-9 relative; ``max_rel_change`` is the observed change (NaN
-    when the check was skipped).
+    ``max_rel_change`` is how far doubling the Fock cutoff moved the reported
+    levels (NaN when the check was skipped); the property ``converged`` is
+    true when that is below 1e-9 relative, so a skipped check never is.
     """
 
     levels: tuple[float, ...]
     cutoff_used: int
-    converged: bool
     max_rel_change: float
+
+    @property
+    def converged(self) -> bool:
+        return self.max_rel_change < _RTOL
 
 
 @dataclass(frozen=True)
 class GroundStateMoments:
     """Quadrature moments of the oracle ground state in one fermion sector.
 
-    ``mean_x`` and ``var_x`` refer to x = (a + a^dag)/sqrt(2); ``displacement``
-    is <a> (real for this Hamiltonian); ``photon_number`` is <a^dag a>.
+    ``displacement`` is <a> (real for this Hamiltonian); the property
+    ``mean_x = sqrt(2) <a>`` and ``var_x`` refer to x = (a + a^dag)/sqrt(2);
+    ``photon_number`` is <a^dag a>.
     """
 
-    mean_x: float
-    var_x: float
     displacement: float
+    var_x: float
     photon_number: float
+
+    @property
+    def mean_x(self) -> float:
+        return math.sqrt(2.0) * self.displacement
 
 
 def _x_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -88,7 +95,7 @@ def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
     if cfg.n_particles != p.n_particles:
         raise ValueError(f"configuration has {cfg.n_particles} particles, but n_particles = {p.n_particles}")
     x, x2_diag, x2_second = _x_bands(cutoff)
-    quad = p.g * p.n_particles * p.phi**2
+    quad = p.g * p.n_particles * _square(p.phi, "quad")
     drive = 2.0 * p.g * p.phi * cfg.m_total + 0.5 * p.eta * cfg.sigma_total
     ab = np.zeros((3, cutoff + 1))
     ab[2] = p.hbar_omega * np.arange(cutoff + 1, dtype=float) + quad * x2_diag + p.g_eff * cfg.w_kinetic
@@ -124,22 +131,12 @@ def oracle_spectrum(
     def lowest(c):
         return eig_banded(_assemble(p, cfg, c), eigvals_only=True, select="i", select_range=(0, n_levels - 1))
 
-    levels = lowest(cutoff)
+    levels, max_change = lowest(cutoff), float("nan")
     if check_convergence:
-        refined = lowest(2 * cutoff)
-        max_change = compare_spectra(levels, refined, scale=p.hbar_omega)
-        return OracleReport(
-            levels=tuple(float(v) for v in refined),
-            cutoff_used=2 * cutoff,
-            converged=max_change < _RTOL,
-            max_rel_change=max_change,
-        )
-    return OracleReport(
-        levels=tuple(float(v) for v in levels),
-        cutoff_used=cutoff,
-        converged=True,
-        max_rel_change=float("nan"),
-    )
+        coarse, cutoff = levels, 2 * cutoff
+        levels = lowest(cutoff)
+        max_change = compare_spectra(coarse, levels, scale=p.hbar_omega)
+    return OracleReport(levels=tuple(float(v) for v in levels), cutoff_used=cutoff, max_rel_change=max_change)
 
 
 def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) -> GroundStateMoments:
@@ -154,9 +151,8 @@ def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) 
     mean_big_x2 = float(np.dot(x2_diag * gs, gs) + 2.0 * np.dot(gs[:-2] * x2_second, gs[2:]))
     n_op = np.arange(cutoff + 1, dtype=float)
     return GroundStateMoments(
-        mean_x=mean_big_x / math.sqrt(2.0),
-        var_x=(mean_big_x2 - mean_big_x**2) / 2.0,
         displacement=mean_big_x / 2.0,
+        var_x=(mean_big_x2 - mean_big_x**2) / 2.0,
         photon_number=float(gs @ (n_op * gs)),
     )
 

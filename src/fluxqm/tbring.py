@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import _check_finite, _check_int, _check_non_negative, _check_positive
+from .core import _check_finite, _check_int, _check_non_negative, _check_positive, _square
 from .gridsolve import _refine, converged_bound_states
 
 __all__ = [
@@ -120,15 +120,19 @@ class RfSquidParams:
         if self.eta == 0.0:
             raise ValueError("eta must be nonzero: the phase-variable map degenerates at eta = 0")
         _check_positive(hbar_omega=self.hbar_omega)
-        _check_finite(e_l=self.e_l)  # hbar_omega / eta^2 overflows once |eta| falls below ~1e-154
+        # hbar_omega / eta^2 and hbar_omega eta^2 / 8 are positive, but each can overflow or underflow to 0
+        _check_positive(e_l=self.e_l, e_c=self.e_c)
 
     @property
     def e_l(self) -> float:
-        return self.hbar_omega / self.eta**2
+        eta2 = _square(self.eta, "e_l")
+        if eta2 == 0.0:
+            raise ValueError(f"e_l must be finite, but {self.eta}**2 underflows to 0")
+        return self.hbar_omega / eta2
 
     @property
     def e_c(self) -> float:
-        return self.hbar_omega * self.eta**2 / 8.0
+        return self.hbar_omega * _square(self.eta, "e_c") / 8.0
 
     @property
     def beta_ratio(self) -> float:

@@ -311,7 +311,12 @@ def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
      "chi must be finite, but 1e+200**2 overflows"),
     (["dirac-scan", "--set", "n_electrons=4", "--set", "eps0=1e200", "--set", "phi=1"], 1,
      "chi must be finite, but 1e+200**2 overflows"),
-], ids=["nonlinear", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan"])
+    (["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=1e160"], 2,
+     "e_l must be finite, but 1e+160**2 overflows"),
+    # eta^2 underflows to 0, and hbar_omega / eta^2 once failed with "float division by zero"
+    (["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=1e-170"], 2,
+     "e_l must be finite, but 1e-170**2 underflows to 0"),
+], ids=["nonlinear", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan", "tbjj-eta-huge", "tbjj-eta-tiny"])
 def test_overflowing_square_names_its_quantity(tmp_path, capsys, args, code, message):
     # float ** raises OverflowError where * gives inf; these once reported "(34, 'Numerical result out of range')"
     out = tmp_path / "overflow.csv"
@@ -322,6 +327,29 @@ def test_overflowing_square_names_its_quantity(tmp_path, capsys, args, code, mes
     else:
         _, header, rows = read_csv(out)
         assert rows[0][header.index("status")] == f"error: ValueError: {message}"
+
+
+@pytest.mark.parametrize("args, expected", [
+    # hbar_omega * D is subnormal at 1e-160 and 0 at 1e-170: omega_dressed read 9.99994e-161 and 0.0, e1 -5e-171
+    (["spectrum", "--set", "orbitals=0", "--set", "n_levels=2", "--set", "hbar_omega=1e-160"],
+     {"omega_dressed": 1e-160, "e1": 1e-160}),
+    (["spectrum", "--set", "orbitals=0", "--set", "n_levels=2", "--set", "hbar_omega=1e-170"],
+     {"omega_dressed": 1e-170, "e1": 1e-170}),
+    # 4 sqrt(A B_eff) likewise: omega_ratio read 1.00197 and 0.0
+    (["nonlinear", "--set", "n_particles=3", "--set", "hbar_omega=1e-160"], {"omega_ratio": 1.0}),
+    (["nonlinear", "--set", "n_particles=3", "--set", "hbar_omega=1e-170"], {"omega_ratio": 1.0}),
+    # alpha4 x0^4 overflowed at x0 = 4e141 although alpha4 = 0 zeroes it
+    (["nonlinear", "--set", "n_particles=3", "--set", "hbar_omega=1e-300", "--set", "phi=1e-160",
+      "--set", "m_total=10"], {"x0": 4e141, "v_eff": -4e-18, "omega_ratio": 1.0}),
+], ids=["spectrum-subnormal", "spectrum-zero", "nonlinear-subnormal", "nonlinear-zero", "nonlinear-huge-x0"])
+def test_tiny_quantum_writes_its_closed_forms(tmp_path, args, expected):
+    out = tmp_path / "tiny.csv"
+    assert run_cli(*args, "--out", str(out), "--jobs", "1") == 0
+    _, header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert row["status"] == "ok"
+    for key, value in expected.items():
+        assert float(row[key]) == pytest.approx(value, rel=1e-15, abs=0.0), key
 
 
 @pytest.mark.parametrize("args", [

@@ -72,6 +72,20 @@ def test_ring_rejects_bad_inputs():
         derive_ring(1e-7, 0.0, 1e-19)
 
 
+@pytest.mark.parametrize("args, message", [
+    # float ** raises OverflowError where * would give inf
+    ((1e160, 1.0, 1.0), "g must be finite, but 1e+160**2 overflows"),
+    # 2 m0 R^2 underflows to 0, and the division once raised ZeroDivisionError
+    ((1e-170, 1.0, 1.0), "g must be finite, but 2 m0 1e-170**2 underflows to 0"),
+    ((1e-6, 1e-100, 1e-300), "g_eff must be finite, got inf"),
+    ((1e100, 1.0, 1e100), "g must be positive, got 0.0"),
+], ids=["radius-square-overflows", "radius-square-underflows", "g_eff-overflows", "g-underflows"])
+def test_ring_scale_that_floats_cannot_hold_raises(args, message):
+    with pytest.raises(ValueError) as info:
+        derive_ring(*args)
+    assert str(info.value) == message
+
+
 def test_geff_times_ratio_recovers_g():
     for ratio in (0.25, 0.5, 1.0, 3.7, 12.0):
         g, geff = derive_ring(2e-7, ratio, 1e-20)

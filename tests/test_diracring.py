@@ -124,6 +124,8 @@ def test_overflowing_square_names_its_quantity():
         induced_coupling_dirac(_p(eps0=1e200, phi=1.0))
     with pytest.raises(ValueError, match=r"^mode_stiffness must be finite, but 1e\+160\*\*2 overflows$"):
         _p(phi=1e160, d_eff=1.0).mode_stiffness
+    with pytest.raises(ValueError, match=r"^d_eff must be finite, but 1e\+160\*\*2 overflows$"):
+        diamagnetic_stiffness(1.0, 0.5, 10, 1e160)
 
 
 def test_coupling_saturation_with_stiffness():

@@ -197,6 +197,30 @@ spinful_configs = st.lists(st.tuples(orbital, st.sampled_from([-1, 1])), min_siz
     lambda pairs: FermionConfig([m for m, _ in pairs], spins=[s for _, s in pairs])
 )
 etas = st.floats(min_value=1e-3, max_value=1.0, exclude_min=True).flatmap(lambda eta: st.sampled_from([eta, -eta]))
+# (orbital, spin) occupation lists, spin None for a spinless configuration, each with a second ordering
+occupations = st.one_of(
+    st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=12, unique=True).map(
+        lambda ms: [(m, None) for m in ms]),
+    st.lists(st.tuples(st.integers(min_value=-40, max_value=40), st.sampled_from([-1, 1])), min_size=1, max_size=12,
+             unique=True),
+).flatmap(lambda pairs: st.tuples(st.just(pairs), st.permutations(pairs)))
+
+
+def config_of(pairs):
+    spinless = pairs[0][1] is None
+    return FermionConfig([m for m, _ in pairs], None if spinless else [s for _, s in pairs])
+
+
+@PROPERTY
+@given(occupations)
+def test_config_sums_follow_the_occupations_in_any_order(case):
+    pairs, reordered = case
+    cfg, other = config_of(pairs), config_of(reordered)
+    assert cfg.m_total == sum(m for m, _ in pairs)
+    assert cfg.sigma_total == sum(s or 0 for _, s in pairs)
+    assert cfg.w_kinetic == sum(m * m for m, _ in pairs)
+    assert list(zip(cfg.orbitals, cfg.spins or [None] * len(pairs))) == sorted(pairs)
+    assert cfg == other and hash(cfg) == hash(other)
 
 
 def assert_sector_levels_match_the_oracle(cfg, g, g_eff, phi, hbar_omega, eta):

@@ -145,6 +145,20 @@ def test_gaussian_frequency_matches_linear_model_at_zero_momentum():
     assert gaussian_frequency(quartic) == pytest.approx(dressed_frequency(p), rel=1e-14)
 
 
+@pytest.mark.parametrize("hbar_omega", [1e-160, 1e-170])
+def test_gaussian_frequency_of_a_product_below_the_normal_floats(hbar_omega):
+    # A B_eff is subnormal at 1e-160 and 0 at 1e-170; 4 sqrt(A B_eff) once read 1.00197 and 0 times hbar_omega
+    sector = displacement_root(0, _p(phi=0.0, hbar_omega=hbar_omega), 0.0)
+    assert gaussian_frequency(sector) == pytest.approx(hbar_omega, rel=1e-15, abs=0.0)
+
+
+def test_harmonic_offset_skips_the_quartic_term():
+    # x0 = 4e141, so x0**4 overflowed although alpha4 = 0 zeroes the term
+    sector = displacement_root(10, _p(g=1.0, phi=1e-160, n_particles=3, hbar_omega=1e-300), 0.0)
+    assert sector.x0 == pytest.approx(4e141, rel=1e-15)
+    assert sector.v_eff == pytest.approx(-4e-18, rel=1e-15, abs=0.0)
+
+
 def test_gaussian_frequency_even_in_momentum():
     p = _p()
     for m in (1, 7, 23, 40):

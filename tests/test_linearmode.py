@@ -95,6 +95,14 @@ def test_result_that_floats_cannot_hold_raises(entry, p, message):
     assert type(info.value) is ValueError and str(info.value) == message
 
 
+@pytest.mark.parametrize("hbar_omega", [1e-160, 1e-170])
+def test_dressed_quantum_of_a_product_below_the_normal_floats(hbar_omega):
+    # hbar_omega * D is subnormal at 1e-160 and 0 at 1e-170; its root once read 9.99994e-161 and 0.0
+    p = ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=1, hbar_omega=hbar_omega)
+    assert dressed_frequency(p) == pytest.approx(hbar_omega, rel=1e-15, abs=0.0)
+    assert sector_energy(p, FermionConfig([0]), 1) == pytest.approx(hbar_omega, rel=1e-15, abs=0.0)
+
+
 def test_induced_coupling_zero_flux():
     p = ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=2)
     assert induced_coupling(p) == 0.0

@@ -109,6 +109,23 @@ def test_levels_ascending_and_convergence_flag():
     assert report.cutoff_used == 240
 
 
+def test_unchecked_report_is_not_converged():
+    # a skipped check once reported converged=True for a check it never ran
+    p = ModelParams(g=0.8, g_eff=1.0, phi=1.1, n_particles=2)
+    report = oracle_spectrum(p, FermionConfig([0, 1]), cutoff=120, n_levels=6, check_convergence=False)
+    assert report.converged is False
+    assert math.isnan(report.max_rel_change)
+    assert report.cutoff_used == 120
+
+
+@pytest.mark.parametrize("entry", [oracle_spectrum, ground_state_moments])
+def test_overflowing_square_names_its_quantity(entry):
+    # float ** raises OverflowError where * would give inf
+    p = ModelParams(g=1.0, g_eff=1.0, phi=1e160, n_particles=1)
+    with pytest.raises(ValueError, match=r"^quad must be finite, but 1e\+160\*\*2 overflows$"):
+        entry(p, FermionConfig([0]))
+
+
 def test_ground_level_monotone_nonincreasing_in_cutoff():
     # truncation is a projection, so enlarging the space can only lower E0
     p = ModelParams(g=1.5, g_eff=1.0, phi=1.5, n_particles=4, hbar_omega=0.8)

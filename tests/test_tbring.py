@@ -336,7 +336,11 @@ def test_squid_params_reject_non_finite(name, value):
 @pytest.mark.parametrize(
     "eta,hbar_omega,message",
     [(0.0, 1.0, "eta must be nonzero"), (1.0, 0.0, "hbar_omega must be positive"),
-     (1.0, -1.0, "hbar_omega must be positive"), (1e-160, 1.0, "e_l must be finite")],
+     (1.0, -1.0, "hbar_omega must be positive"), (1e-160, 1.0, "e_l must be finite"),
+     # float ** raises OverflowError, and an eta^2 of 0 once raised ZeroDivisionError
+     (1e160, 1.0, r"^e_l must be finite, but 1e\+160\*\*2 overflows$"),
+     (1e-170, 1.0, r"^e_l must be finite, but 1e-170\*\*2 underflows to 0$"),
+     (1e154, 10.0, "^e_c must be finite, got inf$"), (1e150, 1e-30, "^e_l must be positive, got 0.0$")],
 )
 def test_squid_params_reject_degenerate_scales(eta, hbar_omega, message):
     with pytest.raises(ValueError, match=message):

@@ -8,6 +8,8 @@ one-mode diagonalization.  The package provides those closed forms, the
 phase-transition detectors built on them, tight-binding and linear-dispersion
 ring variants, and a brute-force Fock-space oracle used to verify everything.
 Its public names are each layer's ``__all__`` and the three error types.
+No layer imports numpy or scipy at import time; the functions that use them
+import them, so the pure-Python closed forms run without either.
 """
 
 from .core import *

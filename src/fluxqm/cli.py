@@ -14,10 +14,14 @@ reads as an integer is an integer axis, whose grid is rounded to the nearest
 integers and written as integers.  Rows that only evaluate closed forms run
 in the main process whatever ``--jobs`` says; only rows that diagonalise
 (``tbjj``, ``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are
-dispatched to a process pool.  Each evaluated result becomes its output row
-once, a dict keyed in column order with ``status`` last, and both writers
-write those rows as given, in scan order with shortest round-trip float
-formatting, so output files are byte-identical for any worker count.
+dispatched to a process pool, whose module is imported only then.  The layers
+import numpy and scipy inside the functions that use them, so ``spectrum``,
+``spin-phase``, ``dirac-scan`` and ``nonlinear`` without levels never load
+numpy; ``phase-scan`` loads it for its enumeration table and the
+diagonalising rows for their eigensolves.  Each evaluated result becomes its
+output row once, a dict keyed in column order with ``status`` last, and both
+writers write those rows as given, in scan order with shortest round-trip
+float formatting, so output files are byte-identical for any worker count.
 Exit code 2, before any row runs and with no file written, is a UsageError
 (text a parse cannot read, unknown or missing keys, the scan declaration with
 its non-finite bounds, the flags, a missing output directory), a value that
@@ -40,7 +44,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
@@ -464,8 +467,8 @@ _COMMANDS = {
     "spin-phase": _Command(_spin_phase, "stable",
                            {"eta": spinorbit.critical_eta, "phi": spinorbit.critical_flux_spin}),
     "dirac-scan": _Command(_dirac_scan, "phase", {"phi": diracring.critical_flux_dirac}),
-    "nonlinear": _Command(_nonlinear),
-    "tbjj": _Command(_tbjj),
+    "nonlinear": _Command(_nonlinear, row_imports=("numpy",)),
+    "tbjj": _Command(_tbjj, row_imports=("numpy",)),
     "oracle-check": _Command(_oracle_check, fixed_cases=tuple(range(len(_ORACLE_SUITE))),
                              row_imports=("scipy.linalg",)),
 }
@@ -670,6 +673,8 @@ def run(config: RunConfig) -> int:
     if not first.diagonalises or jobs == 1 or len(values) == 1:
         rows = list(map(_eval_point, tasks))
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         for module in cmd.row_imports:
             importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:

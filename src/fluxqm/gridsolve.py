@@ -22,12 +22,13 @@ and 1 <= n_levels <= n_points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import _check_finite, _check_int, _check_positive
 from .errors import ConvergenceError, GridDomainError
+
+if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
+    import numpy as np
 
 __all__ = ["GridSolution", "bound_states", "converged_bound_states"]
 
@@ -52,6 +53,7 @@ def _refine(estimates: Iterable, rtol: float, scale: float, failure: str):
     out first, raises ConvergenceError (message ``failure``, ``{size}`` the
     last size) carrying the last change as its residual.
     """
+    import numpy as np
     previous, size, change = None, None, np.inf
     for size, levels in estimates:
         if previous is not None:
@@ -83,6 +85,7 @@ def bound_states(
 ):
     """One fixed-grid second-order finite-difference solve; returns the lowest ``n_levels`` levels."""
     n_points = _check_grid(x_min, x_max, n_points, kinetic_coef, n_levels)
+    import numpy as np
     from scipy.linalg import eigh_tridiagonal
 
     x = np.linspace(x_min, x_max, n_points)
@@ -93,6 +96,7 @@ def bound_states(
 
 
 def _check_walls(states):
+    import numpy as np
     amp_edge = np.maximum(np.abs(states[0, :]), np.abs(states[-1, :]))
     amp_peak = np.abs(states).max(axis=0)
     bad = np.nonzero(amp_edge > _WALL_TOL * amp_peak)[0]
@@ -105,6 +109,7 @@ def _check_walls(states):
 
 def _dvr_bound_states(potential, x_min, x_max, n_points, kinetic_coef, n_levels):
     """One sinc-DVR solve on ``n_points`` points spanning [x_min, x_max]; returns (levels, states)."""
+    import numpy as np
     x = np.linspace(x_min, x_max, n_points)
     h = x[1] - x[0]
     k = np.arange(n_points)

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive, _root_product, _square
 from .gridsolve import _refine
+
+if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
+    import numpy as np
 
 __all__ = [
     "QuarticSector",
@@ -77,12 +79,16 @@ class QuarticSector:
     def x0(self) -> float:
         """The cubic's unique real root (it is strictly increasing for B > 0 and alpha4 >= 0)."""
         x_h = self.c_coef * self.m_total / (2.0 * self.b_coef)  # the harmonic root
+        if self.alpha4 == 0.0:  # then s = 0, and x_h**2 below can overflow
+            return x_h
         # x0 = x_h y with (s^2/3) y^3 + y = 1; y = (2/s) sinh(u) turns it into sinh(3u) = 3s/2
         s = math.sqrt(6.0 * self.alpha4 * x_h**2 / self.b_coef)  # 0, or at least 2e-162: 2 / s cannot overflow
         return x_h if s == 0.0 else x_h * (2.0 / s) * math.sinh(math.asinh(1.5 * s) / 3.0)
 
     @property
     def b_eff(self) -> float:
+        if self.alpha4 == 0.0:  # the quartic term is 0, and x0**2 can overflow
+            return self.b_coef
         return self.b_coef + 6.0 * self.alpha4 * self.x0**2
 
     @property
@@ -92,7 +98,7 @@ class QuarticSector:
     @property
     def v_eff(self) -> float:
         x0 = self.x0
-        v = self.b_coef * x0**2 - self.c_coef * self.m_total * x0
+        v = self.b_coef * _square(x0, "v_eff") - self.c_coef * self.m_total * x0
         return v + self.alpha4 * x0**4 if self.alpha4 != 0.0 else v  # x0**4 can overflow where alpha4 = 0 zeroes it
 
 
@@ -128,6 +134,7 @@ def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.
     s = (A/B_eff)^(1/4) and the quadratic part is diagonal with spacing
     4 sqrt(A B_eff).
     """
+    import numpy as np
     s = (sector.a_coef / sector.b_eff) ** 0.25
     spacing = gaussian_frequency(sector)
     q = np.zeros((cutoff + 1, cutoff + 1))

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import FermionConfig, ModelParams, _check_int, _check_positive, _square
+
+if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
+    import numpy as np
 
 __all__ = [
     "OracleReport",
@@ -78,6 +79,7 @@ def _x_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     in the product of the truncated X with itself), and the X^2 second band
     <m|X^2|m+2> = x_m x_{m+1}.  The first band of X^2 vanishes.
     """
+    import numpy as np
     x = np.sqrt(np.arange(1, cutoff + 1, dtype=float))
     sq = x * x
     x2_diag = np.zeros(cutoff + 1)
@@ -92,6 +94,7 @@ def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
     Row 2 holds the diagonal, row 1 the first superdiagonal from column 1 and
     row 0 the second superdiagonal from column 2, so ab[2 + i - j, j] = h[i, j].
     """
+    import numpy as np
     if cfg.n_particles != p.n_particles:
         raise ValueError(f"configuration has {cfg.n_particles} particles, but n_particles = {p.n_particles}")
     x, x2_diag, x2_second = _x_bands(cutoff)
@@ -142,6 +145,7 @@ def oracle_spectrum(
 def ground_state_moments(p: ModelParams, cfg: FermionConfig, cutoff: int = 400) -> GroundStateMoments:
     """Quadrature moments of the sector ground state, from the raw eigenvector; the cutoff must be >= 50."""
     cutoff = _check_cutoff(cutoff, 1)
+    import numpy as np
     from scipy.linalg import eig_banded
 
     _, vecs = eig_banded(_assemble(p, cfg, cutoff), select="i", select_range=(0, 0))
@@ -164,6 +168,7 @@ def compare_spectra(analytic: Sequence[float], levels: Sequence[float], scale: f
     ``scale`` floor keeps levels at or near zero comparable.  ``scale`` must be
     finite and > 0, and the spectra equally long and not empty.
     """
+    import numpy as np
     _check_positive(scale=scale)
     a = np.asarray(analytic, dtype=float)
     o = np.asarray(levels, dtype=float)

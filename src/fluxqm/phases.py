@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import FermionConfig, ModelParams, _check_int, _check_positive
 from .errors import NoTransitionError
 from .linearmode import induced_coupling, mode_displacement, sector_energy
@@ -138,6 +136,7 @@ def _sector_table(n_particles: int, m_max: int):
     hold their W and M^2 as floats: an argmin over the representatives lands
     on the first minimum of the whole table.
     """
+    import numpy as np
     combos = itertools.combinations(range(-m_max, m_max + 1), n_particles)
     count = math.comb(2 * m_max + 1, n_particles)
     dtype = np.min_scalar_type(-m_max - 1)  # smallest signed type that holds -m_max..m_max
@@ -171,6 +170,7 @@ def ground_state_search(p: ModelParams, m_max: int) -> GroundState:
     label is "balanced" when the winner has the kinetic-optimal (W, |M|) of
     the window and "polarized" otherwise.
     """
+    import numpy as np
     m_max = _check_window(p.n_particles, m_max)
     configs, rows, w, m2, w_ref, m_ref = _sector_table(p.n_particles, m_max)
     chi = induced_coupling(p)

@@ -33,12 +33,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable
 
 from .core import _check_finite, _check_int, _check_non_negative, _check_positive, _square
 from .gridsolve import _refine, converged_bound_states
+
+if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
+    import numpy as np
 
 __all__ = [
     "TBSector",
@@ -158,6 +159,7 @@ def _displacement_bands(lam: float, bands: np.ndarray, size: int) -> np.ndarray:
     stays stable where factorial-ratio evaluation overflows (indices beyond
     ~170).  Each band's seed uses log-gamma.
     """
+    import numpy as np
     _check_non_negative(lam=lam)
     if 0.5 * lam * lam > _MAX_HALF_LAM_SQ:
         raise ValueError(f"lam = {lam} too large: the e^(-lam^2/2) seed underflows past lam ~ 37.6")
@@ -185,6 +187,7 @@ def displacement_matrix_element(m: int, n: int, lam: float) -> complex:
     e^(-lam^2/2) underflows.  The operator is symmetric, and the element of
     exp(-i lam (a + a^dag)) is its complex conjugate.
     """
+    import numpy as np
     m, n = _check_int(m, "m", lo=0), _check_int(n, "n", lo=0)
     delta_idx = abs(m - n)
     magnitude = _displacement_bands(lam, np.array([delta_idx]), max(m, n) + 1)[min(m, n), 0]
@@ -199,6 +202,7 @@ def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
     odd bands imaginary, so the real and imaginary parts are the real
     symmetric matrices of cos and sin of lam (a + a^dag).
     """
+    import numpy as np
     dim = _check_int(cutoff, "cutoff", lo=0) + 1
     mags = _displacement_bands(lam, np.arange(dim), dim)
     phases = np.array(_PHASES)[np.arange(dim) % 4]
@@ -211,6 +215,7 @@ def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
 
 
 def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int, n_levels: int) -> np.ndarray:
+    import numpy as np
     d = displacement_operator(eta / math.sqrt(2.0), cutoff)  # cos(eta x) + i sin(eta x)
     h = hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
     h -= 2.0 * t * (sector.c_sum * d.real - sector.s_sum * d.imag)
@@ -266,6 +271,7 @@ def rf_squid_spectrum(params: RfSquidParams, n_levels: int = 5) -> np.ndarray:
     the Fock-basis sector spectrum up to one additive constant (the
     quadrature-form zero point hbar_omega/2).
     """
+    import numpy as np
     half_span = _SQUID_HALF_SPAN * (8.0 * params.e_c / params.e_l) ** 0.25
 
     def potential(y):

@@ -304,6 +304,9 @@ def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
 @pytest.mark.parametrize("args, code, message", [
     (["nonlinear", "--set", "n_particles=3", "--set", "phi=1e160"], 2,
      "b_coef must be finite, but 1e+160**2 overflows"),
+    # x0 = 3.08e160 needs no square at alpha4 = 0, but v_eff does; this exited 2 with "(34, ...)"
+    (["nonlinear", "--set", "n_particles=3", "--set", "hbar_omega=1e-320", "--set", "phi=1e-160",
+      "--set", "m_total=10"], 1, "v_eff must be finite, but 3.076957332126948e+160**2 overflows"),
     (["spin-phase", "--set", "n_particles=3", "--set", "phi=1e160", "--set", "eta=1"], 1,
      "beta must be finite, but 1e+160**2 overflows"),
     (["spin-phase", "--set", "n_particles=3", "--set", "eta=1e200"], 1, "ss must be finite, but 1e+200**2 overflows"),
@@ -316,7 +319,8 @@ def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     # eta^2 underflows to 0, and hbar_omega / eta^2 once failed with "float division by zero"
     (["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=1e-170"], 2,
      "e_l must be finite, but 1e-170**2 underflows to 0"),
-], ids=["nonlinear", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan", "tbjj-eta-huge", "tbjj-eta-tiny"])
+], ids=["nonlinear", "nonlinear-v_eff", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan",
+        "tbjj-eta-huge", "tbjj-eta-tiny"])
 def test_overflowing_square_names_its_quantity(tmp_path, capsys, args, code, message):
     # float ** raises OverflowError where * gives inf; these once reported "(34, 'Numerical result out of range')"
     out = tmp_path / "overflow.csv"

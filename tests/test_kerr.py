@@ -159,6 +159,16 @@ def test_harmonic_offset_skips_the_quartic_term():
     assert sector.v_eff == pytest.approx(-4e-18, rel=1e-15, abs=0.0)
 
 
+def test_harmonic_root_skips_the_squares_that_alpha4_zeroes():
+    # x0 = x_h = 3.08e160: x_h**2 in x0, and x0**2 in b_eff, overflowed although alpha4 = 0 zeroes both terms
+    sector = displacement_root(10, _p(g=1.0, phi=1e-160, n_particles=3, hbar_omega=1e-320), 0.0)
+    assert sector.x0 == sector.c_coef * sector.m_total / (2.0 * sector.b_coef)
+    assert sector.b_eff == sector.b_coef
+    # v_eff = B x0^2 - C M x0 needs x0^2, which no float holds
+    with pytest.raises(ValueError, match=r"^v_eff must be finite, but 3\.076957332126948e\+160\*\*2 overflows$"):
+        sector.v_eff
+
+
 def test_gaussian_frequency_even_in_momentum():
     p = _p()
     for m in (1, 7, 23, 40):

@@ -44,11 +44,12 @@ def run_python(code, cwd):
     return json.loads(proc.stdout)
 
 
-def test_cli_import_loads_every_layer_and_no_scipy(tmp_path):
+def test_cli_import_loads_every_layer_and_no_numpy_scipy_or_pool(tmp_path):
+    # the layers import numpy and scipy inside the functions that use them, and run() the pool
     loaded = run_python(
         "import json, sys, fluxqm.cli; print(json.dumps(sorted(sys.modules)))", tmp_path
     )
-    assert [name for name in loaded if name.startswith("scipy")] == []
+    assert [name for name in loaded if name.startswith(("numpy", "scipy", "concurrent.futures.process"))] == []
     assert [layer for layer in LAYERS if f"fluxqm.{layer}" not in loaded] == []
 
 
@@ -68,14 +69,14 @@ _CLOSED_FORM = {
 }
 
 
-def run_without_scipy(argv, cwd):
-    """Run the CLI with scipy blocked, so an import of it here or in a forked worker fails the row."""
+def run_without(package, argv, cwd):
+    """Run the CLI with ``package`` blocked, so an import of it here or in a forked worker fails the row."""
     return run_python(
         "import json, sys\n"
-        "sys.modules['scipy'] = None\n"
+        f"sys.modules[{package!r}] = None\n"
         "from fluxqm import cli\n"
         f"code = cli.main({argv!r})\n"
-        "print(json.dumps({'code': code, 'scipy': sorted(m for m in sys.modules if m.startswith('scipy.'))}))",
+        f"print(json.dumps({{'code': code, {package!r}: sorted(m for m in sys.modules if m.startswith({package + '.'!r}))}}))",
         cwd,
     )
 
@@ -84,21 +85,30 @@ def run_without_scipy(argv, cwd):
 @pytest.mark.parametrize("command", sorted(_CLOSED_FORM))
 def test_closed_form_commands_never_load_scipy(tmp_path, command, jobs):
     argv = [command, *_CLOSED_FORM[command], "--out", "out.csv", "--jobs", jobs]
-    result = run_without_scipy(argv, tmp_path)
+    result = run_without("scipy", argv, tmp_path)
     assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
 
 
+# phase-scan enumerates its orbital window into a numpy table; the other closed forms are pure Python.
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("command", sorted(set(_CLOSED_FORM) - {"phase-scan"}))
+def test_closed_form_commands_never_load_numpy(tmp_path, command, jobs):
+    argv = [command, *_CLOSED_FORM[command], "--out", "out.csv", "--jobs", jobs]
+    result = run_without("numpy", argv, tmp_path)
+    assert result == {"code": 0, "numpy": []}, (tmp_path / "out.csv").read_text()
+
+
 def run_recording_pool(argv, cwd):
-    """Run the CLI, noting for each pool it constructs whether scipy.linalg was loaded by then."""
+    """Run the CLI, noting for each pool it constructs which of numpy and scipy.linalg were loaded by then."""
     return run_python(
-        "import json, sys\n"
+        "import concurrent.futures, json, sys\n"
         "from fluxqm import cli\n"
         "seen = []\n"
-        "pool = cli.ProcessPoolExecutor\n"
+        "pool = concurrent.futures.ProcessPoolExecutor\n"
         "def recording_pool(*args, **kwargs):\n"
-        "    seen.append('scipy.linalg' in sys.modules)\n"
+        "    seen.append([m for m in ('numpy', 'scipy.linalg') if m in sys.modules])\n"
         "    return pool(*args, **kwargs)\n"
-        "cli.ProcessPoolExecutor = recording_pool\n"
+        "concurrent.futures.ProcessPoolExecutor = recording_pool  # where cli.run imports it from\n"
         f"code = cli.main({argv!r})\n"
         "print(json.dumps({'code': code, 'seen': seen}))",
         cwd,
@@ -128,7 +138,7 @@ _NUMPY_EIGENSOLVES = {
 @pytest.mark.parametrize("command", sorted(_NUMPY_EIGENSOLVES))
 def test_dense_fock_solves_never_load_scipy_at_one_job(tmp_path, command):
     argv = [command, *_NUMPY_EIGENSOLVES[command], "--out", "out.csv", "--jobs", "1"]
-    result = run_without_scipy(argv, tmp_path)
+    result = run_without("scipy", argv, tmp_path)
     assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
 
 
@@ -140,7 +150,7 @@ def test_dense_fock_solves_never_load_scipy_at_one_job(tmp_path, command):
     pytest.param("tbjj", [*_TBJJ, "--set", "solver=both"], "2", id="tbjj-both-2"),
 ])
 def test_diagonalising_rows_never_load_scipy(tmp_path, command, argv, jobs):
-    result = run_without_scipy([command, *argv, "--out", "out.csv", "--jobs", jobs], tmp_path)
+    result = run_without("scipy", [command, *argv, "--out", "out.csv", "--jobs", jobs], tmp_path)
     assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
 
 
@@ -152,10 +162,11 @@ _LOADS_SCIPY = {"oracle-check": ["--set", "n_levels=2"]}
 def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, command):
     argv = [command, *_LOADS_SCIPY[command], "--out", "out.csv", "--jobs", "2"]
     result = run_recording_pool(argv, tmp_path)
-    assert result == {"code": 0, "seen": [True]}, (tmp_path / "out.csv").read_text()
+    assert result == {"code": 0, "seen": [["numpy", "scipy.linalg"]]}, (tmp_path / "out.csv").read_text()
 
 
-# tbjj, and nonlinear with n_levels > 0, diagonalise with numpy alone: each run starts one pool and no scipy.
+# tbjj, and nonlinear with n_levels > 0, diagonalise with numpy alone: each run imports numpy before it
+# starts its one pool, so the workers share it, and never scipy.
 @pytest.mark.parametrize(("command", "argv"), [
     pytest.param("nonlinear", _NONLINEAR, id="nonlinear"),
     pytest.param("tbjj", [*_TBJJ, "--set", "solver=fock"], id="tbjj-fock"),
@@ -163,4 +174,4 @@ def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, co
 ])
 def test_numpy_diagonalising_commands_start_one_pool_without_scipy(tmp_path, command, argv):
     result = run_recording_pool([command, *argv, "--out", "out.csv", "--jobs", "2"], tmp_path)
-    assert result == {"code": 0, "seen": [False]}, (tmp_path / "out.csv").read_text()
+    assert result == {"code": 0, "seen": [["numpy"]]}, (tmp_path / "out.csv").read_text()

@@ -303,7 +303,7 @@ def _dirac_scan(ps):
             "energy": diracring.effective_energy(j_opt, p, chi),
             "displacement_a": amp,
             "photon_number": photons,
-            "phase": "balanced" if j_opt == 0 else "polarized",
+            "phase": "balanced" if abs(j_opt) == p.n_electrons % 2 else "polarized",
         }
     return _Point(_DIRAC_COLUMNS, row, p)
 

@@ -3,11 +3,12 @@
 The conduction-band ring levels are eps0 |m + 1/2| with level scale
 eps0 = hbar v_F / R, and for occupations that avoid the band bottom the flux
 couples linearly to the chirality imbalance J = N_plus - N_minus between the
-two counter-propagating branches.  Eliminating the mode yields an attraction
--chi J^2; with consecutive filling at branch capacity g_d the kinetic cost of
-imbalance is (eps0 / 4 g_d) J^2, the branch stiffness
-``DiracParams.branch_stiffness``, so the ground state jumps from J ~ 0 to the
-cutoff-limited |J|max when chi crosses it.  A lattice
+two counter-propagating branches; J has the parity of N, so an odd-N ring is
+balanced at |J| = 1 and still drives the mode.  Eliminating the mode yields an
+attraction -chi J^2; with consecutive filling at branch capacity g_d the
+kinetic cost of imbalance is (eps0 / 4 g_d) J^2, the branch stiffness
+``DiracParams.branch_stiffness``, so the ground state jumps from the balanced
+|J| = N mod 2 to the cutoff-limited |J|max when chi crosses it.  A lattice
 regularization adds a small diamagnetic stiffness D_eff that saturates chi;
 its magnitude follows from the filled-band kinetic energy of the ring.
 """
@@ -16,16 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import _check_finite, _check_int, _check_non_negative, _check_positive, _square
 from .errors import NoTransitionError
 
-_BERRY_SHIFT = 0.5  # half-integer offset of the ring levels eps0 |m + 1/2|
-
 __all__ = [
     "DiracParams",
-    "ChiralSector",
     "diamagnetic_stiffness",
     "induced_coupling_dirac",
     "effective_energy",
@@ -73,39 +71,6 @@ class DiracParams:
     def mode_stiffness(self) -> float:
         """Cavity stiffness hbar_omega + 2 D_eff phi^2 that the chirality drive displaces."""
         return self.hbar_omega + 2.0 * self.d_eff * _square(self.phi, "mode_stiffness")
-
-
-@dataclass(frozen=True)
-class ChiralSector:
-    """Branch occupations (N_plus, N_minus) and their imbalance."""
-
-    n_plus: int
-    n_minus: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "n_plus", _check_int(self.n_plus, "n_plus", lo=0))
-        object.__setattr__(self, "n_minus", _check_int(self.n_minus, "n_minus", lo=0))
-        if self.n_plus + self.n_minus < 1:
-            raise ValueError("sector must hold at least one electron")
-
-    @property
-    def j_chirality(self) -> int:
-        return self.n_plus - self.n_minus
-
-    @classmethod
-    def from_orbitals(cls, orbitals: Iterable[int]) -> "ChiralSector":
-        """Split an angular-momentum occupation list by the sign of m + 1/2 (_BERRY_SHIFT).
-
-        At the half-integer shift, m >= 0 belongs to the + branch and m <= -1
-        to the - branch.
-        """
-        plus = minus = 0
-        for m in orbitals:
-            if m + _BERRY_SHIFT > 0:
-                plus += 1
-            else:
-                minus += 1
-        return cls(plus, minus)
 
 
 def diamagnetic_stiffness(
@@ -178,20 +143,21 @@ def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:
     """Coherent amplitude and photon number of the mode in a sector of imbalance j.
 
     <a> = -lambda j / (hbar_omega + 2 phi^2 D_eff) and <n> = <a>^2.  Both are
-    zero in the balanced phase and jump discontinuously with j across the
-    transition; <a> is odd and <n> even under j -> -j.
+    zero in the balanced phase of an even-N ring; an odd-N ring is balanced at
+    |j| = 1 and keeps a small displacement.  Both jump discontinuously with j
+    across the transition; <a> is odd and <n> even under j -> -j.
     """
     amp = -p.coupling_lambda * _check_int(j, "j", -p.n_electrons, p.n_electrons) / p.mode_stiffness
     return amp, amp * amp
 
 
 def _check_j_max(j_max: int, n_electrons: int) -> int:
-    """Return the chirality cutoff as an int; raise ValueError unless it lies in [0, n_electrons]."""
-    return _check_int(j_max, "j_max", 0, n_electrons)
+    """Return the chirality cutoff as an int; raise ValueError unless it lies in [N mod 2, N], where |J| can lie."""
+    return _check_int(j_max, "j_max", n_electrons % 2, n_electrons)
 
 
 def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Optional[int] = None) -> int:
-    """Integer imbalance minimizing effective_energy over |j| <= j_max.
+    """Integer imbalance of N's parity minimizing effective_energy over |j| <= j_max.
 
     ``j_max`` defaults to N (every electron on one branch).  Ties are broken
     toward smaller |j|, then toward the negative branch, so the first-order
@@ -207,4 +173,4 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
     # E(-m) equals E(m) bit for bit and min keeps the first minimum, which sets the tie-break
     stiffness = p.branch_stiffness
     base, slope = stiffness * p.n_electrons**2, stiffness - chi
-    return -min(range(j_max + 1), key=lambda m: base + slope * m * m)
+    return -min(range(p.n_electrons % 2, j_max + 1, 2), key=lambda m: base + slope * m * m)

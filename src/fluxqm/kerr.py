@@ -82,7 +82,8 @@ class QuarticSector:
         if self.alpha4 == 0.0:  # then s = 0, and x_h**2 below can overflow
             return x_h
         # x0 = x_h y with (s^2/3) y^3 + y = 1; y = (2/s) sinh(u) turns it into sinh(3u) = 3s/2
-        s = math.sqrt(6.0 * self.alpha4 * x_h**2 / self.b_coef)  # 0, or at least 2e-162: 2 / s cannot overflow
+        # s is 0, or at least 2e-162, so 2 / s cannot overflow
+        s = math.sqrt(6.0 * self.alpha4 * _square(x_h, "x0") / self.b_coef)
         return x_h if s == 0.0 else x_h * (2.0 / s) * math.sinh(math.asinh(1.5 * s) / 3.0)
 
     @property

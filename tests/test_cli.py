@@ -133,6 +133,8 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("spectrum", "--set", "orbitals=0,1", "--set", "n_levels=0"), "n_levels"),
     (("nonlinear", "--set", "n_particles=3", "--set", "n_levels=-1"), "n_levels"),
     (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "solver=dense"), "solver"),
+    # J has N's parity, so no 5-electron sector fits |J| <= 0
+    (("dirac-scan", "--set", "n_electrons=5", "--set", "j_max=0"), "j_max"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
     def no_row(task):
@@ -277,6 +279,23 @@ def test_overflowing_dirac_coupling_flags_its_row(tmp_path):
     assert row["chi"] == row["energy"] == row["j_opt"] == ""
 
 
+@pytest.mark.parametrize("sets, j_opt, phase", [
+    # J = N - 2 N_minus has N's parity: these rows once read j_opt = 0, balanced, and j_opt = -7
+    (["n_electrons=5", "phi=0.1"], -1, "balanced"),
+    (["n_electrons=5", "phi=0.6"], -5, "polarized"),
+    (["n_electrons=8", "j_max=7", "phi=0.6"], -6, "polarized"),
+], ids=["odd-balanced", "odd-polarized", "even-odd-cap"])
+def test_dirac_scan_visits_only_sectors_of_n_parity(tmp_path, sets, j_opt, phase):
+    out = tmp_path / "dirac.csv"
+    assert run_cli("dirac-scan", *(arg for key in sets for arg in ("--set", key)), "--out", str(out)) == 0
+    _, header, rows = read_csv(out)
+    row = dict(zip(header, rows[0]))
+    assert (row["status"], int(row["j_opt"]), row["phase"]) == ("ok", j_opt, phase)
+    # <a> = -eps0 phi j_opt / hbar_omega, nonzero for a balanced odd-N ring too
+    phi = float(dict(key.split("=") for key in sets)["phi"])
+    assert float(row["displacement_a"]) == pytest.approx(-phi * j_opt, rel=1e-15)
+
+
 @pytest.mark.parametrize("args, message", [
     # phi = 1e154 overflows the mode stiffness to inf; phase-scan and spin-phase once wrote NaN rows with status=ok
     (["spectrum", "--set", "orbitals=-1,0,1", "--set", "phi=1e154"], "beta must be finite, got inf"),
@@ -307,6 +326,9 @@ def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     # x0 = 3.08e160 needs no square at alpha4 = 0, but v_eff does; this exited 2 with "(34, ...)"
     (["nonlinear", "--set", "n_particles=3", "--set", "hbar_omega=1e-320", "--set", "phi=1e-160",
       "--set", "m_total=10"], 1, "v_eff must be finite, but 3.076957332126948e+160**2 overflows"),
+    # at alpha4 > 0 the root itself squares x_h = 3.08e160; this exited 2 with "(34, ...)" too
+    (["nonlinear", "--set", "n_particles=3", "--set", "hbar_omega=1e-320", "--set", "phi=1e-160",
+      "--set", "m_total=10", "--set", "alpha4=0.05"], 2, "x0 must be finite, but 3.076957332126948e+160**2 overflows"),
     (["spin-phase", "--set", "n_particles=3", "--set", "phi=1e160", "--set", "eta=1"], 1,
      "beta must be finite, but 1e+160**2 overflows"),
     (["spin-phase", "--set", "n_particles=3", "--set", "eta=1e200"], 1, "ss must be finite, but 1e+200**2 overflows"),
@@ -319,7 +341,7 @@ def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     # eta^2 underflows to 0, and hbar_omega / eta^2 once failed with "float division by zero"
     (["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=1e-170"], 2,
      "e_l must be finite, but 1e-170**2 underflows to 0"),
-], ids=["nonlinear", "nonlinear-v_eff", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan",
+], ids=["nonlinear", "nonlinear-v_eff", "nonlinear-x0", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan",
         "tbjj-eta-huge", "tbjj-eta-tiny"])
 def test_overflowing_square_names_its_quantity(tmp_path, capsys, args, code, message):
     # float ** raises OverflowError where * gives inf; these once reported "(34, 'Numerical result out of range')"

@@ -8,7 +8,7 @@ from scipy.constants import hbar
 
 from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring, diracring, gridsolve, kerr, linearmode
 from fluxqm import oracle, phases, tbring
-from fluxqm.diracring import ChiralSector, DiracParams, diamagnetic_stiffness
+from fluxqm.diracring import DiracParams, diamagnetic_stiffness
 
 
 def test_si_constants_equal_scipy():
@@ -254,14 +254,14 @@ def test_integer_arguments_refuse_fractions(call, name):
      "degeneracy must be an integer, got 2.0"),
     (lambda: DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=4, degeneracy=3),
      "degeneracy must be 1, 2 or 4, got 3"),
-    (lambda: ChiralSector(-1, 2), "n_plus must be >= 0, got -1"),
-    (lambda: ChiralSector(2, -1), "n_minus must be >= 0, got -1"),
-    (lambda: ChiralSector(0, 0), "sector must hold at least one electron"),
     (lambda: diamagnetic_stiffness(1.0, 0.5, 1, 1.0), "n_sites must be >= 2, got 1"),
     (lambda: diracring.effective_energy(9, _DIRAC), "j must lie in [-8, 8], got 9"),
     (lambda: diracring.flux_displacement(-9, _DIRAC), "j must lie in [-8, 8], got -9"),
     (lambda: diracring.optimal_chirality(_DIRAC, j_max=9), "j_max must lie in [0, 8], got 9"),
     (lambda: diracring.optimal_chirality(_DIRAC, j_max=-1), "j_max must lie in [0, 8], got -1"),
+    # J has N's parity, so an odd-N ring has no sector below |J| = 1
+    (lambda: diracring.optimal_chirality(DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=5), j_max=0),
+     "j_max must lie in [1, 5], got 0"),
     (lambda: kerr.QuarticSector(0.5, 0.0, 1.0, 1.0, 1.0), "m_total must be an integer, got 0.5"),
     (lambda: kerr.full_levels(kerr.displacement_root(0, ModelParams(**_P), 0.0), ModelParams(**_P), 1.5),
      "s2 must be an integer, got 1.5"),
@@ -322,9 +322,7 @@ def test_records_store_numpy_integers_as_python_ints():
     dirac = DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.5, n_electrons=np.int8(100), degeneracy=np.uint8(2))
     # n_electrons**2 overflowed int8 while the value was stored as given
     assert diracring.effective_energy(0, dirac, chi=0.0) == dirac.branch_stiffness * 100**2
-    chiral = ChiralSector(np.int8(2), np.int64(1))
     quartic = kerr.displacement_root(np.int16(2), p, 0.1)
     for value in (*cfg.orbitals, *cfg.spins, cfg.m_total, cfg.sigma_total, cfg.w_kinetic, *sector.occupations,
-                  sector.m_sites, p.n_particles, dirac.n_electrons, dirac.degeneracy, chiral.n_plus, chiral.n_minus,
-                  quartic.m_total):
+                  sector.m_sites, p.n_particles, dirac.n_electrons, dirac.degeneracy, quartic.m_total):
         assert type(value) is int

@@ -5,7 +5,6 @@ import pytest
 from scipy.linalg import eigh
 
 from fluxqm import (
-    ChiralSector,
     DiracParams,
     NoTransitionError,
     critical_flux_dirac,
@@ -15,7 +14,6 @@ from fluxqm import (
     induced_coupling_dirac,
     optimal_chirality,
 )
-from fluxqm import diracring
 
 
 def _p(**kwargs):
@@ -153,10 +151,9 @@ def test_effective_energy_flat_at_critical_coupling():
 def test_effective_energy_against_consecutive_filling():
     # continuum quadratic form vs the exact branch-filling sum: O(1) apart
     p = _p(eps0=1.0, n_electrons=8, degeneracy=4)
-    sector = ChiralSector(6, 2)
     exact = consecutive_filling_energy(6, 2, p.eps0, p.degeneracy)
     assert exact == pytest.approx(6.0, rel=1e-14)  # frozen brute-force value
-    continuum = effective_energy(sector.j_chirality, p, chi=0.0)
+    continuum = effective_energy(6 - 2, p, chi=0.0)
     assert continuum == pytest.approx(5.0, rel=1e-14)
     assert abs(exact - continuum) <= 2.0 * p.eps0  # O(1) correction, not O(N)
 
@@ -188,22 +185,25 @@ def test_optimal_chirality_jump_across_threshold():
 
 
 @pytest.mark.parametrize("degeneracy", [1, 2, 4])
-@pytest.mark.parametrize("n_electrons", [1, 4, 8])
+@pytest.mark.parametrize("n_electrons", [1, 4, 5, 8])
 def test_optimal_chirality_is_the_first_brute_force_minimum(n_electrons, degeneracy):
     p = _p(eps0=1.3, n_electrons=n_electrons, degeneracy=degeneracy)
     chi_c = p.eps0 / (4 * p.degeneracy)
     # at chi = chi_c every j ties exactly, and +-j always tie
     for chi in (0.0, 0.5 * chi_c, chi_c, 1.5 * chi_c, 3.0):
-        for j_max in range(n_electrons + 1):
+        for j_max in range(n_electrons % 2, n_electrons + 1):
+            # N electrons fill only sectors whose J has N's parity
+            reachable = [j for j in range(-j_max, j_max + 1) if (j - n_electrons) % 2 == 0]
             # min keeps the first minimum: smaller |j| first, then the negative branch
-            order = sorted(range(-j_max, j_max + 1), key=lambda j: (abs(j), j))
+            order = sorted(reachable, key=lambda j: (abs(j), j))
             expected = min(order, key=lambda j: effective_energy(j, p, chi))
             assert optimal_chirality(p, chi, j_max) == expected
 
 
 def test_optimal_chirality_respects_cap():
-    p = _p(n_electrons=8)
-    assert abs(optimal_chirality(p, chi=1.0, j_max=5)) == 5
+    # above chi_c the largest reachable |J| within the cap wins: the cap itself only at N's parity
+    for n_electrons, j_max, expected in [(8, 5, 4), (8, 6, 6), (5, 4, 3), (5, 5, 5)]:
+        assert abs(optimal_chirality(_p(n_electrons=n_electrons), chi=1.0, j_max=j_max)) == expected
 
 
 # --- critical flux ------------------------------------------------------------
@@ -275,21 +275,15 @@ def test_displacement_value_against_potential_minimizer():
 def test_linear_expansion_identity():
     # sum |m + b + f| - sum |m + b| = f * J whenever no occupied level crosses
     rng = np.random.default_rng(21)
-    beta = diracring._BERRY_SHIFT
+    beta = 0.5  # the ring levels are eps0 |m + 1/2|
     for _ in range(40):
         n = int(rng.integers(1, 9))
         orbitals = rng.choice(np.arange(-7, 7), size=n, replace=False)
-        sector = ChiralSector.from_orbitals(orbitals)
+        # m >= 0 fills the + branch and m <= -1 the - branch
+        j = sum(1 for m in orbitals if m >= 0) - sum(1 for m in orbitals if m < 0)
         f = float(rng.uniform(-0.49, 0.49))
         lhs = sum(abs(m + beta + f) for m in orbitals) - sum(abs(m + beta) for m in orbitals)
-        assert lhs == pytest.approx(f * sector.j_chirality, abs=1e-12)
-
-
-def test_chiral_sector_split_convention():
-    sector = ChiralSector.from_orbitals([-2, -1, 0, 3])
-    assert (sector.n_plus, sector.n_minus) == (2, 2)
-    assert sector.j_chirality == 0
-    assert ChiralSector(5, 2).j_chirality == 3
+        assert lhs == pytest.approx(f * j, abs=1e-12)
 
 
 def test_params_validation():
@@ -297,8 +291,6 @@ def test_params_validation():
         DiracParams(eps0=1.0, hbar_omega=1.0, phi=0.0, n_electrons=4, degeneracy=3)
     with pytest.raises(ValueError):
         DiracParams(eps0=-1.0, hbar_omega=1.0, phi=0.0, n_electrons=4)
-    with pytest.raises(ValueError):
-        ChiralSector(-1, 2)
 
 
 @pytest.mark.parametrize("field", ["eps0", "hbar_omega", "phi", "d_eff"])

@@ -179,15 +179,17 @@ def dirac_argmin_cases(draw):
         st.floats(min_value=-1e-15, max_value=1e-15).map(lambda r: stiffness * (1.0 + r)),
         st.floats(min_value=0.0, max_value=3.0 * stiffness),
     ))
-    return p, chi, draw(st.integers(min_value=0, max_value=n))
+    # J has N's parity, so an odd-N ring needs j_max >= 1
+    return p, chi, draw(st.integers(min_value=n % 2, max_value=n))
 
 
 @PROPERTY
 @given(dirac_argmin_cases())
 def test_optimal_chirality_is_the_first_minimum_of_the_effective_energy(case):
     p, chi, j_max = case
+    reachable = [j for j in range(-j_max, j_max + 1) if (j - p.n_electrons) % 2 == 0]
     # ties go to the smaller |j|, then to the negative branch
-    expected = min(range(-j_max, j_max + 1), key=lambda j: (effective_energy(j, p, chi), abs(j), j))
+    expected = min(reachable, key=lambda j: (effective_energy(j, p, chi), abs(j), j))
     assert optimal_chirality(p, chi, j_max) == expected
 
 

@@ -136,6 +136,12 @@ def test_overflowing_square_names_b_coef():
         displacement_root(0, _p(phi=1e160), 0.0)
 
 
+def test_overflowing_square_of_the_harmonic_root_names_x0():
+    # x_h = 3.08e160, and x_h**2 in the quartic root once raised the anonymous "(34, 'Numerical result out of range')"
+    with pytest.raises(ValueError, match=r"^x0 must be finite, but 3\.076957332126948e\+160\*\*2 overflows$"):
+        displacement_root(10, _p(g=1.0, phi=1e-160, n_particles=3, hbar_omega=1e-320), 0.05)
+
+
 def test_gaussian_frequency_matches_linear_model_at_zero_momentum():
     p = _p()
     sector = displacement_root(0, p, 0.0)

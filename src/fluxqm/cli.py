@@ -14,8 +14,9 @@ reads as an integer is an integer axis, whose grid is rounded to the nearest
 integers and written as integers.  Rows that only evaluate closed forms run
 in the main process whatever ``--jobs`` says; only rows that diagonalise
 (``tbjj``, ``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are
-dispatched to a process pool, whose module is imported only then.  The layers
-import numpy and scipy inside the functions that use them, so ``spectrum``,
+dispatched to a process pool of at most one worker per row, whose module is
+imported only then.  The layers import numpy and scipy inside the functions
+that use them, so ``spectrum``,
 ``spin-phase``, ``dirac-scan`` and ``nonlinear`` without levels never load
 numpy; ``phase-scan`` loads it for its enumeration table and the
 diagonalising rows for their eigensolves.  Each evaluated result becomes its
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
 from . import diracring, kerr, linearmode, oracle, phases, spinorbit, tbring
-from .core import FermionConfig, ModelParams, _check_int, _check_non_negative
+from .core import FermionConfig, ModelParams, _check_finite, _check_int, _check_non_negative
 
 SCHEMA_VERSION = 1
 
@@ -176,7 +177,7 @@ class _Point(NamedTuple):
     columns: tuple  # (name, description) pairs, level families included
     row: Callable[[], dict]  # evaluates the point's row
     p: object = None  # the model whose closed-form thresholds a scan's summary reads
-    diagonalises: bool = False  # only runs whose rows diagonalise use the worker pool
+    imports: tuple = ()  # modules a row imports to diagonalise; only such rows use the worker pool
 
 
 def _spectrum(ps):
@@ -326,15 +327,20 @@ def _nonlinear(ps):
         ("omega_ratio", "curvature spacing Omega(M) over the bare quantum"),
         *_level_columns("eps", "anharmonic level {k} of the residual block", n_levels),
     )
-    return _Point(columns, lambda: {
-        "m_total": sector.m_total,
-        "x0": sector.x0,
-        "b_eff": sector.b_eff,
-        "beta3": sector.beta3,
-        "v_eff": sector.v_eff,
-        "omega_ratio": kerr.gaussian_frequency(sector) / p.hbar_omega,
-        **_level_cells("eps", kerr.anharmonic_spectrum(sector, n_levels=n_levels) if n_levels else ()),
-    }, p, n_levels > 0)
+
+    def row():
+        cells = {
+            "m_total": sector.m_total,
+            "x0": sector.x0,
+            "b_eff": sector.b_eff,
+            "beta3": sector.beta3,
+            "v_eff": sector.v_eff,
+            "omega_ratio": kerr.gaussian_frequency(sector) / p.hbar_omega,
+        }
+        _check_finite(omega_ratio=cells["omega_ratio"])  # a subnormal hbar_omega overflows the ratio
+        levels = kerr.anharmonic_spectrum(sector, n_levels=n_levels) if n_levels else ()
+        return {**cells, **_level_cells("eps", levels)}
+    return _Point(columns, row, p, ("numpy",) if n_levels else ())
 
 
 def _tbjj(ps):
@@ -378,7 +384,7 @@ def _tbjj(ps):
                                                              n_levels=n_levels)),
         **_level_cells("xrep_e", tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega,
                                                              n_levels=n_levels) if both else ()),
-    }, diagonalises=True)
+    }, imports=("numpy",))
 
 
 # oracle-check: a fixed self-test suite comparing closed forms and brute force.
@@ -428,7 +434,7 @@ def _oracle_check(ps):
             "max_rel_error": max_rel_error,
             "passed": max_rel_error <= tol and report.converged,
         }
-    return _Point(_ORACLE_COLUMNS, row, p, True)
+    return _Point(_ORACLE_COLUMNS, row, p, ("scipy.linalg",))
 
 
 def _scan_summary(cmd, p, scan_param, values, rows):
@@ -457,8 +463,6 @@ class _Command:
     jump_column: Optional[str] = None  # a scan's summary brackets the first change of this column
     closed_forms: dict = field(default_factory=dict)  # scan axis -> its closed-form threshold, of the point's p
     fixed_cases: tuple = ()  # a fixed suite of case indices replaces the scan
-    # modules the rows import; a pool imports them once before it forks, so its workers share them
-    row_imports: tuple = ()
 
 
 _COMMANDS = {
@@ -467,10 +471,9 @@ _COMMANDS = {
     "spin-phase": _Command(_spin_phase, "stable",
                            {"eta": spinorbit.critical_eta, "phi": spinorbit.critical_flux_spin}),
     "dirac-scan": _Command(_dirac_scan, "phase", {"phi": diracring.critical_flux_dirac}),
-    "nonlinear": _Command(_nonlinear, row_imports=("numpy",)),
-    "tbjj": _Command(_tbjj, row_imports=("numpy",)),
-    "oracle-check": _Command(_oracle_check, fixed_cases=tuple(range(len(_ORACLE_SUITE))),
-                             row_imports=("scipy.linalg",)),
+    "nonlinear": _Command(_nonlinear),
+    "tbjj": _Command(_tbjj),
+    "oracle-check": _Command(_oracle_check, fixed_cases=tuple(range(len(_ORACLE_SUITE)))),
 }
 
 
@@ -668,14 +671,15 @@ def run(config: RunConfig) -> int:
     names = [name for name, _ in columns]
 
     tasks = ((config.command, config.params, key, value) for value in values)
-    jobs = config.jobs if config.jobs is not None else (os.cpu_count() or 1)
+    # a pool forks all its workers at once, so it never gets more than one per row
+    jobs = min(config.jobs or os.cpu_count() or 1, len(values))
     # closed-form rows take microseconds: a pool would only add start-up and pickling
-    if not first.diagonalises or jobs == 1 or len(values) == 1:
+    if not first.imports or jobs == 1:
         rows = list(map(_eval_point, tasks))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        for module in cmd.row_imports:
+        for module in first.imports:  # imported once before the fork, so the workers share them
             importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(values) // (4 * jobs))))
@@ -716,8 +720,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output file path")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes for rows that diagonalise (default: available "
-                             "parallelism); closed-form commands run in the main process")
+                        help="worker processes for rows that diagonalise, at most one per row (default: "
+                             "available parallelism); closed-form commands run in the main process")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

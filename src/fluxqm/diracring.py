@@ -69,8 +69,10 @@ class DiracParams:
 
     @property
     def mode_stiffness(self) -> float:
-        """Cavity stiffness hbar_omega + 2 D_eff phi^2 that the chirality drive displaces."""
-        return self.hbar_omega + 2.0 * self.d_eff * _square(self.phi, "mode_stiffness")
+        """Cavity stiffness hbar_omega + 2 D_eff phi^2 that the chirality drive displaces; raises if it overflows."""
+        stiffness = self.hbar_omega + 2.0 * self.d_eff * _square(self.phi, "mode_stiffness")
+        _check_finite(mode_stiffness=stiffness)  # an inf stiffness would read chi = lambda^2 / inf = 0.0
+        return stiffness
 
 
 def diamagnetic_stiffness(
@@ -117,7 +119,9 @@ def effective_energy(j: int, p: DiracParams, chi: Optional[float] = None) -> flo
     else:
         _check_finite(chi=chi)
     stiffness = p.branch_stiffness
-    return stiffness * p.n_electrons**2 + (stiffness - chi) * j * j
+    energy = stiffness * p.n_electrons**2 + (stiffness - chi) * j * j
+    _check_finite(energy=energy)  # eps0 N^2 / (4 g_d) can overflow
+    return energy
 
 
 def critical_flux_dirac(p: DiracParams) -> float:

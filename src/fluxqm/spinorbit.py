@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, _check_positive, _square
+from .core import ModelParams, _check_finite, _check_positive, _square
 from .errors import NoTransitionError
 from .linearmode import _stiffness
 
@@ -46,7 +46,9 @@ class HessianReport:
 
     @property
     def determinant(self) -> float:
-        return self.mm * self.ss - self.ms * self.ms
+        det = self.mm * self.ss - self.ms * self.ms
+        _check_finite(determinant=det)  # the product can overflow where both eigenvalues are finite
+        return det
 
     @property
     def eigenvalues(self) -> tuple[float, float]:

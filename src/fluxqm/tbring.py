@@ -45,7 +45,6 @@ __all__ = [
     "TBSector",
     "RfSquidParams",
     "sector_constants",
-    "displacement_matrix_element",
     "displacement_operator",
     "sector_spectrum_fock",
     "sector_spectrum_xrep",
@@ -150,28 +149,29 @@ _MAX_HALF_LAM_SQ = -math.log(sys.float_info.min)
 _PHASES = (1, 1j, -1, -1j)  # i^D for D mod 4, exact for every exponent
 
 
-def _displacement_bands(lam: float, bands: np.ndarray, size: int) -> np.ndarray:
-    """Magnitudes m[l, j] = e^(-lam^2/2) lam^D sqrt(l!/(l+D)!) L_l^(D)(lam^2), D = bands[j].
+def _displacement_bands(lam: float, size: int) -> np.ndarray:
+    """Magnitudes m[l, D] = e^(-lam^2/2) lam^D sqrt(l!/(l+D)!) L_l^(D)(lam^2) of the bands D = 0..size-1.
 
     Filled where l + D < size, i.e. on the |0..size-1> block; the rest stays 0.
-    ``bands`` ascends.  Computed by upward recursion in l on the *normalized*
-    values, whose coefficients are all O(1), for every band at once; this
-    stays stable where factorial-ratio evaluation overflows (indices beyond
-    ~170).  Each band's seed uses log-gamma.
+    Computed by upward recursion in l on the *normalized* values, whose
+    coefficients are all O(1), for every band at once; this stays stable where
+    factorial-ratio evaluation overflows (indices beyond ~170).  Each band's
+    seed uses log-gamma.
     """
     import numpy as np
     _check_non_negative(lam=lam)
     if 0.5 * lam * lam > _MAX_HALF_LAM_SQ:
         raise ValueError(f"lam = {lam} too large: the e^(-lam^2/2) seed underflows past lam ~ 37.6")
-    out = np.zeros((size - int(bands[0]), bands.size))
+    out = np.zeros((size, size))
     if lam == 0.0:
-        out[:, bands == 0] = 1.0
+        out[:, 0] = 1.0
         return out
     x = lam * lam
     log_lam = math.log(lam)
-    out[0] = [math.exp(-0.5 * x + d * log_lam - 0.5 * math.lgamma(d + 1)) for d in bands.tolist()]
-    for l in range(out.shape[0] - 1):
-        k = int(np.searchsorted(bands, size - 1 - l))  # bands that still have a row l + 1
+    out[0] = [math.exp(-0.5 * x + d * log_lam - 0.5 * math.lgamma(d + 1)) for d in range(size)]
+    bands = np.arange(size)
+    for l in range(size - 1):
+        k = size - 1 - l  # bands that still have a row l + 1
         d = bands[:k]
         prev2 = out[l - 1, :k] if l else 0.0
         denom = np.sqrt((l + 1.0) * (l + 1.0 + d))
@@ -179,32 +179,19 @@ def _displacement_bands(lam: float, bands: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def displacement_matrix_element(m: int, n: int, lam: float) -> complex:
-    """Closed-form <m| exp(i * lam * (a + a^dag)) |n>.
-
-    Equals e^(-lam^2/2) sqrt(min!/max!) (i lam)^|m-n| L_min^(|m-n|)(lam^2);
-    lam = 0 gives the identity.  Raises ValueError past lam ~ 37.6, where
-    e^(-lam^2/2) underflows.  The operator is symmetric, and the element of
-    exp(-i lam (a + a^dag)) is its complex conjugate.
-    """
-    import numpy as np
-    m, n = _check_int(m, "m", lo=0), _check_int(n, "n", lo=0)
-    delta_idx = abs(m - n)
-    magnitude = _displacement_bands(lam, np.array([delta_idx]), max(m, n) + 1)[min(m, n), 0]
-    return complex(_PHASES[delta_idx % 4] * magnitude)
-
-
 def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
-    """Dense matrix of exp(i*lam*(a+a^dag)) on |0..cutoff>.
+    """Dense matrix of exp(i*lam*(a+a^dag)) on |0..cutoff>, from its closed-form elements.
 
-    Unitary up to truncation: column n is numerically unit-norm once the
-    cutoff exceeds roughly n + 20 lam^2 + 40.  Even |m-n| bands are real and
-    odd bands imaginary, so the real and imaginary parts are the real
+    <m|exp(i lam (a + a^dag))|n> = e^(-lam^2/2) sqrt(min!/max!) (i lam)^|m-n| L_min^(|m-n|)(lam^2) of
+    m and n, so lam = 0 gives the identity; the matrix is symmetric, and exp(-i lam (a + a^dag)) has the
+    conjugate elements.  Raises ValueError past lam ~ 37.6, where e^(-lam^2/2) underflows.  Unitary up
+    to truncation: column n is numerically unit-norm once the cutoff exceeds roughly n + 20 lam^2 + 40.
+    Even |m-n| bands are real and odd bands imaginary, so the real and imaginary parts are the real
     symmetric matrices of cos and sin of lam (a + a^dag).
     """
     import numpy as np
     dim = _check_int(cutoff, "cutoff", lo=0) + 1
-    mags = _displacement_bands(lam, np.arange(dim), dim)
+    mags = _displacement_bands(lam, dim)
     phases = np.array(_PHASES)[np.arange(dim) % 4]
     op = np.zeros((dim, dim), dtype=complex)
     for l in range(dim):

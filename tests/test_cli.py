@@ -310,8 +310,18 @@ def test_dirac_scan_visits_only_sectors_of_n_parity(tmp_path, sets, j_opt, phase
      "energy must be finite, got -inf"),
     # ... and D / hbar_omega overflows for a subnormal hbar_omega (var_x read 0.0)
     (["spectrum", "--set", "orbitals=0", "--set", "hbar_omega=1e-320", "--set", "phi=1"], "r must be finite, got inf"),
+    # ... the Dirac cavity stiffness overflows (chi read 0.0), and so does eps0 N^2 / (4 g_d) ...
+    (["dirac-scan", "--set", "n_electrons=8", "--set", "d_eff=1e300", "--set", "phi=1e5"],
+     "mode_stiffness must be finite, got inf"),
+    (["dirac-scan", "--set", "n_electrons=8", "--set", "eps0=1e308"], "energy must be finite, got inf"),
+    # ... mm ss overflows while both Hessian eigenvalues are finite ...
+    (["spin-phase", "--set", "n_particles=5", "--set", "g_eff=1e300"], "determinant must be finite, got inf"),
+    # ... and the Kerr curvature spacing over a subnormal hbar_omega overflows
+    (["nonlinear", "--set", "n_particles=1", "--set", "g=1e300", "--set", "phi=1e4", "--set", "hbar_omega=1e-310"],
+     "omega_ratio must be finite, got inf"),
 ], ids=["spectrum", "phase-scan", "spin-phase", "spectrum-dressed-quantum", "phase-scan-dressed-quantum",
-        "spectrum-zeeman-energy", "spectrum-squeeze"])
+        "spectrum-zeeman-energy", "spectrum-squeeze", "dirac-mode-stiffness", "dirac-energy", "spin-determinant",
+        "nonlinear-omega-ratio"])
 def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     out = tmp_path / "overflow.csv"
     assert run_cli(*args, "--out", str(out), "--jobs", "1") == 1

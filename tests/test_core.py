@@ -161,7 +161,6 @@ _GRID = dict(potential=lambda x: 0.5 * x * x, x_min=-5.0, x_max=5.0, n_points=32
 _RANGE_RULE_ENTRIES = [
     (derive_ring, dict(radius=1e-6, m_eff_ratio=1.0, energy_unit=1e-24), ("radius", "m_eff_ratio", "energy_unit")),
     (diamagnetic_stiffness, dict(eps0=1.0, filling=0.5, n_sites=10, phi=0.3), ("eps0", "phi")),
-    (tbring.displacement_matrix_element, dict(m=1, n=2, lam=0.5), ("lam",)),
     (tbring.displacement_operator, dict(lam=0.5, cutoff=4), ("lam",)),
     # a non-finite c_coef was once blamed on the closed-form root: "x0 must be finite"
     (kerr.QuarticSector, dict(m_total=1, alpha4=0.0, a_coef=1.0, b_coef=1.0, c_coef=1.0),
@@ -273,8 +272,6 @@ def test_integer_arguments_refuse_fractions(call, name):
     (lambda: tbring.TBSector((0, 6), 6), "occupation must lie in [0, 5], got 6"),
     (lambda: tbring.TBSector((-1, 2), 6), "occupation must lie in [0, 5], got -1"),
     (lambda: tbring.TBSector((1, 1), 6), "Pauli exclusion violated: duplicate momentum indices in (1, 1)"),
-    (lambda: tbring.displacement_matrix_element(-1, 0, 0.5), "m must be >= 0, got -1"),
-    (lambda: tbring.displacement_matrix_element(0, -1, 0.5), "n must be >= 0, got -1"),
     (lambda: tbring.displacement_operator(0.5, -1), "cutoff must be >= 0, got -1"),
     (lambda: tbring.sector_spectrum_fock(tbring.TBSector((0, 1), 6), 0.5, 1.0, 1.0, n_levels=33),
      "n_levels must lie in [1, 32], got 33"),
@@ -302,12 +299,11 @@ def test_integer_rule_refuses_out_of_range_values(call, message):
     lambda k: diracring.optimal_chirality(_DIRAC, chi=1.0, j_max=k),
     lambda k: kerr.displacement_root(k, ModelParams(**_P), 0.1).x0,
     lambda k: tbring.displacement_operator(0.5, k),
-    lambda k: tbring.displacement_matrix_element(k, 1, 0.5),
     lambda k: oracle.oracle_spectrum(ModelParams(**_P), FermionConfig([0]), cutoff=50 + k, n_levels=k,
                                      check_convergence=False).levels,
 ], ids=["ModelParams", "sector_energy", "mode_displacement", "balanced_config", "ground_state_search",
         "effective_energy", "flux_displacement", "optimal_chirality", "displacement_root", "displacement_operator",
-        "displacement_matrix_element", "oracle_spectrum"])
+        "oracle_spectrum"])
 @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16])
 def test_numpy_integers_give_the_python_int_result(call, dtype):
     np.testing.assert_equal(call(dtype(3)), call(3))

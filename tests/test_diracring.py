@@ -126,6 +126,17 @@ def test_overflowing_square_names_its_quantity():
         diamagnetic_stiffness(1.0, 0.5, 10, 1e160)
 
 
+def test_overflowing_closed_forms_name_their_quantity():
+    # 2 D_eff phi^2 overflows: chi = lambda^2 / inf once read 0.0, where the true chi is 5e-301
+    with pytest.raises(ValueError, match=r"^mode_stiffness must be finite, got inf$"):
+        induced_coupling_dirac(_p(d_eff=1e300, phi=1e5))
+    with pytest.raises(ValueError, match=r"^mode_stiffness must be finite, got inf$"):
+        flux_displacement(2, _p(d_eff=1e300, phi=1e5))
+    # eps0 N^2 / (4 g_d) overflows: the energy once read inf, where the true energy is 4e308
+    with pytest.raises(ValueError, match=r"^energy must be finite, got inf$"):
+        effective_energy(0, _p(eps0=1e308))
+
+
 def test_coupling_saturation_with_stiffness():
     weak = induced_coupling_dirac(_p(phi=1.0, d_eff=1e6))
     assert weak < 1e-5

@@ -169,6 +169,14 @@ def test_overflowing_square_names_its_quantity(entry, p, message):
     assert type(info.value) is ValueError and str(info.value) == message
 
 
+def test_overflowing_determinant_names_its_quantity():
+    # mm ss ~ 1e600 once read inf, while both eigenvalues are finite
+    rep = hessian(_p(n_particles=5, g_eff=1e300))
+    assert all(math.isfinite(e) for e in rep.eigenvalues)
+    with pytest.raises(ValueError, match=r"^determinant must be finite, got inf$"):
+        rep.determinant
+
+
 def test_critical_eta_matches_determinant_bisection():
     p = _p(g=0.8, g_eff=0.8, phi=0.9, n_particles=5, hbar_omega=1.4)
     root = brentq(lambda eta: hessian(replace(p, eta=eta)).determinant, 1e-9, 10.0,

@@ -99,14 +99,15 @@ def test_closed_form_commands_never_load_numpy(tmp_path, command, jobs):
 
 
 def run_recording_pool(argv, cwd):
-    """Run the CLI, noting for each pool it constructs which of numpy and scipy.linalg were loaded by then."""
+    """Run the CLI, noting each pool's max_workers and which of numpy and scipy.linalg were loaded when it was built."""
     return run_python(
         "import concurrent.futures, json, sys\n"
         "from fluxqm import cli\n"
         "seen = []\n"
         "pool = concurrent.futures.ProcessPoolExecutor\n"
         "def recording_pool(*args, **kwargs):\n"
-        "    seen.append([m for m in ('numpy', 'scipy.linalg') if m in sys.modules])\n"
+        "    seen.append({'loaded': [m for m in ('numpy', 'scipy.linalg') if m in sys.modules],\n"
+        "                 'max_workers': kwargs['max_workers']})\n"
         "    return pool(*args, **kwargs)\n"
         "concurrent.futures.ProcessPoolExecutor = recording_pool  # where cli.run imports it from\n"
         f"code = cli.main({argv!r})\n"
@@ -162,7 +163,8 @@ _LOADS_SCIPY = {"oracle-check": ["--set", "n_levels=2"]}
 def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, command):
     argv = [command, *_LOADS_SCIPY[command], "--out", "out.csv", "--jobs", "2"]
     result = run_recording_pool(argv, tmp_path)
-    assert result == {"code": 0, "seen": [["numpy", "scipy.linalg"]]}, (tmp_path / "out.csv").read_text()
+    expected = [{"loaded": ["numpy", "scipy.linalg"], "max_workers": 2}]
+    assert result == {"code": 0, "seen": expected}, (tmp_path / "out.csv").read_text()
 
 
 # tbjj, and nonlinear with n_levels > 0, diagonalise with numpy alone: each run imports numpy before it
@@ -174,4 +176,16 @@ def test_diagonalising_commands_import_scipy_linalg_before_the_pool(tmp_path, co
 ])
 def test_numpy_diagonalising_commands_start_one_pool_without_scipy(tmp_path, command, argv):
     result = run_recording_pool([command, *argv, "--out", "out.csv", "--jobs", "2"], tmp_path)
-    assert result == {"code": 0, "seen": [["numpy"]]}, (tmp_path / "out.csv").read_text()
+    assert result == {"code": 0, "seen": [{"loaded": ["numpy"], "max_workers": 2}]}, (tmp_path / "out.csv").read_text()
+
+
+# A pool forks all of its workers at its first task, so a run never asks for more workers than rows,
+# and a run of one row starts none.
+@pytest.mark.parametrize(("argv", "jobs", "seen"), [
+    pytest.param(_TBJJ, "3", [{"loaded": ["numpy"], "max_workers": 2}], id="two-rows-three-jobs"),
+    pytest.param(["--set", "m_sites=6", "--set", "occupied=0,1", "--set", "n_levels=2"], "2", [],
+                 id="one-row-two-jobs"),
+])
+def test_pool_never_outnumbers_its_rows(tmp_path, argv, jobs, seen):
+    result = run_recording_pool(["tbjj", *argv, "--out", "out.csv", "--jobs", jobs], tmp_path)
+    assert result == {"code": 0, "seen": seen}, (tmp_path / "out.csv").read_text()

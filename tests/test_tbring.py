@@ -9,7 +9,6 @@ from fluxqm import (
     GridDomainError,
     ModelParams,
     RfSquidParams,
-    displacement_matrix_element,
     displacement_operator,
     rf_squid_map,
     rf_squid_spectrum,
@@ -112,20 +111,20 @@ def test_compression_identity_pointwise():
 
 
 def test_element_identity_at_zero():
-    assert displacement_matrix_element(3, 3, 0.0) == 1.0
-    assert displacement_matrix_element(3, 1, 0.0) == 0.0
+    assert displacement_operator(0.0, 3)[3, 3] == 1.0
+    assert displacement_operator(0.0, 3)[3, 1] == 0.0
 
 
 def test_element_vacuum_overlap():
     lam = 0.7
-    assert displacement_matrix_element(0, 0, lam) == pytest.approx(math.exp(-lam**2 / 2), rel=1e-14)
+    assert displacement_operator(lam, 0)[0, 0] == pytest.approx(math.exp(-lam**2 / 2), rel=1e-14)
 
 
 def test_element_two_zero_value():
     # closed form at (2, 0): -(lam^2/sqrt(2)) e^(-lam^2/2)
     lam = 0.5
     expected = -(lam**2 / math.sqrt(2.0)) * math.exp(-lam**2 / 2)
-    value = displacement_matrix_element(2, 0, lam)
+    value = displacement_operator(lam, 2)[2, 0]
     assert value.real == pytest.approx(expected, rel=1e-13)
     assert value.real == pytest.approx(-0.15600488604842286, rel=1e-12)
     assert value.imag == 0.0
@@ -134,15 +133,15 @@ def test_element_two_zero_value():
 def test_elements_match_power_series_oracle():
     for lam in (0.3, 0.9):
         for m, n in ((0, 0), (2, 0), (5, 3), (7, 7), (1, 6)):
-            got = displacement_matrix_element(m, n, lam)
+            got = displacement_operator(lam, max(m, n))[m, n]
             want = series_displacement_element(m, n, lam)
             assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_element_symmetry_and_conjugation():
     lam = 0.8
-    a = displacement_matrix_element(6, 2, lam)
-    b = displacement_matrix_element(2, 6, lam)
+    op = displacement_operator(lam, 6)
+    a, b = op[6, 2], op[2, 6]
     assert a == b  # the operator matrix is symmetric (not Hermitian-conjugated)
     # exp(-i lam (a + a^dag)) has the conjugate elements
     assert series_displacement_element(6, 2, -lam) == pytest.approx(a.conjugate(), abs=1e-12)
@@ -173,7 +172,6 @@ def test_operator_band_phases_exact():
     op = displacement_operator(0.9, cutoff)
     assert np.all(op.real[odd] == 0.0)
     assert np.all(op.imag[~odd] == 0.0)
-    assert displacement_matrix_element(101, 0, 0.9).real == 0.0
 
 
 def test_element_matches_mpmath_at_large_lam():
@@ -183,7 +181,7 @@ def test_element_matches_mpmath_at_large_lam():
     for lam in (30.0, 37.0):
         x = mpmath.mpf(lam) ** 2
         want = float(mpmath.exp(-x / 2) * mpmath.laguerre(1600, 0, x))
-        got = displacement_matrix_element(1600, 1600, lam)
+        got = displacement_operator(lam, 1600)[1600, 1600]
         assert got.imag == 0.0
         assert abs(got.real - want) <= 1e-12 * abs(want)
 
@@ -191,7 +189,7 @@ def test_element_matches_mpmath_at_large_lam():
 def test_element_rejects_underflowing_lam():
     for lam in (40.0, 45.0):
         with pytest.raises(ValueError, match=f"lam = {lam}"):
-            displacement_matrix_element(1600, 1600, lam)
+            displacement_operator(lam, 1600)
 
 
 # --- sector spectra -------------------------------------------------------------

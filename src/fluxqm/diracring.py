@@ -152,7 +152,9 @@ def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:
     across the transition; <a> is odd and <n> even under j -> -j.
     """
     amp = -p.coupling_lambda * _check_int(j, "j", -p.n_electrons, p.n_electrons) / p.mode_stiffness
-    return amp, amp * amp
+    photon_number = amp * amp
+    _check_finite(photon_number=photon_number)  # |<a>| above about 1.3e154 squares to inf
+    return amp, photon_number
 
 
 def _check_j_max(j_max: int, n_electrons: int) -> int:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FermionConfig, ModelParams, _check_int, _check_positive
+from .core import FermionConfig, ModelParams, _check_int, _check_positive, _square
 from .errors import NoTransitionError
 from .linearmode import induced_coupling, mode_displacement, sector_energy
 
@@ -60,7 +60,7 @@ class GroundState:
 
     @property
     def photon_number(self) -> float:
-        return self.displacement_a**2
+        return _square(self.displacement_a, "photon_number")
 
 
 def balanced_config(n: int) -> FermionConfig:

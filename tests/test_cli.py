@@ -316,12 +316,15 @@ def test_dirac_scan_visits_only_sectors_of_n_parity(tmp_path, sets, j_opt, phase
     (["dirac-scan", "--set", "n_electrons=8", "--set", "eps0=1e308"], "energy must be finite, got inf"),
     # ... mm ss overflows while both Hessian eigenvalues are finite ...
     (["spin-phase", "--set", "n_particles=5", "--set", "g_eff=1e300"], "determinant must be finite, got inf"),
-    # ... and the Kerr curvature spacing over a subnormal hbar_omega overflows
+    # ... the Kerr curvature spacing over a subnormal hbar_omega overflows ...
     (["nonlinear", "--set", "n_particles=1", "--set", "g=1e300", "--set", "phi=1e4", "--set", "hbar_omega=1e-310"],
      "omega_ratio must be finite, got inf"),
+    # ... and <a> = 8e155 squares to inf in the Dirac photon number
+    (["dirac-scan", "--set", "n_electrons=8", "--set", "phi=1e145", "--set", "hbar_omega=1e-10"],
+     "photon_number must be finite, got inf"),
 ], ids=["spectrum", "phase-scan", "spin-phase", "spectrum-dressed-quantum", "phase-scan-dressed-quantum",
         "spectrum-zeeman-energy", "spectrum-squeeze", "dirac-mode-stiffness", "dirac-energy", "spin-determinant",
-        "nonlinear-omega-ratio"])
+        "nonlinear-omega-ratio", "dirac-photon-number"])
 def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     out = tmp_path / "overflow.csv"
     assert run_cli(*args, "--out", str(out), "--jobs", "1") == 1
@@ -344,6 +347,8 @@ def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     (["spin-phase", "--set", "n_particles=3", "--set", "eta=1e200"], 1, "ss must be finite, but 1e+200**2 overflows"),
     (["phase-scan", "--set", "n_particles=3", "--set", "g=1e200", "--set", "phi=1"], 1,
      "chi must be finite, but 1e+200**2 overflows"),
+    (["phase-scan", "--set", "n_particles=5", "--set", "g=2", "--set", "phi=1e-155", "--set", "hbar_omega=1e-320"], 1,
+     "photon_number must be finite, but -2.9999999999925097e+155**2 overflows"),
     (["dirac-scan", "--set", "n_electrons=4", "--set", "eps0=1e200", "--set", "phi=1"], 1,
      "chi must be finite, but 1e+200**2 overflows"),
     (["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=1e160"], 2,
@@ -351,8 +356,8 @@ def test_overflowing_mode_stiffness_flags_its_row(tmp_path, args, message):
     # eta^2 underflows to 0, and hbar_omega / eta^2 once failed with "float division by zero"
     (["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=1e-170"], 2,
      "e_l must be finite, but 1e-170**2 underflows to 0"),
-], ids=["nonlinear", "nonlinear-v_eff", "nonlinear-x0", "spin-phase-phi", "spin-phase-eta", "phase-scan", "dirac-scan",
-        "tbjj-eta-huge", "tbjj-eta-tiny"])
+], ids=["nonlinear", "nonlinear-v_eff", "nonlinear-x0", "spin-phase-phi", "spin-phase-eta", "phase-scan",
+        "phase-scan-photon-number", "dirac-scan", "tbjj-eta-huge", "tbjj-eta-tiny"])
 def test_overflowing_square_names_its_quantity(tmp_path, capsys, args, code, message):
     # float ** raises OverflowError where * gives inf; these once reported "(34, 'Numerical result out of range')"
     out = tmp_path / "overflow.csv"
@@ -486,21 +491,26 @@ def test_spinful_spectrum_equals_the_oracle_levels(tmp_path):
         assert float(row[f"e{k}"]) == pytest.approx(level, rel=1e-8, abs=1e-8)
 
 
-def test_phase_scan_bracket_contains_closed_form(tmp_path):
+_PHI_C = critical_flux(ModelParams(g=2.0, g_eff=1.0, phi=0.0, n_particles=3))
+
+
+@pytest.mark.parametrize("m_max, scan_max, steps", [
+    (5, 2 * _PHI_C, 101),
+    (6, 0.5, 400),  # the README example
+], ids=["twice-phi_c", "readme"])
+def test_phase_scan_bracket_contains_closed_form(tmp_path, m_max, scan_max, steps):
     out = tmp_path / "scan.csv"
-    p = ModelParams(g=2.0, g_eff=1.0, phi=0.0, n_particles=3)
-    phi_c = critical_flux(p)
-    code = run_cli("phase-scan", "--set", "n_particles=3", "--set", "g=2.0",
-                   "--set", "m_max=5", "--set", "scan_param=phi",
-                   "--set", "scan_min=0", "--set", f"scan_max={2 * phi_c}",
-                   "--set", "scan_steps=101", "--out", str(out), "--jobs", "1")
+    code = run_cli("phase-scan", "--set", "n_particles=3", "--set", "g=2.0", "--set", "g_eff=1.0",
+                   "--set", f"m_max={m_max}", "--set", "scan_param=phi",
+                   "--set", "scan_min=0", "--set", f"scan_max={scan_max}",
+                   "--set", f"scan_steps={steps}", "--out", str(out), "--jobs", "1")
     assert code == 0
     comments, header, rows = read_csv(out)
     summary = read_summary(comments)
     lo, hi = float(summary["jump_phi_low"]), float(summary["jump_phi_high"])
-    assert lo <= phi_c <= hi
-    assert hi - lo == pytest.approx(2 * phi_c / 100, rel=1e-9)
-    assert float(summary["phi_c_closed_form"]) == phi_c
+    assert lo <= _PHI_C <= hi
+    assert hi - lo == pytest.approx(scan_max / (steps - 1), rel=1e-9)
+    assert float(summary["phi_c_closed_form"]) == _PHI_C
 
 
 @pytest.mark.parametrize("axis, fixed, threshold, other", [
@@ -732,8 +742,8 @@ def test_tbjj_levels_are_even_in_eta(tmp_path):
     ["tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "t=0.5",
      "--set", "solver=both", "--set", "n_levels=2",
      "--set", "scan_param=eta", "--set", "scan_min=0.6", "--set", "scan_max=1.4", "--set", "scan_steps=3"],
-    # the fixed suite of oracle-check
-    ["oracle-check", "--set", "n_levels=3"],
+    # the shipped suite of oracle-check
+    ["oracle-check"],
     ["tbjj", "--set", "m_sites=6", "--set", "occupied=0", "--set", "eta=0.8", "--set", "n_levels=2",
      "--set", "scan_param=t", "--set", "scan_min=0.2", "--set", "scan_max=0.6", "--set", "scan_steps=4",
      "--format", "json"],

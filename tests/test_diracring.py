@@ -135,6 +135,9 @@ def test_overflowing_closed_forms_name_their_quantity():
     # eps0 N^2 / (4 g_d) overflows: the energy once read inf, where the true energy is 4e308
     with pytest.raises(ValueError, match=r"^energy must be finite, got inf$"):
         effective_energy(0, _p(eps0=1e308))
+    # <a> = 8e155 squares to inf: the photon number once read inf
+    with pytest.raises(ValueError, match=r"^photon_number must be finite, got inf$"):
+        flux_displacement(8, _p(hbar_omega=1e-10, phi=1e145))
 
 
 def test_coupling_saturation_with_stiffness():

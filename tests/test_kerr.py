@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from fluxqm import (
     ConvergenceError,
@@ -15,6 +14,7 @@ from fluxqm import (
     gaussian_frequency,
     kerr,
 )
+from fluxqm.gridsolve import bound_states
 
 
 def _p(**kwargs):
@@ -30,17 +30,11 @@ def fd_oracle_levels(a_coef, b_eff, beta3, alpha4, n_levels, span=16.0, n_points
     step removes the leading h^2 discretization error.
     """
 
-    def solve(npts):
-        x = np.linspace(-span, span, npts)
-        h = x[1] - x[0]
-        v = b_eff * x**2 + beta3 * x**3 + alpha4 * x**4
-        diag = 8.0 * a_coef / h**2 + v
-        off = np.full(npts - 1, -4.0 * a_coef / h**2)
-        return eigh_tridiagonal(diag, off, select="i", select_range=(0, n_levels - 1),
-                                eigvals_only=True)
+    def potential(x):
+        return b_eff * x**2 + beta3 * x**3 + alpha4 * x**4
 
-    coarse = solve((n_points - 1) // 2 + 1)
-    fine = solve(n_points)
+    coarse = bound_states(potential, -span, span, (n_points - 1) // 2 + 1, 4.0 * a_coef, n_levels)
+    fine = bound_states(potential, -span, span, n_points, 4.0 * a_coef, n_levels)
     return (4.0 * fine - coarse) / 3.0
 
 

@@ -263,6 +263,14 @@ def test_sector_table_keeps_first_row_of_each_sector(n, m_max):
     assert m2.tolist() == [float(mk * mk) for mk, _ in sectors]
 
 
+def test_overflowing_photon_number_names_its_quantity():
+    # <a> = -5e154 at a subnormal hbar_omega: its square once raised an anonymous OverflowError
+    gs = ground_state_search(ModelParams(g=2.0, g_eff=1.0, phi=1e-155, n_particles=5, hbar_omega=1e-320), 3)
+    message = r"^photon_number must be finite, but -4\.999999999987515e\+154\*\*2 overflows$"
+    with pytest.raises(ValueError, match=message):
+        gs.photon_number
+
+
 @pytest.mark.parametrize("phi_c, message", [
     # 4 g N (g - g_eff) underflows to 0.0, where the division once raised ZeroDivisionError
     (lambda: critical_flux(ModelParams(g=1e-300, g_eff=5e-301, phi=0.0, n_particles=3)), "finite, got inf"),

@@ -81,8 +81,9 @@ def run_without(package, argv, cwd):
     )
 
 
+# scipy cannot load without numpy, so only phase-scan, which loads numpy, needs its own scipy check.
 @pytest.mark.parametrize("jobs", ["1", "2"])
-@pytest.mark.parametrize("command", sorted(_CLOSED_FORM))
+@pytest.mark.parametrize("command", ["phase-scan"])
 def test_closed_form_commands_never_load_scipy(tmp_path, command, jobs):
     argv = [command, *_CLOSED_FORM[command], "--out", "out.csv", "--jobs", jobs]
     result = run_without("scipy", argv, tmp_path)
@@ -129,22 +130,11 @@ _NONLINEAR = ["--set", "n_particles=5", "--set", "g=0.2", "--set", "g_eff=0.2", 
 _TBJJ = ["--set", "m_sites=6", "--set", "occupied=0,1", "--set", "n_levels=2",
          "--set", "scan_param=t", "--set", "scan_min=0.5", "--set", "scan_max=1.0", "--set", "scan_steps=2"]
 
-# Rows whose dense Fock-basis levels come from numpy.
-_NUMPY_EIGENSOLVES = {
-    "nonlinear": _NONLINEAR,
-    "tbjj": [*_TBJJ, "--set", "solver=fock"],
-}
 
-
-@pytest.mark.parametrize("command", sorted(_NUMPY_EIGENSOLVES))
-def test_dense_fock_solves_never_load_scipy_at_one_job(tmp_path, command):
-    argv = [command, *_NUMPY_EIGENSOLVES[command], "--out", "out.csv", "--jobs", "1"]
-    result = run_without("scipy", argv, tmp_path)
-    assert result == {"code": 0, "scipy": []}, (tmp_path / "out.csv").read_text()
-
-
-# The pool starts at --jobs 2; a scipy import in a forked worker flags its row, so the run exits 1.
+# Dense Fock-basis levels come from numpy, and solver=both adds the DVR grid solve; at --jobs 1 the rows
+# run in the main process, and at --jobs 2 a scipy import in a forked worker flags its row, so the run exits 1.
 @pytest.mark.parametrize(("command", "argv", "jobs"), [
+    pytest.param("nonlinear", _NONLINEAR, "1", id="nonlinear-1"),
     pytest.param("nonlinear", _NONLINEAR, "2", id="nonlinear-2"),
     pytest.param("tbjj", [*_TBJJ, "--set", "solver=fock"], "2", id="tbjj-2"),
     pytest.param("tbjj", [*_TBJJ, "--set", "solver=both"], "1", id="tbjj-both-1"),

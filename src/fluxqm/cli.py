@@ -19,9 +19,10 @@ imported only then.  The layers import numpy and scipy inside the functions
 that use them, so ``spectrum``,
 ``spin-phase``, ``dirac-scan`` and ``nonlinear`` without levels never load
 numpy; ``phase-scan`` loads it for its enumeration table and the
-diagonalising rows for their eigensolves.  Each evaluated result becomes its
-output row once, a dict keyed in column order with ``status`` last, and both
-writers write those rows as given, in scan order with shortest round-trip
+diagonalising rows for their eigensolves.  A point's row is its cells in
+column order, a level family as a run of cells.  The run puts the scan value
+first, unless the axis is one of the command's columns, and ``status`` last;
+both writers write those cells as given, in scan order with shortest round-trip
 float formatting, so output files are byte-identical for any worker count.
 Exit code 2, before any row runs and with no file written, is a UsageError
 (text a parse cannot read, unknown or missing keys, the scan declaration with
@@ -155,11 +156,6 @@ def _level_columns(prefix, description, n_levels):
     return [(f"{prefix}{k}", description.format(k=k)) for k in range(n_levels)]
 
 
-def _level_cells(prefix, levels):
-    """Row cells ``{prefix}{k}`` holding each level ``k`` as a float."""
-    return {f"{prefix}{k}": float(value) for k, value in enumerate(levels)}
-
-
 def _model_params(ps: ParamSet, n_particles: int, spin: bool = False) -> ModelParams:
     return ModelParams(
         g=ps.float("g", 1.0),
@@ -175,7 +171,7 @@ class _Point(NamedTuple):
     """One parsed point of a command: what its row writes, and how the run treats it."""
 
     columns: tuple  # (name, description) pairs, level families included
-    row: Callable[[], dict]  # evaluates the point's row
+    row: Callable[[], tuple]  # evaluates the point's cells, one per column in column order
     p: object = None  # the model whose closed-form thresholds a scan's summary reads
     imports: tuple = ()  # modules a row imports to diagonalise; only such rows use the worker pool
 
@@ -195,13 +191,13 @@ def _spectrum(ps):
         ("var_x", "ground-state variance of x = (a+a^dag)/sqrt(2)"),
         *_level_columns("e", "sector level {k} (photon index {k})", n_levels),
     )
-    return _Point(columns, lambda: {
-        "omega_dressed": linearmode.dressed_frequency(p),
-        "chi": linearmode.induced_coupling(p),
-        "squeeze_r": linearmode.squeeze_parameter(p),
-        "var_x": linearmode.quadrature_variances(p)[0],
-        **_level_cells("e", (linearmode.sector_energy(p, cfg, k) for k in range(n_levels))),
-    }, p)
+    return _Point(columns, lambda: (
+        linearmode.dressed_frequency(p),
+        linearmode.induced_coupling(p),
+        linearmode.squeeze_parameter(p),
+        linearmode.quadrature_variances(p)[0],
+        *(linearmode.sector_energy(p, cfg, k) for k in range(n_levels)),
+    ), p)
 
 
 _PHASE_COLUMNS = (
@@ -225,16 +221,8 @@ def _phase_scan(ps):
 
     def row():
         gs = phases.ground_state_search(p, m_max)
-        return {
-            "m_total": gs.order_m,
-            "w_kinetic": gs.config.w_kinetic,
-            "energy": gs.energy,
-            "displacement_a": gs.displacement_a,
-            "photon_number": gs.photon_number,
-            "phase": gs.phase_label,
-            "boundary_contact": gs.boundary_contact,
-            "orbitals": "|".join(str(m) for m in gs.config.orbitals),
-        }
+        return (gs.order_m, gs.config.w_kinetic, gs.energy, gs.displacement_a, gs.photon_number, gs.phase_label,
+                gs.boundary_contact, "|".join(str(m) for m in gs.config.orbitals))
     return _Point(_PHASE_COLUMNS, row, p)
 
 
@@ -256,16 +244,7 @@ def _spin_phase(ps):
     def row():
         rep = spinorbit.hessian(p)
         low, high = rep.eigenvalues
-        soft_m, soft_s = rep.soft_vector
-        return {
-            "determinant": rep.determinant,
-            "eig_low": low,
-            "eig_high": high,
-            "stable": low > 0,
-            "soft_m": soft_m,
-            "soft_sigma": soft_s,
-            "locking_ratio": spinorbit.locking_ratio(p),
-        }
+        return (rep.determinant, low, high, low > 0, *rep.soft_vector, spinorbit.locking_ratio(p))
     return _Point(_SPIN_COLUMNS, row, p)
 
 
@@ -297,15 +276,8 @@ def _dirac_scan(ps):
         chi = diracring.induced_coupling_dirac(p)
         j_opt = diracring.optimal_chirality(p, chi, j_max)
         amp, photons = diracring.flux_displacement(j_opt, p)
-        return {
-            "chi": chi,
-            "chi_crit": p.branch_stiffness,
-            "j_opt": j_opt,
-            "energy": diracring.effective_energy(j_opt, p, chi),
-            "displacement_a": amp,
-            "photon_number": photons,
-            "phase": "balanced" if abs(j_opt) == p.n_electrons % 2 else "polarized",
-        }
+        return (chi, p.branch_stiffness, j_opt, diracring.effective_energy(j_opt, p, chi), amp, photons,
+                "balanced" if abs(j_opt) == p.n_electrons % 2 else "polarized")
     return _Point(_DIRAC_COLUMNS, row, p)
 
 
@@ -329,17 +301,11 @@ def _nonlinear(ps):
     )
 
     def row():
-        cells = {
-            "m_total": sector.m_total,
-            "x0": sector.x0,
-            "b_eff": sector.b_eff,
-            "beta3": sector.beta3,
-            "v_eff": sector.v_eff,
-            "omega_ratio": kerr.gaussian_frequency(sector) / p.hbar_omega,
-        }
-        _check_finite(omega_ratio=cells["omega_ratio"])  # a subnormal hbar_omega overflows the ratio
+        cells = (sector.m_total, sector.x0, sector.b_eff, sector.beta3, sector.v_eff,
+                 kerr.gaussian_frequency(sector) / p.hbar_omega)
+        _check_finite(omega_ratio=cells[-1])  # a subnormal hbar_omega overflows the ratio
         levels = kerr.anharmonic_spectrum(sector, n_levels=n_levels) if n_levels else ()
-        return {**cells, **_level_cells("eps", levels)}
+        return (*cells, *map(float, levels))
     return _Point(columns, row, p, ("numpy",) if n_levels else ())
 
 
@@ -371,20 +337,12 @@ def _tbjj(ps):
         *_level_columns("xrep_e", "sector level {k}, real-space solver (carries +hbar_omega/2)",
                         n_levels if both else 0),
     )
-    return _Point(columns, lambda: {
-        "c_sum": sector.c_sum,
-        "s_sum": sector.s_sum,
-        "e_j_amp": sector.e_j_amp,
-        "delta": sector.delta,
-        "e_j": squid.e_j,
-        "e_l": squid.e_l,
-        "e_c": squid.e_c,
-        "beta_ratio": squid.beta_ratio,
-        **_level_cells("fock_e", tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega,
-                                                             n_levels=n_levels)),
-        **_level_cells("xrep_e", tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega,
-                                                             n_levels=n_levels) if both else ()),
-    }, imports=("numpy",))
+    return _Point(columns, lambda: (
+        sector.c_sum, sector.s_sum, sector.e_j_amp, sector.delta, squid.e_j, squid.e_l, squid.e_c, squid.beta_ratio,
+        *map(float, tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega, n_levels=n_levels)),
+        *map(float, tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega, n_levels=n_levels)
+             if both else ()),
+    ), imports=("numpy",))
 
 
 # oracle-check: a fixed self-test suite comparing closed forms and brute force.
@@ -424,27 +382,20 @@ def _oracle_check(ps):
         analytic = [linearmode.sector_energy(p, cfg, k) for k in range(n_levels)]
         report = oracle.oracle_spectrum(p, cfg, cutoff=cutoff, n_levels=n_levels)
         max_rel_error = oracle.compare_spectra(analytic, report.levels, scale=p.hbar_omega)
-        return {
-            "case": case,
-            "n_particles": cfg.n_particles,
-            "g": p.g,
-            "g_eff": p.g_eff,
-            "phi": p.phi,
-            "orbitals": "|".join(str(m) for m in cfg.orbitals),
-            "max_rel_error": max_rel_error,
-            "passed": max_rel_error <= tol and report.converged,
-        }
+        return (case, cfg.n_particles, p.g, p.g_eff, p.phi, "|".join(str(m) for m in cfg.orbitals), max_rel_error,
+                max_rel_error <= tol and report.converged)
     return _Point(_ORACLE_COLUMNS, row, p, ("scipy.linalg",))
 
 
-def _scan_summary(cmd, p, scan_param, values, rows):
+def _scan_summary(cmd, p, scan_param, values, names, rows):
     """Bracket of the first change in the command's jump column between adjacent good rows, and the
     closed-form threshold of the scan axis, if the model has one (another axis would move it by point)."""
     summary = {}
+    jump = names.index(cmd.jump_column)
     for (v0, r0), (v1, r1) in zip(zip(values, rows), zip(values[1:], rows[1:])):
-        if r0["status"] != "ok" or r1["status"] != "ok":
+        if r0[-1] != "ok" or r1[-1] != "ok":
             continue
-        if r0.get(cmd.jump_column) != r1.get(cmd.jump_column):
+        if r0[jump] != r1[jump]:
             summary["jump_column"] = cmd.jump_column
             summary[f"jump_{scan_param}_low"] = v0
             summary[f"jump_{scan_param}_high"] = v1
@@ -487,15 +438,12 @@ def _point(params, key, value):
 
 
 def _eval_point(task):
-    """Row evaluation, in the main process or a worker: the row, or a flagged stub on failure."""
+    """Row evaluation, in the main process or a worker: the point's cells and status, no cells on failure."""
     command, params, key, value = task
-    cmd = _COMMANDS[command]
     try:
-        row = cmd.parse(_point(params, key, value)).row()
-        row["status"] = "ok"
-        return row
+        return _COMMANDS[command].parse(_point(params, key, value)).row(), "ok"
     except Exception as exc:
-        return {"status": f"error: {type(exc).__name__}: {exc}"}
+        return None, f"error: {type(exc).__name__}: {exc}"
 
 
 def _format_cell(value):
@@ -524,7 +472,7 @@ def _write_csv(fh, config, columns, rows, summary):
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([name for name, _ in columns])
     for row in rows:
-        writer.writerow(map(_format_cell, row.values()))
+        writer.writerow(map(_format_cell, row))
     for key in summary:
         fh.write(f"# summary {key} = {_format_cell(summary[key])}\n")
 
@@ -543,7 +491,7 @@ _encode_row = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).
 def _write_json(fh, config, columns, rows, summary):
     """Write ``json.dump({"meta": ..., "rows": rows}, indent=2)`` byte for byte, streaming the rows.
 
-    Each row must be a non-empty flat dict; it is encoded alone and written at once.
+    Each row holds one cell per column; it is encoded alone, as the object of its named cells, and written at once.
     """
     _text_non_finite(summary)
     meta = {
@@ -564,12 +512,14 @@ def _write_json(fh, config, columns, rows, summary):
     fh.write(json.dumps({"meta": meta}, indent=2, allow_nan=False)[:-2])  # drop the closing "\n}"
     fh.write(',\n  "rows": [')
     separator = "\n    {\n      "
+    names = [name for name, _ in columns]
     for row in rows:
+        cells = dict(zip(names, row))
         try:
-            body = _encode_row(row)
+            body = _encode_row(cells)
         except ValueError:  # a non-finite float; rows almost never hold one, so they are scanned only then
-            _text_non_finite(row)
-            body = _encode_row(row)
+            _text_non_finite(cells)
+            body = _encode_row(cells)
         fh.write(separator + body[1:-1] + "\n    }")
         separator = ",\n    {\n      "
     fh.write("\n  ]\n}\n" if rows else "]\n}\n")
@@ -660,15 +610,17 @@ def run(config: RunConfig) -> int:
         # the parse reads the scanned key as an integer, so the grid is rounded and written as integers
         config = replace(config, scan_values=tuple(round(v) for v in config.scan_values))
         values = config.scan_values
-    columns = list(first.columns)
     # every row is written under the first point's columns; the only scannable key that shapes them,
     # n_levels, adds columns as it grows, so the first and last points that parse bound them all
     if len(values) > 1 and first.columns != _first_parse(cmd, config.params, key, values[::-1])[1].columns:
         raise UsageError(f"scanning '{key}' changes the output columns; run each value on its own")
-    if config.scan_param is not None and config.scan_param not in {name for name, _ in columns}:
+    names = [name for name, _ in first.columns]
+    columns = [*first.columns, ("status", "ok, or the error that flagged this point")]
+    # a flagged row writes only its scan value: in the axis column, or in a first column added for it
+    axis = names.index(config.scan_param) if config.scan_param in names else None
+    lead = config.scan_param is not None and axis is None
+    if lead:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))
-    columns.append(("status", "ok, or the error that flagged this point"))
-    names = [name for name, _ in columns]
 
     tasks = ((config.command, config.params, key, value) for value in values)
     # a pool forks all its workers at once, so it never gets more than one per row
@@ -684,21 +636,21 @@ def run(config: RunConfig) -> int:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(values) // (4 * jobs))))
 
-    # each evaluated dict is replaced by its output row, keyed in column order, so one copy exists
-    failed = False
-    name_set = set(names)
-    for i, row in enumerate(rows):
-        if config.scan_param is not None:
-            row.setdefault(config.scan_param, config.scan_values[i])
-        # a row key that misses its column would otherwise leave an empty cell in an ok row
-        if row["status"] == "ok" and row.keys() != name_set:
-            raise RuntimeError(f"{config.command} row keys do not match its columns: {sorted(row.keys() ^ name_set)}")
-        rows[i] = {name: row.get(name) for name in names}
-        failed = failed or rows[i]["status"] != "ok" or rows[i].get("passed") is False
+    for i, (value, (cells, status)) in enumerate(zip(values, rows)):
+        if cells is None:
+            cells = [None] * len(names)
+            if axis is not None:
+                cells[axis] = value
+        elif len(cells) != len(names):  # a row of another length would put its cells under the wrong columns
+            raise RuntimeError(f"{config.command} row has {len(cells)} cells for its {len(names)} columns")
+        rows[i] = (value, *cells, status) if lead else (*cells, status)
+    header = [name for name, _ in columns]
+    passed = header.index("passed") if "passed" in header else None
+    failed = any(row[-1] != "ok" or (passed is not None and row[passed] is False) for row in rows)
 
     summary = {}
     if cmd.jump_column is not None and config.scan_param is not None and len(rows) > 1:
-        summary = _scan_summary(cmd, first.p, config.scan_param, config.scan_values, rows)
+        summary = _scan_summary(cmd, first.p, config.scan_param, config.scan_values, header, rows)
 
     with open(config.out, "w", encoding="utf-8", newline="") as fh:
         if config.format == "csv":

@@ -9,8 +9,8 @@ attraction -chi J^2; with consecutive filling at branch capacity g_d the
 kinetic cost of imbalance is (eps0 / 4 g_d) J^2, the branch stiffness
 ``DiracParams.branch_stiffness``, so the ground state jumps from the balanced
 |J| = N mod 2 to the cutoff-limited |J|max when chi crosses it.  A lattice
-regularization adds a small diamagnetic stiffness D_eff that saturates chi;
-its magnitude follows from the filled-band kinetic energy of the ring.
+regularization adds a small diamagnetic stiffness D_eff, the ``d_eff``
+input, that saturates chi.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import NoTransitionError
 
 __all__ = [
     "DiracParams",
-    "diamagnetic_stiffness",
     "induced_coupling_dirac",
     "effective_energy",
     "critical_flux_dirac",
@@ -73,25 +72,6 @@ class DiracParams:
         stiffness = self.hbar_omega + 2.0 * self.d_eff * _square(self.phi, "mode_stiffness")
         _check_finite(mode_stiffness=stiffness)  # an inf stiffness would read chi = lambda^2 / inf = 0.0
         return stiffness
-
-
-def diamagnetic_stiffness(
-    eps0: float, filling: float, n_sites: int, phi: float, spinful: bool = False
-) -> float:
-    """Flux stiffness of a uniformly threaded lattice ring at the given filling.
-
-    D_eff / eps0 = (2/pi) (phi^2 / N_s) sin(pi nu) for spinless fermions,
-    doubled when a spin-degenerate band is filled.  This is the large-N_s
-    form of -(phi/N_s)^2 times the filled-band kinetic energy.
-    """
-    if not 0.0 < filling < 1.0:
-        raise ValueError(f"filling must lie in (0, 1), got {filling}")
-    _check_int(n_sites, "n_sites", lo=2)
-    _check_positive(eps0=eps0)
-    _check_finite(phi=phi)
-    d_eff = eps0 * (2.0 / math.pi) * (_square(phi, "d_eff") / n_sites) * math.sin(math.pi * filling)
-    _check_finite(d_eff=d_eff)
-    return 2.0 * d_eff if spinful else d_eff
 
 
 def induced_coupling_dirac(p: DiracParams) -> float:

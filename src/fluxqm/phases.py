@@ -9,7 +9,8 @@ producing a first-order jump whose polarization is limited only by the
 orbital cutoff.  This module provides the closed-form critical couplings and
 an exhaustive ground-state search over a bounded orbital window that serves
 as the independent check of those formulas.  The window's configurations are
-enumerated once per (N, m_max) into a cached numpy table; since the energy
+enumerated once per (N, m_max) into a cached numpy table of at most
+_MAX_WINDOW_ROWS rows; since the energy
 depends only on (M, W), each search scans one representative row per distinct
 (M, W) pair (33,668 of the 237,336 rows for N = 5, m_max = 16).
 """
@@ -27,9 +28,6 @@ from .linearmode import induced_coupling, mode_displacement, sector_energy
 
 __all__ = [
     "GroundState",
-    "balanced_config",
-    "boosted_config",
-    "critical_chi",
     "critical_flux",
     "ground_state_search",
 ]
@@ -63,39 +61,6 @@ class GroundState:
         return _square(self.displacement_a, "photon_number")
 
 
-def balanced_config(n: int) -> FermionConfig:
-    """Symmetric minimal-kinetic-energy filling {-K..K} for odd N = 2K + 1.
-
-    Its kinetic weight is K(K+1)(2K+1)/3.  Even N has no symmetric filling of
-    distinct orbitals with M = 0 at minimal W and is rejected; use
-    ground_state_search for even particle numbers.
-    """
-    n = _check_int(n, "n", lo=1)
-    if n % 2 == 0:
-        raise ValueError(f"balanced_config requires odd n, got {n}")
-    k = (n - 1) // 2
-    return FermionConfig(range(-k, k + 1))
-
-
-def boosted_config(cfg: FermionConfig, shift: int) -> FermionConfig:
-    """Rigid boost m_i -> m_i + shift of every particle (spins preserved).
-
-    Shifts total momentum by N*shift; starting from a balanced sea the
-    kinetic weight grows by exactly N*shift^2.
-    """
-    return FermionConfig((m + shift for m in cfg.orbitals), cfg.spins)
-
-
-def critical_chi(w_pol: int, w_bal: int, m_pol: int) -> float:
-    """Coupling at which a candidate polarized sector crosses the balanced one.
-
-    chi_c = g_eff (W_pol - W_bal) / M_pol^2, quoted here per unit g_eff.
-    """
-    if m_pol == 0:
-        raise ValueError("m_pol must be nonzero: an unpolarized candidate never crosses")
-    return (w_pol - w_bal) / m_pol**2
-
-
 def critical_flux(p: ModelParams) -> float:
     """Flux amplitude where the induced attraction reaches g_eff / N.
 
@@ -115,11 +80,27 @@ def critical_flux(p: ModelParams) -> float:
     return phi_c
 
 
+_MAX_WINDOW_ROWS = 4_000_000
+
+
 def _check_window(n_particles: int, m_max: int) -> int:
-    """Return m_max as an int; raise ValueError unless the window |m| <= m_max holds n_particles distinct orbitals."""
+    """Return m_max as an int; raise ValueError unless the window |m| <= m_max holds n_particles distinct
+    orbitals in at most _MAX_WINDOW_ROWS = 4,000,000 configurations, C(2 m_max + 1, N).
+
+    Building the table peaks at 40 to 50 bytes per row for N <= 10 (traced with tracemalloc, numpy 2.4),
+    so about 200 MB at the cap.  N = 5, m_max = 16 has 237,336 rows; N = 5, m_max = 100 has 2.6 billion.
+    """
     m_max = _check_int(m_max, "m_max")
-    if 2 * m_max + 1 < n_particles:
+    width = 2 * m_max + 1
+    if width < n_particles:
         raise ValueError(f"m_max must satisfy 2*m_max+1 >= n_particles = {n_particles}, got {m_max}")
+    rows = 1
+    # C(width, k + 1) factor by factor, stopping once past the cap: math.comb takes minutes at N ~ 1e6
+    for k in range(min(n_particles, width - n_particles)):
+        rows = rows * (width - k) // (k + 1)
+        if rows > _MAX_WINDOW_ROWS:
+            raise ValueError(f"m_max must keep the window's C(2*m_max+1, {n_particles}) configurations "
+                             f"at most {_MAX_WINDOW_ROWS:,}, got {m_max}")
     return m_max
 
 

@@ -16,14 +16,11 @@ from scipy.optimize import brentq
 from fluxqm import (
     FermionConfig,
     ModelParams,
-    balanced_config,
-    boosted_config,
     compare_spectra,
     critical_eta,
     critical_flux,
     critical_flux_dirac,
     critical_flux_spin,
-    diamagnetic_stiffness,
     DiracParams,
     displacement_operator,
     dressed_frequency,
@@ -41,6 +38,7 @@ from fluxqm import (
     sector_spectrum_xrep,
 )
 from fluxqm.cli import main as cli_main
+from reference import balanced_config, boosted_config, diamagnetic_stiffness
 
 
 def _report(name, ok, detail):

@@ -135,6 +135,8 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("tbjj", "--set", "m_sites=6", "--set", "occupied=0,1", "--set", "solver=dense"), "solver"),
     # J has N's parity, so no 5-electron sector fits |J| <= 0
     (("dirac-scan", "--set", "n_electrons=5", "--set", "j_max=0"), "j_max"),
+    # C(201, 5) = 2.6 billion configurations: the enumeration table would need about 13 GB
+    (("phase-scan", "--set", "n_particles=5", "--set", "m_max=100"), "m_max"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
     def no_row(task):
@@ -277,6 +279,21 @@ def test_overflowing_dirac_coupling_flags_its_row(tmp_path):
     row = dict(zip(header, rows[0]))
     assert row["status"] == "error: ValueError: chi must be finite, got inf"
     assert row["chi"] == row["energy"] == row["j_opt"] == ""
+
+
+def test_phase_scan_of_m_max_flags_only_its_oversized_windows(tmp_path):
+    # m_max = 4 and 16 hold C(9, 5) and C(33, 5) = 237,336 configurations; from 28 on, C(57, 5) > 4,000,000
+    out = tmp_path / "scan.csv"
+    code = run_cli("phase-scan", "--set", "n_particles=5", "--set", "g=2", "--set", "phi=0.3",
+                   "--set", "scan_param=m_max", "--set", "scan_min=4", "--set", "scan_max=100", "--set", "scan_steps=9",
+                   "--out", str(out), "--jobs", "1")
+    assert code == 1
+    _, header, rows = read_csv(out)
+    status = [r[header.index("status")] for r in rows]
+    assert [r[header.index("m_max")] for r in rows] == [str(m) for m in range(4, 101, 12)]
+    assert status[:2] == ["ok", "ok"]
+    assert all(s.startswith("error: ValueError: m_max must keep the window's C(2*m_max+1, 5) configurations "
+                            "at most 4,000,000, got ") for s in status[2:])
 
 
 @pytest.mark.parametrize("sets, j_opt, phase", [
@@ -532,6 +549,29 @@ def test_spin_phase_bracket_contains_closed_form_at_unequal_couplings(tmp_path, 
     assert f"{other}_c_closed_form" not in summary
 
 
+def test_summary_brackets_the_first_change_of_its_jump_column(tmp_path, monkeypatch):
+    # stable only for |eta| < eta_c = 1, so an eta scan across zero changes `stable` twice; the flagged
+    # row at eta = 0 lies between the two changes
+    hessian = cli.spinorbit.hessian
+
+    def hessian_failing_at_zero(p):
+        if abs(p.eta) < 1e-9:  # the middle grid point, -1.8 + 3 * 0.6
+            raise ValueError("planted failure")
+        return hessian(p)
+
+    monkeypatch.setattr(cli.spinorbit, "hessian", hessian_failing_at_zero)
+    out = tmp_path / "scan.csv"
+    code = run_cli("spin-phase", "--set", "n_particles=4", "--set", "scan_param=eta", "--set", "scan_min=-1.8",
+                   "--set", "scan_max=1.8", "--set", "scan_steps=7", "--out", str(out), "--jobs", "1")
+    assert code == 1
+    comments, header, rows = read_csv(out)
+    assert [r[header.index("stable")] for r in rows] == ["false", "false", "true", "", "true", "false", "false"]
+    summary = read_summary(comments)
+    assert summary["jump_column"] == "stable"
+    assert float(summary["jump_eta_low"]) == pytest.approx(-1.2)
+    assert float(summary["jump_eta_high"]) == pytest.approx(-0.6)
+
+
 @pytest.mark.parametrize("args", [
     ["phase-scan", "--set", "n_particles=3", "--set", "g=2", "--set", "scan_param=g_eff"],
     ["dirac-scan", "--set", "n_electrons=8", "--set", "scan_param=eps0"],
@@ -612,26 +652,21 @@ def test_failed_points_flag_rows_and_exit_one(tmp_path, monkeypatch):
     assert all(r[status_idx].startswith("error: ConvergenceError: anharmonic levels not converged") for r in rows)
 
 
-def test_misnamed_row_key_fails_the_run_and_writes_no_file(tmp_path, monkeypatch, capsys):
-    # a row key that differs from its column name once left that column empty with status=ok and exit 0
+def test_wrong_length_row_fails_the_run_and_writes_no_file(tmp_path, monkeypatch, capsys):
+    # a row one cell short would write its cells under the wrong columns with status=ok and exit 0
     parse = cli._COMMANDS["dirac-scan"].parse
 
-    def misnamed_parse(ps):
+    def short_parse(ps):
         point = parse(ps)
+        return point._replace(row=lambda: point.row()[:-1])
 
-        def row():
-            cells = point.row()
-            cells["chi_critical"] = cells.pop("chi_crit")
-            return cells
-        return point._replace(row=row)
-
-    monkeypatch.setitem(cli._COMMANDS, "dirac-scan", replace(cli._COMMANDS["dirac-scan"], parse=misnamed_parse))
+    monkeypatch.setitem(cli._COMMANDS, "dirac-scan", replace(cli._COMMANDS["dirac-scan"], parse=short_parse))
     out = tmp_path / "dirac.csv"
     code = run_cli("dirac-scan", "--set", "n_electrons=8", "--set", "scan_param=phi", "--set", "scan_min=0",
                    "--set", "scan_max=1", "--set", "scan_steps=3", "--out", str(out), "--jobs", "1")
     assert code == 1
     assert not out.exists()
-    assert "row keys do not match its columns: ['chi_crit', 'chi_critical']" in capsys.readouterr().err
+    assert "dirac-scan row has 6 cells for its 7 columns" in capsys.readouterr().err
 
 
 def test_oracle_check_default_suite_passes(tmp_path):

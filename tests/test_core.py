@@ -8,7 +8,8 @@ from scipy.constants import hbar
 
 from fluxqm import FermionConfig, LCParams, ModelParams, core, derive_ring, diracring, gridsolve, kerr, linearmode
 from fluxqm import oracle, phases, tbring
-from fluxqm.diracring import DiracParams, diamagnetic_stiffness
+from fluxqm.diracring import DiracParams
+from reference import balanced_config, diamagnetic_stiffness
 
 
 def test_si_constants_equal_scipy():
@@ -243,8 +244,8 @@ def test_integer_arguments_refuse_fractions(call, name):
     (lambda: linearmode.sector_energy(ModelParams(**_P), FermionConfig([0]), -1),
      "photon index n must be >= 0, got -1"),
     (lambda: linearmode.mode_displacement(ModelParams(**_P), 2.0), "m_total must be an integer, got 2.0"),
-    (lambda: phases.balanced_config(0), "n must be >= 1, got 0"),
-    (lambda: phases.balanced_config(4), "balanced_config requires odd n, got 4"),
+    (lambda: balanced_config(0), "n must be >= 1, got 0"),
+    (lambda: balanced_config(4), "balanced_config requires odd n, got 4"),
     (lambda: phases.ground_state_search(ModelParams(**_P), 1.0), "m_max must be an integer, got 1.0"),
     (lambda: phases.ground_state_search(ModelParams(**{**_P, "n_particles": 5}), 1),
      "m_max must satisfy 2*m_max+1 >= n_particles = 5, got 1"),
@@ -292,7 +293,7 @@ def test_integer_rule_refuses_out_of_range_values(call, message):
     lambda k: ModelParams(**{**_P, "n_particles": k}),
     lambda k: linearmode.sector_energy(ModelParams(**_P), FermionConfig([0]), k),
     lambda k: linearmode.mode_displacement(ModelParams(**_P), k),
-    lambda k: phases.balanced_config(k),
+    lambda k: balanced_config(k),
     lambda k: phases.ground_state_search(ModelParams(**{**_P, "n_particles": 3}), k),
     lambda k: diracring.effective_energy(k, _DIRAC),
     lambda k: diracring.flux_displacement(k, _DIRAC),

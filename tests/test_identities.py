@@ -334,7 +334,10 @@ cells = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.one_of(awkward_text, st.text(max_size=8), st.just('"},\n      {"')),
 )
-flat_dicts = st.dictionaries(awkward_text, cells, min_size=1, max_size=6)
+# the column names and, for each row, one cell per column
+named_rows = st.lists(awkward_text, min_size=1, max_size=6, unique=True).flatmap(
+    lambda names: st.tuples(st.just(names), st.lists(st.lists(cells, min_size=len(names), max_size=len(names)),
+                                                     max_size=4)))
 
 
 def json_value(value):
@@ -342,11 +345,12 @@ def json_value(value):
 
 
 @settings(PROPERTY, max_examples=50)
-@given(st.lists(flat_dicts, max_size=4), st.dictionaries(awkward_text, cells, max_size=3), st.booleans())
-def test_streamed_json_equals_an_indented_dump(rows, summary, scanned):
+@given(named_rows, st.dictionaries(awkward_text, cells, max_size=3), st.booleans())
+def test_streamed_json_equals_an_indented_dump(named_rows, summary, scanned):
+    names, rows = named_rows
     scan = ("eta", (0.0, 0.5, 1.0)) if scanned else (None, ())
     config = cli.RunConfig("spin-phase", {"n_particles": "5", "g": "1.0"}, *scan, out="", format="json", jobs=None)
-    columns = [("eta", "scan value"), ("status", "ok, or the error")]
+    columns = [(name, "a column") for name in names]
     expected = {
         "meta": {
             "schema_version": cli.SCHEMA_VERSION,
@@ -356,7 +360,7 @@ def test_streamed_json_equals_an_indented_dump(rows, summary, scanned):
             "columns": [{"name": name, "description": desc} for name, desc in columns],
             "summary": {key: json_value(value) for key, value in summary.items()},
         },
-        "rows": [{key: json_value(value) for key, value in row.items()} for row in rows],
+        "rows": [{name: json_value(cell) for name, cell in zip(names, row)} for row in rows],
     }
     fh = io.StringIO()
     cli._write_json(fh, config, columns, copy.deepcopy(rows), dict(summary))

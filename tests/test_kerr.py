@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -23,19 +24,41 @@ def _p(**kwargs):
     return ModelParams(**defaults)
 
 
-def fd_oracle_levels(a_coef, b_eff, beta3, alpha4, n_levels, span=16.0, n_points=32769):
-    """Grid-diagonalization oracle for A P^2 + B_eff X^2 + beta3 X^3 + alpha4 X^4.
+def fd_levels(potential, a_coef, n_levels, span=16.0, n_points=32769):
+    """Grid-diagonalization oracle for A P^2 + V(X).
 
     [X, P] = 2i puts the kinetic operator at -4A d^2/dX^2.  One Richardson
     step removes the leading h^2 discretization error.
     """
-
-    def potential(x):
-        return b_eff * x**2 + beta3 * x**3 + alpha4 * x**4
-
     coarse = bound_states(potential, -span, span, (n_points - 1) // 2 + 1, 4.0 * a_coef, n_levels)
     fine = bound_states(potential, -span, span, n_points, 4.0 * a_coef, n_levels)
     return (4.0 * fine - coarse) / 3.0
+
+
+def fd_oracle_levels(a_coef, b_eff, beta3, alpha4, n_levels):
+    """Grid-diagonalization oracle for A P^2 + B_eff X^2 + beta3 X^3 + alpha4 X^4."""
+    return fd_levels(lambda x: b_eff * x**2 + beta3 * x**3 + alpha4 * x**4, a_coef, n_levels)
+
+
+@lru_cache(maxsize=None)
+def raw_sector_levels(m_total, alpha4, s2, n_levels):
+    """FD levels of the undisplaced sector g S2 + A P^2 + B X^2 - C M X + alpha4 X^4 at ``_p()``.
+
+    A = hbar_omega/4, B = hbar_omega/4 + g phi^2 N and C = 2 g phi come from the raw couplings, so no
+    displaced-frame coefficient of ``kerr`` (x0, b_eff, beta3, v_eff) enters the reference.
+    """
+    p = _p()
+    b_coef = p.hbar_omega / 4 + p.g * p.phi**2 * p.n_particles
+    c_m = 2 * p.g * p.phi * m_total
+    levels = fd_levels(lambda x: b_coef * x**2 - c_m * x + alpha4 * x**4, p.hbar_omega / 4, n_levels)
+    return p.g * s2 + levels
+
+
+def full_levels_error(m_total, alpha4, s2, n_levels):
+    """Largest deviation of ``kerr.full_levels`` at ``_p()`` from the undisplaced FD reference."""
+    p = _p()
+    levels = full_levels(displacement_root(m_total, p, alpha4), p, s2=s2, n_levels=n_levels)
+    return np.max(np.abs(levels - raw_sector_levels(m_total, alpha4, s2, n_levels)))
 
 
 def test_root_zero_momentum():
@@ -210,10 +233,20 @@ def test_pure_quartic_against_grid_oracle():
 
 
 def test_displaced_cubic_sector_against_grid_oracle():
-    sector = displacement_root(10, _p(), 0.02)
-    eps = anharmonic_spectrum(sector, n_levels=4)
-    oracle = fd_oracle_levels(sector.a_coef, sector.b_eff, sector.beta3, sector.alpha4, 4)
-    assert np.max(np.abs(eps - oracle)) <= 1e-6
+    assert full_levels_error(10, 0.02, 0, 4) <= 1e-6
+
+
+@pytest.mark.parametrize("name, mutated", [
+    ("beta3", lambda sector: 1.01 * 4.0 * sector.alpha4 * sector.x0),
+    ("beta3", lambda sector: 0.0),
+    ("v_eff", lambda sector: sector.b_coef * sector.x0**2 - sector.c_coef * sector.m_total * sector.x0
+     + 1.01 * sector.alpha4 * sector.x0**4),
+    ("v_eff", lambda sector: sector.b_coef * sector.x0**2 - sector.c_coef * sector.m_total * sector.x0),
+], ids=["beta3-scaled", "beta3-zero", "v_eff-quartic-scaled", "v_eff-quartic-dropped"])
+def test_grid_oracle_catches_a_wrong_displaced_coefficient(monkeypatch, name, mutated):
+    # the reference reads no displaced-frame coefficient, so a wrong one moves full_levels away from it
+    monkeypatch.setattr(QuarticSector, name, property(mutated))
+    assert full_levels_error(10, 0.02, 0, 4) > 1e-6
 
 
 def test_spectrum_invariant_under_momentum_reflection():
@@ -232,11 +265,7 @@ def test_levels_increase_with_quartic_strength():
 
 
 def test_full_levels_offsets():
-    p = _p()
-    sector = displacement_root(5, p, 0.02)
-    eps = anharmonic_spectrum(sector, n_levels=3)
-    total = full_levels(sector, p, s2=9, n_levels=3)
-    assert np.allclose(total, p.g * 9 + sector.v_eff + eps, rtol=1e-15)
+    assert full_levels_error(5, 0.02, 9, 3) <= 1e-6
 
 
 def test_n_levels_cap_is_refused_before_any_solve(monkeypatch):

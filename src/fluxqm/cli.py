@@ -49,7 +49,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional
 
-from . import diracring, kerr, linearmode, oracle, phases, spinorbit, tbring
+from . import diracring, gridsolve, kerr, linearmode, oracle, phases, spinorbit, tbring
 from .core import FermionConfig, ModelParams, _check_finite, _check_int, _check_non_negative
 
 SCHEMA_VERSION = 1
@@ -288,7 +288,7 @@ def _nonlinear(ps):
     n_levels = ps.int("n_levels", 0)
     p = _model_params(ps, n)
     ps.finish()
-    _check_int(n_levels, "n_levels", 0, kerr._MAX_LEVELS)  # 0: no anharmonic levels
+    _check_int(n_levels, "n_levels", 0, gridsolve._FOCK_MAX_LEVELS)  # 0: no anharmonic levels
     sector = kerr.displacement_root(m_total, p, alpha4)
     columns = (
         ("m_total", "fermion-sector total angular momentum"),
@@ -320,7 +320,7 @@ def _tbjj(ps):
     ps.finish()
     if solver not in ("fock", "both"):
         raise ValueError(f"solver must be 'fock' or 'both', got {solver!r}")
-    _check_int(n_levels, "n_levels", 1, tbring._MAX_LEVELS)
+    _check_int(n_levels, "n_levels", 1, gridsolve._FOCK_MAX_LEVELS)
     sector = tbring.sector_constants(occupied, m_sites)
     squid = tbring.rf_squid_map(sector, t, eta, hbar_omega)
     both = solver == "both"

@@ -15,6 +15,7 @@ input, that saturates chi.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -155,8 +156,12 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
     if chi is None:
         chi = induced_coupling_dirac(p)
     _check_finite(chi=chi)
-    # effective_energy without its checks, in its operand order, so every energy is bit-identical;
-    # E(-m) equals E(m) bit for bit and min keeps the first minimum, which sets the tie-break
+    # effective_energy without its checks, in its operand order, so every energy is bit-identical; E(-m) equals
+    # E(m), and the first minimum over m >= 0 sets the tie-break.  Rounding is monotone, so E never falls in m
+    # for slope >= 0 and never rises otherwise: bisection finds the first m whose energy equals the last one's.
     stiffness = p.branch_stiffness
     base, slope = stiffness * p.n_electrons**2, stiffness - chi
-    return -min(range(p.n_electrons % 2, j_max + 1, 2), key=lambda m: base + slope * m * m)
+    ms = range(p.n_electrons % 2, j_max + 1, 2)
+    if slope >= 0:
+        return -ms[0]
+    return -ms[bisect.bisect_left(ms, -(base + slope * ms[-1] * ms[-1]), key=lambda m: -(base + slope * m * m))]

@@ -7,8 +7,8 @@ h the kinetic matrix is (c/h^2) T with T = pi^2/3 on the diagonal and
 solved with ``numpy.linalg.eigh``.  The levels converge spectrally in h, so
 about a hundred points reach the 5e-7 stopping rule.  Refinement doubles the
 interval count (keeping the endpoints on the same grid family) until the
-levels stop moving; ``_refine`` is that stopping rule, and the Fock-basis
-solvers of ``tbring`` and ``kerr`` use it for their cutoff doublings too.
+levels stop moving; ``_refine`` is that stopping rule.  ``_fock_ladder`` is
+the one cutoff ladder of the Fock-basis solvers of ``kerr`` and ``tbring``.
 
 ``bound_states`` is an independent fixed-grid reference: second-order central
 differences, a symmetric tridiagonal matrix solved by LAPACK's bisection
@@ -35,6 +35,10 @@ __all__ = ["GridSolution", "bound_states", "converged_bound_states"]
 _RTOL = 5e-7  # relative stationarity of the levels
 _MAX_REFINEMENTS = 4  # grid doublings after the first solve; each solve is dense, O(n_points^3)
 _WALL_TOL = 1e-6  # wall amplitude, relative to the peak, that flags a too-small domain
+_FOCK_MAX_LEVELS = 32  # n_levels cap of the Fock ladder
+_FOCK_FIRST_CUTOFF = 48  # the ladder's first cutoff, unless 4 n_levels is larger
+_FOCK_MAX_CUTOFF = 4096  # the largest cutoff, a dense basis of 4,097 states
+_FOCK_RTOL = 1e-9  # relative level change that ends the ladder
 
 
 @dataclass(frozen=True)
@@ -62,6 +66,21 @@ def _refine(estimates: Iterable, rtol: float, scale: float, failure: str):
                 return levels, size, change
         previous = levels
     raise ConvergenceError(f"{failure.format(size=size)}: relative change {change}", residual=change)
+
+
+def _fock_ladder(levels_at: Callable[[int], np.ndarray], n_levels: int, scale: float, failure: str) -> np.ndarray:
+    """The lowest ``n_levels`` of ``levels_at(cutoff)``, ascending, at the first cutoff where they are stationary.
+
+    n_levels must be an integer in [1, 32], checked before any solve.  The
+    cutoff starts at max(4 n_levels, 48) and doubles while it stays <= 4096,
+    until the levels move less than 1e-9 relative, floored at ``scale``;
+    failing that, ConvergenceError (message ``failure``) carries the residual.
+    """
+    n_levels = _check_int(n_levels, "n_levels", 1, _FOCK_MAX_LEVELS)
+    first = max(4 * n_levels, _FOCK_FIRST_CUTOFF)
+    cutoffs = (first << k for k in range((_FOCK_MAX_CUTOFF // first).bit_length()))  # first 2^k while <= the largest
+    levels, _, _ = _refine(((c, levels_at(c)[:n_levels]) for c in cutoffs), _FOCK_RTOL, scale, failure)
+    return levels
 
 
 def _check_grid(x_min: float, x_max: float, n_points: int, kinetic_coef: float, n_levels: int) -> int:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive, _root_product, _square
-from .gridsolve import _refine
+from .gridsolve import _fock_ladder
 
 if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
     import numpy as np
@@ -42,11 +42,6 @@ __all__ = [
     "anharmonic_spectrum",
     "full_levels",
 ]
-
-_BASIS_CUTOFF = 48  # first oscillator-basis cutoff (at least 4 n_levels), doubled at most _MAX_DOUBLINGS times
-_MAX_DOUBLINGS = 5
-_RTOL = 1e-9  # relative level change that ends the doublings
-_MAX_LEVELS = 32  # n_levels cap, as in tbring: the largest basis is then (4 * 32 << 5) + 1 = 4,097 states
 
 
 @dataclass(frozen=True)
@@ -128,45 +123,33 @@ def gaussian_frequency(sector: QuarticSector) -> float:
     return 4.0 * _root_product(sector.a_coef, sector.b_eff)
 
 
-def _oscillator_levels(sector: QuarticSector, n_levels: int, cutoff: int) -> np.ndarray:
-    """Eigenvalues of A P'^2 + B_eff X'^2 + beta3 X'^3 + alpha4 X'^4 at fixed cutoff.
+def _oscillator_levels(sector: QuarticSector, cutoff: int) -> np.ndarray:
+    """Eigenvalues of A P'^2 + B_eff X'^2 + beta3 X'^3 + alpha4 X'^4 at fixed cutoff, ascending.
 
-    Basis: eigenstates of the quadratic part, so X' = s (c + c^dag) with
-    s = (A/B_eff)^(1/4) and the quadratic part is diagonal with spacing
-    4 sqrt(A B_eff).
+    Basis: eigenstates of the quadratic part, diagonal with spacing
+    4 sqrt(A B_eff), so X' = s (c + c^dag) with s = (A/B_eff)^(1/4).
     """
     import numpy as np
     s = (sector.a_coef / sector.b_eff) ** 0.25
-    spacing = gaussian_frequency(sector)
-    q = np.zeros((cutoff + 1, cutoff + 1))
-    k = np.arange(cutoff)
-    q[k, k + 1] = np.sqrt(k + 1.0)
-    q[k + 1, k] = q[k, k + 1]
+    q = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), 1)
+    q += q.T
     q2 = q @ q
-    h = spacing * np.diag(np.arange(cutoff + 1) + 0.5)
+    h = gaussian_frequency(sector) * np.diag(np.arange(cutoff + 1) + 0.5)
     if sector.beta3 != 0.0:
         h = h + (sector.beta3 * s**3) * (q2 @ q)
     if sector.alpha4 != 0.0:
         h = h + (sector.alpha4 * s**4) * (q2 @ q2)
-    return np.linalg.eigvalsh(h)[:n_levels]
+    return np.linalg.eigvalsh(h)
 
 
 def anharmonic_spectrum(sector: QuarticSector, n_levels: int = 6) -> np.ndarray:
     """Nonperturbative levels of the residual anharmonic block, ascending.
 
-    The cutoff starts at max(4 n_levels, 48) and is doubled, at most five
-    times, until the n_levels <= 32 levels move by less than 1e-9 relative
-    (floored at the Gaussian spacing); failing that, a ConvergenceError
-    carries the residual that was reached.  Full sector energies are obtained
-    by adding ``g S2 + v_eff`` (see full_levels).
+    The cutoff follows ``gridsolve._fock_ladder``, floored at the Gaussian
+    spacing; adding ``g S2 + v_eff`` gives the sector energies (full_levels).
     """
-    n_levels = _check_int(n_levels, "n_levels", 1, _MAX_LEVELS)
-    basis_cutoff = max(4 * n_levels, _BASIS_CUTOFF)
-    cutoffs = (basis_cutoff << k for k in range(_MAX_DOUBLINGS + 1))
-    estimates = ((cutoff, _oscillator_levels(sector, n_levels, cutoff)) for cutoff in cutoffs)
-    spacing = gaussian_frequency(sector)
-    levels, _, _ = _refine(estimates, _RTOL, spacing, "anharmonic levels not converged at cutoff {size}")
-    return levels
+    return _fock_ladder(lambda cutoff: _oscillator_levels(sector, cutoff), n_levels, gaussian_frequency(sector),
+                        "anharmonic levels not converged at cutoff {size}")
 
 
 def full_levels(sector: QuarticSector, p: ModelParams, s2: int, n_levels: int = 6) -> np.ndarray:

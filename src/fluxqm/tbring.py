@@ -11,8 +11,8 @@ momenta k a = 2 pi n / M (the lattice constant cancels), which a ``TBSector``
 derives from its occupations.  Two independent solvers are provided: a
 Fock-basis build from the closed-form matrix elements (generalized Laguerre
 polynomials) of the displacement operator, whose real and imaginary parts are
-the cosine and sine matrices, with the cutoff doubled until the levels are
-stationary, and a real-space sinc discrete-variable representation
+the cosine and sine matrices, whose cutoff follows ``gridsolve._fock_ladder``,
+and a real-space sinc discrete-variable representation
 (``gridsolve.converged_bound_states``), whose grid is doubled likewise.  Both
 refinements stop by the one rule of ``gridsolve._refine``, and both eigensolves
 are numpy's.  Compressing C cos - S sin into a single shifted cosine maps each
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .core import _check_finite, _check_int, _check_non_negative, _check_positive, _square
-from .gridsolve import _refine, converged_bound_states
+from .gridsolve import _fock_ladder, converged_bound_states
 
 if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
     import numpy as np
@@ -52,10 +52,6 @@ __all__ = [
     "rf_squid_spectrum",
 ]
 
-_FOCK_CUTOFF = 128  # first Fock-basis cutoff, doubled at most _FOCK_DOUBLINGS times
-_MAX_LEVELS = _FOCK_CUTOFF // 4  # n_levels cap: the first cutoff holds four times the levels asked for
-_FOCK_DOUBLINGS = 4
-_FOCK_RTOL = 1e-9
 _GRID_POINTS = 96  # first real-space DVR grid; refinement doubles its interval count
 _SQUID_HALF_SPAN = 14.0  # phi-grid half-width in oscillator lengths of the inductive well
 
@@ -201,31 +197,26 @@ def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
     return op
 
 
-def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int, n_levels: int) -> np.ndarray:
+def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int) -> np.ndarray:
     import numpy as np
     d = displacement_operator(eta / math.sqrt(2.0), cutoff)  # cos(eta x) + i sin(eta x)
     h = hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
     h -= 2.0 * t * (sector.c_sum * d.real - sector.s_sum * d.imag)
-    return np.linalg.eigvalsh(h)[:n_levels]
+    return np.linalg.eigvalsh(h)
 
 
 def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: float, n_levels: int = 5) -> np.ndarray:
     """Lowest sector levels from the closed-form Fock-basis build, ascending.
 
     Zero-point convention: the cavity term is hbar_omega * a^dag a (no 1/2),
-    so at t = 0 the levels are exactly 0, hw, 2hw, ...  The cutoff starts at
-    128 and is doubled, at most four times, until the n_levels <= 32 levels are
-    stationary to 1e-9 relative (floored at hbar_omega > 0); failing that, a
-    ConvergenceError carries the residual that was reached.  The levels are
-    even in eta: parity x -> -x maps H(-eta) onto H(eta), so |eta| is solved.
+    so at t = 0 the levels are exactly 0, hw, 2hw, ...  The cutoff follows
+    ``gridsolve._fock_ladder``, floored at hbar_omega > 0.  The levels are even
+    in eta: parity x -> -x maps H(-eta) onto H(eta), so |eta| is solved.
     """
     _check_finite(t=t, eta=eta)
     _check_positive(hbar_omega=hbar_omega)
-    _check_int(n_levels, "n_levels", 1, _MAX_LEVELS)
-    cutoffs = (_FOCK_CUTOFF << k for k in range(_FOCK_DOUBLINGS + 1))
-    estimates = ((cutoff, _fock_levels(sector, t, abs(eta), hbar_omega, cutoff, n_levels)) for cutoff in cutoffs)
-    levels, _, _ = _refine(estimates, _FOCK_RTOL, hbar_omega, "Fock-basis levels not converged at cutoff {size}")
-    return levels
+    return _fock_ladder(lambda cutoff: _fock_levels(sector, t, abs(eta), hbar_omega, cutoff), n_levels, hbar_omega,
+                        "Fock-basis levels not converged at cutoff {size}")
 
 
 def sector_spectrum_xrep(sector: TBSector, t: float, eta: float, hbar_omega: float, n_levels: int = 5) -> np.ndarray:

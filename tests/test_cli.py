@@ -638,7 +638,7 @@ def test_json_output_structure(tmp_path):
 
 def test_failed_points_flag_rows_and_exit_one(tmp_path, monkeypatch):
     # a single basis cutoff gives the refinement nothing to compare, so every row's levels fail to converge
-    monkeypatch.setattr(cli.kerr, "_MAX_DOUBLINGS", 0)
+    monkeypatch.setattr(cli.gridsolve, "_FOCK_MAX_CUTOFF", cli.gridsolve._FOCK_FIRST_CUTOFF)
     out = tmp_path / "bad.csv"
     code = run_cli("nonlinear", "--set", "n_particles=5", "--set", "g=0.2",
                    "--set", "phi=0.5", "--set", "alpha4=0.1", "--set", "n_levels=2",

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,15 @@ def test_optimal_chirality_is_the_first_brute_force_minimum(n_electrons, degener
             order = sorted(reachable, key=lambda j: (abs(j), j))
             expected = min(order, key=lambda j: effective_energy(j, p, chi))
             assert optimal_chirality(p, chi, j_max) == expected
+
+
+@pytest.mark.parametrize("chi_over_chi_c, expected", [(0.5, 0), (2.0, -10**12)])
+def test_optimal_chirality_of_a_trillion_electrons_returns_within_a_second(chi_over_chi_c, expected):
+    # bisection over the monotone energy takes O(log N) evaluations, not one per chirality of N's parity
+    p = _p(eps0=1.0, n_electrons=10**12, degeneracy=4)
+    start = time.perf_counter()
+    assert optimal_chirality(p, chi=chi_over_chi_c * p.branch_stiffness) == expected
+    assert time.perf_counter() - start < 1.0
 
 
 def test_optimal_chirality_respects_cap():

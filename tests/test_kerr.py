@@ -13,6 +13,7 @@ from fluxqm import (
     dressed_frequency,
     full_levels,
     gaussian_frequency,
+    gridsolve,
     kerr,
 )
 from fluxqm.gridsolve import bound_states
@@ -269,7 +270,7 @@ def test_full_levels_offsets():
 
 
 def test_n_levels_cap_is_refused_before_any_solve(monkeypatch):
-    # the basis starts at 4 n_levels and may double five times, so n_levels is capped at 32 before any solve
+    # the Fock ladder starts at 4 n_levels and ends at cutoff 4096, so n_levels is capped at 32 before any solve
     def no_solve(*args):
         raise AssertionError("a basis was diagonalised")
 
@@ -279,9 +280,9 @@ def test_n_levels_cap_is_refused_before_any_solve(monkeypatch):
 
 
 def test_cutoff_guard_and_convergence_error(monkeypatch):
-    # the first cutoff is at least 4 n_levels; an unreachable tolerance ends the doublings
-    monkeypatch.setattr(kerr, "_RTOL", 0.0)
-    monkeypatch.setattr(kerr, "_MAX_DOUBLINGS", 2)
+    # the first cutoff is at least 4 n_levels; an unreachable tolerance runs the ladder to its largest cutoff
+    monkeypatch.setattr(gridsolve, "_FOCK_RTOL", 0.0)
+    monkeypatch.setattr(gridsolve, "_FOCK_MAX_CUTOFF", 320)
     sector = displacement_root(0, _p(), 0.02)
     with pytest.raises(ConvergenceError, match="not converged at cutoff 192") as excinfo:
         anharmonic_spectrum(sector, n_levels=2)

@@ -16,6 +16,7 @@ from fluxqm import (
     sector_constants,
     sector_spectrum_fock,
     sector_spectrum_xrep,
+    gridsolve,
     kerr,
     tbring,
 )
@@ -208,11 +209,24 @@ def test_fock_spectrum_zero_eta_rigid_shift():
 
 
 def test_fock_spectrum_unconverged_raises(monkeypatch):
-    monkeypatch.setattr(tbring, "_FOCK_RTOL", 0.0)
-    monkeypatch.setattr(tbring, "_FOCK_DOUBLINGS", 1)
-    with pytest.raises(ConvergenceError, match="Fock-basis levels not converged at cutoff 256") as info:
+    # an unreachable tolerance runs the ladder 48, 96, 192 to its last cutoff below the patched cap
+    monkeypatch.setattr(gridsolve, "_FOCK_RTOL", 0.0)
+    monkeypatch.setattr(gridsolve, "_FOCK_MAX_CUTOFF", 256)
+    with pytest.raises(ConvergenceError, match="Fock-basis levels not converged at cutoff 192") as info:
         sector_spectrum_fock(sector_constants([0, 1], 6), t=0.7, eta=1.0, hbar_omega=1.0, n_levels=4)
     assert 0.0 <= info.value.residual < 1e-9
+
+
+def test_fock_ladder_stops_only_on_converged_levels():
+    # one fixed-cutoff solve is the reference: cutoff 512 holds these sectors' lowest 12 levels for eta <= 6
+    hw = 1.0
+    for occupied, t, eta in itertools.product(((0, 1), (1, 2, 4)), (0.5, 3.0), (0.5, 2.0, 6.0)):
+        sector = sector_constants(occupied, 6)
+        reference = tbring._fock_levels(sector, t, eta, hw, 512)
+        for n_levels in (1, 12):
+            levels = sector_spectrum_fock(sector, t, eta, hw, n_levels=n_levels)
+            want = reference[:n_levels]
+            assert np.max(np.abs(levels - want) / np.maximum(hw, np.abs(want))) <= 1e-9, (occupied, t, eta, n_levels)
 
 
 def test_dual_solver_agreement_single_case():
@@ -230,11 +244,8 @@ def test_dual_solvers_agree_tightly():
     sectors = [sector_constants(occ, 6) for occ in ((0,), (0, 1), (1, 2, 4))]
     for sector, t, eta in itertools.product(sectors, (0.4, 1.0, 1.6), (0.6, 1.0, 1.4)):
         fock = sector_spectrum_fock(sector, t, eta, hw, n_levels=5)
-        xrep = sector_spectrum_xrep(sector, t, eta, hw, n_levels=5)
-        squid = rf_squid_spectrum(rf_squid_map(sector, t, eta, hw), n_levels=5)
-        scale = np.maximum(hw, np.abs(fock))
-        assert np.max(np.abs((xrep - hw / 2) - fock) / scale) <= 1e-8
-        assert np.max(np.abs((squid - hw / 2) - fock) / scale) <= 1e-8
+        xrep = sector_spectrum_xrep(sector, t, eta, hw, n_levels=5)  # rf_squid_spectrum(rf_squid_map(...))
+        assert np.max(np.abs((xrep - hw / 2) - fock) / np.maximum(hw, np.abs(fock))) <= 1e-8
 
 
 def test_xrep_bare_oscillator_carries_zero_point():

@@ -8,8 +8,12 @@ Run configurations are flat, typed key=value assignments; ``--set`` pairs
 override the config file.  A scan is declared with the four keys
 ``scan_param``, ``scan_min``, ``scan_max``, ``scan_steps`` and produces one
 output row per grid point, the points of ``numpy.linspace`` computed in plain
-floats.  A point is just its scan value: it is merged into the base
-parameters when its row runs.  The command's parse types the axis: a key it
+floats.  The run parses its parameters once.  A row is evaluated from its
+point's model and derives from it what depends on it (the ``dirac-scan``
+cutoff ``j_max`` is N by default).  On a closed-form scan of a model field,
+that model is the parsed one with the field set to the scan value and checked
+alone (``core._field_binder``); any other axis, and every row that
+diagonalises, parses its point anew.  The command's parse types the axis: a key it
 reads as an integer is an integer axis, whose grid is rounded to the nearest
 integers and written as integers.  Rows that only evaluate closed forms run
 in the main process whatever ``--jobs`` says; only rows that diagonalise
@@ -47,10 +51,11 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import diracring, gridsolve, kerr, linearmode, oracle, phases, spinorbit, tbring
-from .core import FermionConfig, ModelParams, _check_finite, _check_int, _check_non_negative
+from .core import FermionConfig, ModelParams, _check_finite, _check_int, _check_non_negative, _field_binder
 
 SCHEMA_VERSION = 1
 
@@ -171,8 +176,8 @@ class _Point(NamedTuple):
     """One parsed point of a command: what its row writes, and how the run treats it."""
 
     columns: tuple  # (name, description) pairs, level families included
-    row: Callable[[], tuple]  # evaluates the point's cells, one per column in column order
-    p: object = None  # the model whose closed-form thresholds a scan's summary reads
+    row: Callable[[object], tuple]  # the cells of the point of model p, one per column in column order
+    p: object = None  # the model a row is evaluated from, a scanned field is bound into and the summary reads
     imports: tuple = ()  # modules a row imports to diagonalise; only such rows use the worker pool
 
 
@@ -191,7 +196,7 @@ def _spectrum(ps):
         ("var_x", "ground-state variance of x = (a+a^dag)/sqrt(2)"),
         *_level_columns("e", "sector level {k} (photon index {k})", n_levels),
     )
-    return _Point(columns, lambda: (
+    return _Point(columns, lambda p: (
         linearmode.dressed_frequency(p),
         linearmode.induced_coupling(p),
         linearmode.squeeze_parameter(p),
@@ -217,9 +222,9 @@ def _phase_scan(ps):
     m_max = ps.int("m_max", 8)
     p = _model_params(ps, n)
     ps.finish()
-    phases._check_window(n, m_max)
+    phases._check_window(n, m_max)  # the search checks each point's own window first
 
-    def row():
+    def row(p):
         gs = phases.ground_state_search(p, m_max)
         return (gs.order_m, gs.config.w_kinetic, gs.energy, gs.displacement_a, gs.photon_number, gs.phase_label,
                 gs.boundary_contact, "|".join(str(m) for m in gs.config.orbitals))
@@ -241,7 +246,7 @@ def _spin_phase(ps):
     p = _model_params(ps, ps.int("n_particles"), spin=True)
     ps.finish()
 
-    def row():
+    def row(p):
         rep = spinorbit.hessian(p)
         low, high = rep.eigenvalues
         return (rep.determinant, low, high, low > 0, *rep.soft_vector, spinorbit.locking_ratio(p))
@@ -268,13 +273,14 @@ def _dirac_scan(ps):
         degeneracy=ps.int("degeneracy", 4),
         d_eff=ps.float("d_eff", 0.0),
     )
-    j_max = ps.int("j_max", p.n_electrons)
+    j_max = ps.int("j_max", None)
     ps.finish()
     diracring._check_j_max(j_max, p.n_electrons)
 
-    def row():
+    def row(p):
+        j = diracring._check_j_max(j_max, p.n_electrons)  # the point's own N is its default and its bound
         chi = diracring.induced_coupling_dirac(p)
-        j_opt = diracring.optimal_chirality(p, chi, j_max)
+        j_opt = diracring.optimal_chirality(p, chi, j)
         amp, photons = diracring.flux_displacement(j_opt, p)
         return (chi, p.branch_stiffness, j_opt, diracring.effective_energy(j_opt, p, chi), amp, photons,
                 "balanced" if abs(j_opt) == p.n_electrons % 2 else "polarized")
@@ -289,7 +295,7 @@ def _nonlinear(ps):
     p = _model_params(ps, n)
     ps.finish()
     _check_int(n_levels, "n_levels", 0, gridsolve._FOCK_MAX_LEVELS)  # 0: no anharmonic levels
-    sector = kerr.displacement_root(m_total, p, alpha4)
+    parsed = kerr.displacement_root(m_total, p, alpha4)  # a bad alpha4 fails every point
     columns = (
         ("m_total", "fermion-sector total angular momentum"),
         ("x0", "quadrature displacement of the sector minimum"),
@@ -300,9 +306,10 @@ def _nonlinear(ps):
         *_level_columns("eps", "anharmonic level {k} of the residual block", n_levels),
     )
 
-    def row():
+    def row(q):  # the sector of the point's own model, which is the parsed one unless a scan bound a field
+        sector = parsed if q is p else kerr.displacement_root(m_total, q, alpha4)
         cells = (sector.m_total, sector.x0, sector.b_eff, sector.beta3, sector.v_eff,
-                 kerr.gaussian_frequency(sector) / p.hbar_omega)
+                 kerr.gaussian_frequency(sector) / q.hbar_omega)
         _check_finite(omega_ratio=cells[-1])  # a subnormal hbar_omega overflows the ratio
         levels = kerr.anharmonic_spectrum(sector, n_levels=n_levels) if n_levels else ()
         return (*cells, *map(float, levels))
@@ -337,7 +344,7 @@ def _tbjj(ps):
         *_level_columns("xrep_e", "sector level {k}, real-space solver (carries +hbar_omega/2)",
                         n_levels if both else 0),
     )
-    return _Point(columns, lambda: (
+    return _Point(columns, lambda _: (  # no model: every key is parsed per point
         sector.c_sum, sector.s_sum, sector.e_j_amp, sector.delta, squid.e_j, squid.e_l, squid.e_c, squid.beta_ratio,
         *map(float, tbring.sector_spectrum_fock(sector, t, squid.eta, squid.hbar_omega, n_levels=n_levels)),
         *map(float, tbring.sector_spectrum_xrep(sector, t, squid.eta, squid.hbar_omega, n_levels=n_levels)
@@ -378,7 +385,7 @@ def _oracle_check(ps):
     cfg = FermionConfig(orbitals)
     p = ModelParams(g=ratio, g_eff=1.0, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
 
-    def row():
+    def row(p):
         analytic = [linearmode.sector_energy(p, cfg, k) for k in range(n_levels)]
         report = oracle.oracle_spectrum(p, cfg, cutoff=cutoff, n_levels=n_levels)
         max_rel_error = oracle.compare_spectra(analytic, report.levels, scale=p.hbar_omega)
@@ -437,11 +444,18 @@ def _point(params, key, value):
     return ParamSet(params if key is None else {**params, key: value})
 
 
-def _eval_point(task):
-    """Row evaluation, in the main process or a worker: the point's cells and status, no cells on failure."""
-    command, params, key, value = task
+def _parsed_point(command, params, key, value):
+    """The row and model of a point parsed anew."""
+    point = _COMMANDS[command].parse(_point(params, key, value))
+    return point.row, point.p
+
+
+def _eval_point(point_of, value):
+    """Row evaluation, in the main process or a worker: the cells and status of the point whose row and model
+    ``point_of(value)`` gives, no cells on failure."""
     try:
-        return _COMMANDS[command].parse(_point(params, key, value)).row(), "ok"
+        row, p = point_of(value)
+        return row(p), "ok"
     except Exception as exc:
         return None, f"error: {type(exc).__name__}: {exc}"
 
@@ -622,19 +636,22 @@ def run(config: RunConfig) -> int:
     if lead:
         columns.insert(0, (config.scan_param, f"scan value of {config.scan_param}"))
 
-    tasks = ((config.command, config.params, key, value) for value in values)
+    # a closed-form scan of a model field binds each value into the parsed model, checking only that field
+    bind = None if first.imports else _field_binder(first.p, key)
+    point_of = (partial(_parsed_point, config.command, config.params, key) if bind is None
+                else lambda value: (first.row, bind(value)))
     # a pool forks all its workers at once, so it never gets more than one per row
     jobs = min(config.jobs or os.cpu_count() or 1, len(values))
     # closed-form rows take microseconds: a pool would only add start-up and pickling
     if not first.imports or jobs == 1:
-        rows = list(map(_eval_point, tasks))
+        rows = [_eval_point(point_of, value) for value in values]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         for module in first.imports:  # imported once before the fork, so the workers share them
             importlib.import_module(module)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_eval_point, tasks, chunksize=max(1, len(values) // (4 * jobs))))
+            rows = list(pool.map(partial(_eval_point, point_of), values, chunksize=max(1, len(values) // (4 * jobs))))
 
     for i, (value, (cells, status)) in enumerate(zip(values, rows)):
         if cells is None:

@@ -26,7 +26,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 HBAR = 1.0545718176461565e-34  # J s, exact in the 2019 SI (h / 2 pi)
 ELECTRON_MASS = 9.1093837139e-31  # kg, CODATA 2022
@@ -96,6 +96,45 @@ def _check_non_negative(**values: float) -> None:
             raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+def _check_counts(**values) -> dict:
+    """Each keyword value as an int, raising ValueError naming the first that is not an integer >= 1."""
+    return {name: _check_int(value, name, lo=1) for name, value in values.items()}
+
+
+def _check_fields(p) -> None:
+    """Check every field of model ``p`` by the rules of its class, in their order: its ``__post_init__``.
+
+    ``_RULES`` holds (check, names) pairs.  ``check(**values)`` of those fields raises ValueError naming the
+    first bad value, and returns the values to store (an integer field stores its int) or None to keep them.
+    The fields of one rule share a call, so all of them are checked finite before any is checked in range.
+    """
+    fields = vars(p)  # a frozen model: stored past its __setattr__
+    for check, names in p._RULES:
+        stored = check(**{name: fields[name] for name in names})
+        if stored:
+            fields.update(stored)
+
+
+def _field_binder(p, name):
+    """A function from a value to model ``p`` with field ``name`` set to it; None unless ``name`` is a field of p.
+
+    The value is checked by that field's rule alone, on it alone.  p's other fields were checked when p
+    was built, so the message is the one the whole model would give, and no model is built or checked anew.
+    """
+    check = next((check for check, names in p._RULES if name in names), None)
+    if check is None:
+        return None
+    cls, fields = type(p), vars(p)
+
+    def bind(value):
+        stored = check(**{name: value})
+        q = object.__new__(cls)
+        vars(q).update(fields)
+        vars(q)[name] = value if stored is None else stored[name]
+        return q
+    return bind
+
+
 @dataclass(frozen=True)
 class LCParams:
     """A lumped LC resonator (all SI), stored as its inductance and capacitance.
@@ -163,11 +202,15 @@ class ModelParams:
     hbar_omega: float = 1.0
     eta: float = 0.0
 
+    _RULES: ClassVar[tuple] = (  # each field's rule, as _check_fields applies them
+        (_check_positive, ("g", "g_eff", "hbar_omega")),
+        (_check_non_negative, ("phi",)),
+        (_check_finite, ("eta",)),
+        (_check_counts, ("n_particles",)),
+    )
+
     def __post_init__(self):
-        _check_positive(g=self.g, g_eff=self.g_eff, hbar_omega=self.hbar_omega)
-        _check_non_negative(phi=self.phi)
-        _check_finite(eta=self.eta)
-        object.__setattr__(self, "n_particles", _check_int(self.n_particles, "n_particles", lo=1))
+        _check_fields(self)
 
 
 @dataclass(frozen=True)

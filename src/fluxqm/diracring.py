@@ -18,9 +18,10 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
-from .core import _check_finite, _check_int, _check_non_negative, _check_positive, _square
+from .core import (_check_counts, _check_fields, _check_finite, _check_int, _check_non_negative, _check_positive,
+                   _square)
 from .errors import NoTransitionError
 
 __all__ = [
@@ -31,6 +32,14 @@ __all__ = [
     "flux_displacement",
     "optimal_chirality",
 ]
+
+
+def _check_degeneracy(degeneracy) -> dict:
+    """The branch capacity as an int; raise ValueError unless it is 1, 2 or 4."""
+    degeneracy = _check_int(degeneracy, "degeneracy")
+    if degeneracy not in (1, 2, 4):
+        raise ValueError(f"degeneracy must be 1, 2 or 4, got {degeneracy}")
+    return {"degeneracy": degeneracy}
 
 
 @dataclass(frozen=True)
@@ -49,13 +58,15 @@ class DiracParams:
     degeneracy: int = 4
     d_eff: float = 0.0
 
+    _RULES: ClassVar[tuple] = (  # each field's rule, as core._check_fields applies them
+        (_check_positive, ("eps0", "hbar_omega")),
+        (_check_non_negative, ("phi", "d_eff")),
+        (_check_counts, ("n_electrons",)),
+        (_check_degeneracy, ("degeneracy",)),
+    )
+
     def __post_init__(self):
-        _check_positive(eps0=self.eps0, hbar_omega=self.hbar_omega)
-        _check_non_negative(phi=self.phi, d_eff=self.d_eff)
-        object.__setattr__(self, "n_electrons", _check_int(self.n_electrons, "n_electrons", lo=1))
-        object.__setattr__(self, "degeneracy", _check_int(self.degeneracy, "degeneracy"))
-        if self.degeneracy not in (1, 2, 4):
-            raise ValueError(f"degeneracy must be 1, 2 or 4, got {self.degeneracy}")
+        _check_fields(self)
 
     @property
     def coupling_lambda(self) -> float:
@@ -138,9 +149,9 @@ def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:
     return amp, photon_number
 
 
-def _check_j_max(j_max: int, n_electrons: int) -> int:
-    """Return the chirality cutoff as an int; raise ValueError unless it lies in [N mod 2, N], where |J| can lie."""
-    return _check_int(j_max, "j_max", n_electrons % 2, n_electrons)
+def _check_j_max(j_max: Optional[int], n_electrons: int) -> int:
+    """The chirality cutoff as an int, N for None; raise ValueError unless it lies in [N mod 2, N], where |J| lies."""
+    return n_electrons if j_max is None else _check_int(j_max, "j_max", n_electrons % 2, n_electrons)
 
 
 def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Optional[int] = None) -> int:
@@ -150,8 +161,6 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
     toward smaller |j|, then toward the negative branch, so the first-order
     jump lands deterministically on one of the two degenerate branches.
     """
-    if j_max is None:
-        j_max = p.n_electrons
     j_max = _check_j_max(j_max, p.n_electrons)
     if chi is None:
         chi = induced_coupling_dirac(p)

@@ -187,21 +187,34 @@ def displacement_operator(lam: float, cutoff: int) -> np.ndarray:
     """
     import numpy as np
     dim = _check_int(cutoff, "cutoff", lo=0) + 1
-    mags = _displacement_bands(lam, dim)
-    phases = np.array(_PHASES)[np.arange(dim) % 4]
-    op = np.zeros((dim, dim), dtype=complex)
+    return _from_bands(_displacement_bands(lam, dim), np.array(_PHASES)[np.arange(dim) % 4])
+
+
+def _from_bands(mags: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose elements (l + D, l) and (l, l + D) are weights[D] mags[l, D], of weights' dtype."""
+    import numpy as np
+    dim = len(mags)
+    out = np.zeros((dim, dim), dtype=weights.dtype)
     for l in range(dim):
-        entries = phases[: dim - l] * mags[l, : dim - l]  # entries (l + D, l) for D = 0..cutoff - l
-        op[l:, l] = entries
-        op[l, l:] = entries
-    return op
+        entries = weights[: dim - l] * mags[l, : dim - l]  # entries (l + D, l) for D = 0..dim - 1 - l
+        out[l:, l] = entries
+        out[l, l:] = entries
+    return out
 
 
 def _fock_levels(sector: TBSector, t: float, eta: float, hbar_omega: float, cutoff: int) -> np.ndarray:
+    """Levels of hbar_omega n - 2t [C cos(eta x) - S sin(eta x)] on |0..cutoff>, built as one real matrix.
+
+    cos and sin are the real and imaginary parts of ``displacement_operator``: band D is i^D times its
+    magnitudes, so even bands hold cos with sign (-1)^(D/2) and odd bands sin with sign (-1)^((D-1)/2).
+    """
     import numpy as np
-    d = displacement_operator(eta / math.sqrt(2.0), cutoff)  # cos(eta x) + i sin(eta x)
-    h = hbar_omega * np.diag(np.arange(cutoff + 1, dtype=float))
-    h -= 2.0 * t * (sector.c_sum * d.real - sector.s_sum * d.imag)
+    d = np.arange(cutoff + 1)
+    # C cos - S sin per band: C or -S, times the sign of i^D's real or imaginary part
+    coef = np.where(d % 2 == 0, sector.c_sum, -sector.s_sum) * np.where(d % 4 < 2, 1.0, -1.0)
+    h = _from_bands(_displacement_bands(eta / math.sqrt(2.0), cutoff + 1), coef)
+    h *= -2.0 * t
+    h[d, d] += hbar_omega * d
     return np.linalg.eigvalsh(h)
 
 

@@ -55,6 +55,14 @@ def read_summary(comments):
     return dict(line[len("# summary "):].split(" = ") for line in comments if line.startswith("# summary "))
 
 
+def no_rows(monkeypatch):
+    """Make any row that runs, parsed anew or bound into the parsed model, fail the test."""
+    def no_row(point_of, value):
+        raise AssertionError("a row ran")
+
+    monkeypatch.setattr(cli, "_eval_point", no_row)
+
+
 def test_unknown_parameter_is_usage_error(tmp_path, capsys):
     out = tmp_path / "x.csv"
     code = run_cli("phase-scan", "--set", "n_particles=3", "--set", "bogus=1",
@@ -139,10 +147,7 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("phase-scan", "--set", "n_particles=5", "--set", "m_max=100"), "m_max"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
-    def no_row(task):
-        raise AssertionError("a row ran")
-
-    monkeypatch.setattr(cli, "_eval_point", no_row)
+    no_rows(monkeypatch)
     out = tmp_path / "x.csv"
     assert run_cli(*args, "--out", str(out), "--jobs", "1") == 2
     assert f"{key} must" in capsys.readouterr().err
@@ -166,10 +171,7 @@ def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monke
     (("spectrum", "--set", "orbitals=0,1", "--set", "n_levels=0"), "n_levels must be >= 1, got 0"),
 ])
 def test_unusable_run_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, message):
-    def no_row(task):
-        raise AssertionError("a row ran")
-
-    monkeypatch.setattr(cli, "_eval_point", no_row)
+    no_rows(monkeypatch)
     (tmp_path / "no_equals.cfg").write_text("n_particles = 3\ng 2.0\n")
     out = tmp_path / "x.csv"
     # the case's own --out or --jobs, given later, takes precedence
@@ -244,10 +246,7 @@ def test_out_of_range_scan_point_flags_only_its_row(tmp_path, args, error):
 ], ids=["spectrum", "tbjj", "nonlinear"])
 def test_scan_that_changes_the_columns_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args):
     # the rows used to be written under the first point's columns, dropping the other points' levels
-    def no_row(task):
-        raise AssertionError("a row ran")
-
-    monkeypatch.setattr(cli, "_eval_point", no_row)
+    no_rows(monkeypatch)
     out = tmp_path / "x.csv"
     code = run_cli(*args, "--set", "scan_param=n_levels", "--set", "scan_max=3", "--set", "scan_steps=3",
                    "--out", str(out), "--jobs", "1")
@@ -311,6 +310,37 @@ def test_dirac_scan_visits_only_sectors_of_n_parity(tmp_path, sets, j_opt, phase
     # <a> = -eps0 phi j_opt / hbar_omega, nonzero for a balanced odd-N ring too
     phi = float(dict(key.split("=") for key in sets)["phi"])
     assert float(row["displacement_a"]) == pytest.approx(-phi * j_opt, rel=1e-15)
+
+
+def test_dirac_scan_of_n_electrons_caps_each_row_at_its_own_n(tmp_path):
+    # with no j_max, each point's cutoff is its own N: a cutoff kept from the first point would cap every row at -2
+    out = tmp_path / "dirac.csv"
+    assert run_cli("dirac-scan", "--set", "phi=0.6", "--set", "scan_param=n_electrons", "--set", "scan_min=2",
+                   "--set", "scan_max=12", "--set", "scan_steps=6", "--out", str(out), "--jobs", "1") == 0
+    _, header, rows = read_csv(out)
+    cells = [dict(zip(header, row)) for row in rows]
+    assert [(int(c["n_electrons"]), int(c["j_opt"]), c["phase"]) for c in cells] == [
+        (n, -n, "polarized") for n in range(2, 13, 2)]
+
+
+@pytest.mark.parametrize("command, sets", [
+    ("spin-phase", ["n_particles=5", "phi=0.3", "scan_param=eta"]),
+    ("dirac-scan", ["n_electrons=8", "d_eff=0.1", "scan_param=phi"]),
+])
+def test_scan_of_a_model_field_parses_only_its_first_and_last_points(tmp_path, monkeypatch, command, sets):
+    # a cost guard in place of a timing test: every other point binds its value into the parsed model
+    parse, calls = cli._COMMANDS[command].parse, []
+
+    def counted(ps):
+        calls.append(ps)
+        return parse(ps)
+
+    monkeypatch.setitem(cli._COMMANDS, command, replace(cli._COMMANDS[command], parse=counted))
+    out = tmp_path / "scan.csv"
+    assert run_cli(command, *(arg for key in sets for arg in ("--set", key)), "--set", "scan_min=0",
+                   "--set", "scan_max=2", "--set", "scan_steps=2000", "--out", str(out), "--jobs", "1") == 0
+    assert len(read_csv(out)[2]) == 2000
+    assert len(calls) <= 2
 
 
 @pytest.mark.parametrize("args, message", [
@@ -658,7 +688,7 @@ def test_wrong_length_row_fails_the_run_and_writes_no_file(tmp_path, monkeypatch
 
     def short_parse(ps):
         point = parse(ps)
-        return point._replace(row=lambda: point.row()[:-1])
+        return point._replace(row=lambda p: point.row(p)[:-1])
 
     monkeypatch.setitem(cli._COMMANDS, "dirac-scan", replace(cli._COMMANDS["dirac-scan"], parse=short_parse))
     out = tmp_path / "dirac.csv"

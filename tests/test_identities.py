@@ -3,8 +3,8 @@ the closed-form sector levels, spinless and Zeeman-coupled, against the brute-fo
 drawn sectors, the closed-form stability Hessian against a dense eigensolver, the Dirac-ring
 chirality argmin against a brute-force minimum at and beside the branch stiffness, the unitarity of the
 truncated displacement operator within its cutoff, the CLI scan grid against ``numpy.linspace``, and
-the CLI output bytes: the streamed JSON writer against ``json.dumps(indent=2)``, and any worker
-count against one worker."""
+the CLI output bytes: the streamed JSON writer against ``json.dumps(indent=2)``, any worker count
+against one worker, and a scan that binds each value into its parsed model against points parsed anew."""
 
 import copy
 import io
@@ -13,6 +13,7 @@ import math
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -403,3 +404,54 @@ def test_worker_count_does_not_change_the_bytes_of_diagonalising_scans(args, fmt
         code = cli.main([*args, "--format", fmt, "--out", str(serial), "--jobs", "1"])
         assert cli.main([*args, "--format", fmt, "--out", str(pooled), "--jobs", "2"]) == code == 0
         assert pooled.read_bytes() == serial.read_bytes()
+
+
+# each closed-form command's fixed keys, with or without optional ones, and the model fields it can scan
+FIELD_SCANS = {
+    "spectrum": ((["orbitals=-1,0,2", "spins=1,-1,1"], ["orbitals=-1,0,2", "spins=1,-1,1", "n_levels=2"]),
+                 ("g", "g_eff", "phi", "hbar_omega", "eta")),
+    "phase-scan": ((["n_particles=3", "m_max=3"], ["n_particles=3", "m_max=3", "g=2"]),
+                   ("g", "g_eff", "phi", "hbar_omega", "n_particles")),
+    "spin-phase": ((["n_particles=4"], ["n_particles=4", "eta=0.4", "phi=0.2"]),
+                   ("g", "g_eff", "phi", "hbar_omega", "eta", "n_particles")),
+    "dirac-scan": ((["n_electrons=6"], ["n_electrons=6", "phi=0.5"], ["n_electrons=6", "j_max=4", "phi=0.5"]),
+                   ("eps0", "hbar_omega", "phi", "n_electrons", "degeneracy", "d_eff")),
+    "nonlinear": ((["n_particles=3", "m_total=2", "alpha4=0.05"], ["n_particles=3", "m_total=-1", "phi=0.3"]),
+                  ("g", "g_eff", "phi", "hbar_omega", "n_particles")),
+}
+
+
+@st.composite
+def field_scans(draw, command):
+    """A scan of one of the command's model fields that reaches below its range, and past overflow at scale 1e155."""
+    bases, axes = FIELD_SCANS[command]
+    scale = draw(st.sampled_from([1.0, 1e155]))
+    lo = draw(st.floats(min_value=-1.5, max_value=2.0)) * scale
+    hi = lo + draw(st.floats(min_value=0.0, max_value=8.0)) * scale
+    return [command, *(arg for key in draw(st.sampled_from(bases)) for arg in ("--set", key)),
+            "--set", f"scan_param={draw(st.sampled_from(axes))}", "--set", f"scan_min={lo!r}",
+            "--set", f"scan_max={hi!r}", "--set", f"scan_steps={draw(st.integers(min_value=2, max_value=9))}"]
+
+
+@pytest.mark.parametrize("command", sorted(FIELD_SCANS))
+@settings(PROPERTY, max_examples=40)
+@given(data=st.data())
+def test_a_bound_scan_writes_the_rows_of_points_parsed_anew(command, data):
+    args = data.draw(field_scans(command))
+    bound, field_binder = [], cli._field_binder
+
+    def counted(p, key):  # the binder of the run, counting the values it binds
+        bind = field_binder(p, key)
+        return lambda value: bound.append(value) or bind(value)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = {}
+        for name, binder in (("bound", counted), ("parsed", lambda p, key: None)):  # None: parse each point anew
+            out = Path(tmp) / name
+            with mock.patch.object(cli, "_field_binder", binder):
+                code = cli.main([*args, "--out", str(out)])
+            runs[name] = code, out.read_bytes() if out.exists() else None
+    assert runs["bound"] == runs["parsed"]
+    code, text = runs["bound"]
+    # every point was bound unless the whole run failed (exit 2) before any row
+    assert (code == 2) == (text is None) and (code == 2 or len(bound) == int(args[-1].split("=")[1]))

@@ -217,6 +217,16 @@ def test_fock_spectrum_unconverged_raises(monkeypatch):
     assert 0.0 <= info.value.residual < 1e-9
 
 
+@pytest.mark.parametrize("occupied", [(0,), (0, 1), (1, 2, 4)])
+@pytest.mark.parametrize("eta", [0.3, 2.0, 7.0])
+def test_fock_levels_are_those_of_the_displacement_operator(occupied, eta):
+    # the real build takes cos and sin band by band: bit for bit the real and imaginary parts of the operator
+    sector, t, hw, cutoff = sector_constants(occupied, 6), 0.7, 1.3, 96
+    d = displacement_operator(eta / math.sqrt(2.0), cutoff)
+    h = hw * np.diag(np.arange(cutoff + 1, dtype=float)) - 2.0 * t * (sector.c_sum * d.real - sector.s_sum * d.imag)
+    assert np.array_equal(tbring._fock_levels(sector, t, eta, hw, cutoff), np.linalg.eigvalsh(h))
+
+
 def test_fock_ladder_stops_only_on_converged_levels():
     # one fixed-cutoff solve is the reference: cutoff 512 holds these sectors' lowest 12 levels for eta <= 6
     hw = 1.0

@@ -10,9 +10,9 @@ orbital cutoff.  This module provides the closed-form critical couplings and
 an exhaustive ground-state search over a bounded orbital window that serves
 as the independent check of those formulas.  The window's configurations are
 enumerated once per (N, m_max) into a cached numpy table of at most
-_MAX_WINDOW_ROWS rows; since the energy
-depends only on (M, W), each search scans one representative row per distinct
-(M, W) pair (33,668 of the 237,336 rows for N = 5, m_max = 16).
+_MAX_WINDOW_ROWS rows; since at fixed M the energy rises with W, each search
+scans one row per reachable M, its least-W configuration (141 of the 237,336
+rows for N = 5, m_max = 16).
 """
 
 from __future__ import annotations
@@ -87,8 +87,9 @@ def _check_window(n_particles: int, m_max: int) -> int:
     """Return m_max as an int; raise ValueError unless the window |m| <= m_max holds n_particles distinct
     orbitals in at most _MAX_WINDOW_ROWS = 4,000,000 configurations, C(2 m_max + 1, N).
 
-    Building the table peaks at 40 to 50 bytes per row for N <= 10 (traced with tracemalloc, numpy 2.4),
-    so about 200 MB at the cap.  N = 5, m_max = 16 has 237,336 rows; N = 5, m_max = 100 has 2.6 billion.
+    Building the table peaks at 11 to 17 bytes per row for 2 <= N <= 10 (traced with tracemalloc, numpy 2.4),
+    so under 70 MB at the cap.  N = 1, where every row is the only one of its M, peaks at about 125 bytes
+    per row, 500 MB at the cap.  N = 5, m_max = 16 has 237,336 rows; N = 5, m_max = 100 has 2.6 billion.
     """
     m_max = _check_int(m_max, "m_max")
     width = 2 * m_max + 1
@@ -106,16 +107,16 @@ def _check_window(n_particles: int, m_max: int) -> int:
 
 @lru_cache(maxsize=16)
 def _sector_table(n_particles: int, m_max: int):
-    """All distinct-orbital configurations with |m_i| <= m_max, pre-sorted.
+    """All distinct-orbital configurations with |m_i| <= m_max, and one row per reachable M.
 
     ``configs`` is a (C(2 m_max + 1, N), N) integer array with one row per
-    configuration, sorted by (|M|, orbital tuple) so that among exactly
-    degenerate energies the first minimum is the smallest |M| and then the
+    configuration, in lexicographic order.  At fixed M the energy
+    g_eff W - chi M^2 rises with W (g_eff > 0, and float rounding is
+    monotone), so ``rows`` indexes the one configuration of least W of each
+    reachable M, ordered by (|M|, orbital tuple): among exactly degenerate
+    energies the first minimum is the smallest |M| and then the
     lexicographically smallest orbital list, making searches reproducible bit
-    for bit.  The energy depends only on (M, W), so ``rows`` keeps the first
-    row of each distinct (M, W) pair, in table order, and ``w`` and ``m2``
-    hold their W and M^2 as floats: an argmin over the representatives lands
-    on the first minimum of the whole table.
+    for bit.  ``w`` and ``m2`` hold the rows' W and M^2 as floats.
     """
     import numpy as np
     combos = itertools.combinations(range(-m_max, m_max + 1), n_particles)
@@ -123,21 +124,24 @@ def _sector_table(n_particles: int, m_max: int):
     dtype = np.min_scalar_type(-m_max - 1)  # smallest signed type that holds -m_max..m_max
     flat = np.fromiter(itertools.chain.from_iterable(combos), dtype, count * n_particles)
     configs = flat.reshape(count, n_particles)  # lexicographic, as combinations yields them
-    # |M| <= N m_max and W <= N m_max^2, so the (M, W) key below and M^2 are at most key_max;
-    # m, w and key share the smallest signed type that holds it (int32 for N = 5, m_max = 16)
-    w_stride = n_particles * m_max * m_max + 1
-    key_max = 2 * n_particles * m_max * w_stride + w_stride - 1
-    key_dtype = np.min_scalar_type(-key_max - 1)
-    m = configs.sum(axis=1, dtype=key_dtype)
-    configs = configs[np.argsort(np.abs(m), kind="stable")]
-    m = configs.sum(axis=1, dtype=key_dtype)  # summed again: keeping the int64 permutation costs peak memory
-    w = np.einsum("ij,ij->i", configs, configs, dtype=key_dtype)
+    # |M| <= N m_max, W <= N m_max^2 and M^2 <= (N m_max)^2: m, w and m^2 share the smallest
+    # signed type that holds (N m_max)^2 (int16 for N = 5, m_max = 16)
+    m_bound = n_particles * m_max
+    int_dtype = np.min_scalar_type(-m_bound * m_bound - 1)
+    m = np.einsum("ij->i", configs, dtype=int_dtype)
+    w = np.einsum("ij,ij->i", configs, configs, dtype=int_dtype)
+    # least W of each M, indexed by M itself: a negative M wraps to the top half of the 2 N m_max + 1 slots
+    least_w = np.full(2 * m_bound + 1, np.iinfo(int_dtype).max, int_dtype)
+    np.minimum.at(least_w, m, w)
+    # one row per M: two gaps in a least-W set could close inward at the same sum and lower W, so the set
+    # is a run of N orbitals or a run of N + 1 with one inside orbital left out, and the sum fixes which
+    rows = np.flatnonzero(w == least_w[m])
+    rows = rows[np.lexsort((rows, np.abs(m[rows])))]
+    m, w = m[rows], w[rows]
     # kinetic-optimal reference: what "balanced" means for this (N, m_max)
     w_ref = int(w.min())
     m_ref = int(np.abs(m[w == w_ref]).min())
-    key = (m + n_particles * m_max) * w_stride + w
-    rows = np.sort(np.unique(key, return_index=True)[1])
-    return configs, rows, w[rows].astype(float), (m[rows] * m[rows]).astype(float), w_ref, m_ref
+    return configs, rows, w.astype(float), (m * m).astype(float), w_ref, m_ref
 
 
 def ground_state_search(p: ModelParams, m_max: int) -> GroundState:

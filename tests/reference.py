@@ -1,9 +1,11 @@
-"""Closed forms that only the tests use: closed-shell fillings, their boosts and crossings, and the
-lattice estimate of the Dirac ring's diamagnetic stiffness ``d_eff``, which no command reads."""
+"""Closed forms that only the tests use: closed-shell fillings, their boosts and crossings, the
+lattice estimate of the Dirac ring's diamagnetic stiffness ``d_eff``, which no command reads, and the
+brute-force ground state of an orbital window."""
 
+import itertools
 import math
 
-from fluxqm import FermionConfig
+from fluxqm import FermionConfig, induced_coupling
 from fluxqm.core import _check_finite, _check_int, _check_positive, _square
 
 
@@ -57,3 +59,19 @@ def diamagnetic_stiffness(
     d_eff = eps0 * (2.0 / math.pi) * (_square(phi, "d_eff") / n_sites) * math.sin(math.pi * filling)
     _check_finite(d_eff=d_eff)
     return 2.0 * d_eff if spinful else d_eff
+
+
+def brute_force_ground_state(p, m_max):
+    """Oracle: min over every configuration keyed by (energy, |M|, orbitals)."""
+    chi = induced_coupling(p)
+    combos = list(itertools.combinations(range(-m_max, m_max + 1), p.n_particles))
+
+    def key(orbs):
+        m, w = sum(orbs), sum(v * v for v in orbs)
+        return p.g_eff * float(w) - chi * float(m * m), abs(m), orbs
+
+    best = min(combos, key=key)
+    w_ref = min(sum(v * v for v in orbs) for orbs in combos)
+    m_ref = min(abs(sum(orbs)) for orbs in combos if sum(v * v for v in orbs) == w_ref)
+    balanced = sum(v * v for v in best) == w_ref and abs(sum(best)) == m_ref
+    return best, "balanced" if balanced else "polarized"

@@ -2,7 +2,8 @@
 the closed-form sector levels, spinless and Zeeman-coupled, against the brute-force oracle on
 drawn sectors, the closed-form stability Hessian against a dense eigensolver, the Dirac-ring
 chirality argmin against a brute-force minimum at and beside the branch stiffness, the unitarity of the
-truncated displacement operator within its cutoff, the CLI scan grid against ``numpy.linspace``, and
+truncated displacement operator within its cutoff, the orbital ground-state search against a minimum over
+every configuration of its window, the CLI scan grid against ``numpy.linspace``, and
 the CLI output bytes: the streamed JSON writer against ``json.dumps(indent=2)``, any worker count
 against one worker, and a scan that binds each value into its parsed model against points parsed anew."""
 
@@ -29,10 +30,12 @@ from fluxqm import (
     NoTransitionError,
     compare_spectra,
     critical_eta,
+    critical_flux,
     critical_flux_spin,
     displacement_operator,
     dressed_frequency,
     effective_energy,
+    ground_state_search,
     hessian,
     optimal_chirality,
     oracle_spectrum,
@@ -45,6 +48,7 @@ from fluxqm import (
 )
 from fluxqm import cli, gridsolve
 from fluxqm.core import HBAR
+from reference import brute_force_ground_state
 
 PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
 
@@ -192,6 +196,33 @@ def test_optimal_chirality_is_the_first_minimum_of_the_effective_energy(case):
     # ties go to the smaller |j|, then to the negative branch
     expected = min(reachable, key=lambda j: (effective_energy(j, p, chi), abs(j), j))
     assert optimal_chirality(p, chi, j_max) == expected
+
+
+@st.composite
+def orbital_windows(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    m_max = draw(st.integers(min_value=n // 2, max_value=7))  # n // 2 is the narrowest window that holds n
+    g_eff = draw(positive)
+    # g / g_eff from 1e-3 to 1e3, from either side of 1 (a transition needs g > g_eff)
+    decades = draw(st.one_of(st.floats(min_value=-3.0, max_value=0.0), st.floats(min_value=0.0, max_value=3.0)))
+    p = ModelParams(g=g_eff * 10**decades, g_eff=g_eff, phi=0.0, n_particles=n, hbar_omega=draw(positive))
+    # phi in units of phi_c, or of 1 where g <= g_eff leaves no transition
+    scale = critical_flux(p) if p.g > p.g_eff else 1.0
+    return replace(p, phi=scale * draw(st.floats(min_value=0.0, max_value=3.0))), m_max
+
+
+@PROPERTY
+@given(orbital_windows())
+@example((ModelParams(g=2.5, g_eff=1.0, phi=0.5, n_particles=5), 2))  # a full window: every optimum is on the edge
+@example((ModelParams(g=2.5, g_eff=1.0, phi=0.5, n_particles=4), 7))  # cutoff-limited polarization
+@example((ModelParams(g=0.5, g_eff=1.0, phi=2.0, n_particles=4), 3))  # no transition: even N, balanced at M = -2 or +2
+def test_ground_state_search_is_the_first_minimum_over_every_configuration(case):
+    p, m_max = case
+    gs = ground_state_search(p, m_max)
+    orbs, label = brute_force_ground_state(p, m_max)
+    assert gs.config.orbitals == orbs
+    assert gs.phase_label == label
+    assert gs.boundary_contact == (max(map(abs, orbs)) == m_max)
 
 
 orbital = st.integers(min_value=-3, max_value=3)

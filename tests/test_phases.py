@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -15,7 +14,7 @@ from fluxqm import (
 )
 from fluxqm.diracring import DiracParams, critical_flux_dirac
 from fluxqm.phases import _sector_table
-from reference import balanced_config, boosted_config, critical_chi
+from reference import balanced_config, boosted_config, brute_force_ground_state, critical_chi
 
 
 def test_balanced_config_examples():
@@ -199,22 +198,6 @@ def test_search_brackets_critical_flux():
     assert lo <= phi_c <= hi
 
 
-def brute_force_ground_state(p, m_max):
-    """Oracle: min over every configuration keyed by (energy, |M|, orbitals)."""
-    chi = induced_coupling(p)
-    combos = list(itertools.combinations(range(-m_max, m_max + 1), p.n_particles))
-
-    def key(orbs):
-        m, w = sum(orbs), sum(v * v for v in orbs)
-        return p.g_eff * float(w) - chi * float(m * m), abs(m), orbs
-
-    best = min(combos, key=key)
-    w_ref = min(sum(v * v for v in orbs) for orbs in combos)
-    m_ref = min(abs(sum(orbs)) for orbs in combos if sum(v * v for v in orbs) == w_ref)
-    balanced = sum(v * v for v in best) == w_ref and abs(sum(best)) == m_ref
-    return best, "balanced" if balanced else "polarized"
-
-
 def _search_cases():
     rng = np.random.default_rng(21)
     for n in range(1, 7):
@@ -241,24 +224,32 @@ def test_search_matches_brute_force():
 
 @pytest.mark.parametrize("n, m_max", [(1, 0), (1, 3), (3, 1), (4, 3), (5, 4), (6, 3), (1, 128), (2, 127)])
 def test_sector_table_rows_distinct_and_ordered(n, m_max):
-    configs = [tuple(int(v) for v in row) for row in _sector_table(n, m_max)[0]]
+    configs, rows = _sector_table(n, m_max)[:2]
+    configs = [tuple(row) for row in configs.tolist()]
     assert len(configs) == len(set(configs)) == math.comb(2 * m_max + 1, n)
     assert all(list(row) == sorted(set(row)) and max(map(abs, row)) <= m_max for row in configs)
-    assert configs == sorted(configs, key=lambda row: (abs(sum(row)), row))
+    assert configs == sorted(configs)
+    reps = [configs[index] for index in rows.tolist()]
+    m_top = n * m_max - n * (n - 1) // 2  # every M from -m_top to m_top is reachable, each once
+    assert sorted(sum(row) for row in reps) == list(range(-m_top, m_top + 1))
+    assert reps == sorted(reps, key=lambda row: (abs(sum(row)), row))
 
 
-@pytest.mark.parametrize("n, m_max", [(5, 4), (4, 7), (1, 2897)])
+@pytest.mark.parametrize("n, m_max", [(5, 4), (4, 7), (1, 2897), (2, 127)])
 def test_sector_table_keeps_first_row_of_each_sector(n, m_max):
-    # For (1, 2897) the largest (M, W) key is 4.9e10; a key wrapped to 32 bits maps
-    # three pairs of distinct sectors onto one another and silently drops rows.
+    # One row per M sector: the first of least W in lexicographic order.  For (1, 2897) W and M^2
+    # reach 2897^2 = 8.4e6; for (2, 127) M^2 = 253^2 = 64,009 overflows the int16 that holds W <= 2 * 127^2.
     configs, rows, w, m2, _, _ = _sector_table(n, m_max)
+    configs = configs.tolist()
     first = {}
-    for index, row in enumerate(configs.tolist()):
-        first.setdefault((sum(row), sum(v * v for v in row)), index)
-    assert rows.tolist() == sorted(first.values())
-    sectors = sorted(first, key=first.get)
-    assert w.tolist() == [float(wk) for _, wk in sectors]
-    assert m2.tolist() == [float(mk * mk) for mk, _ in sectors]
+    for index, row in enumerate(configs):
+        m, wk = sum(row), sum(v * v for v in row)
+        if m not in first or wk < first[m][1]:
+            first[m] = index, wk
+    expected = sorted((index for index, _ in first.values()), key=lambda i: (abs(sum(configs[i])), configs[i]))
+    assert rows.tolist() == expected
+    assert w.tolist() == [float(sum(v * v for v in configs[i])) for i in expected]
+    assert m2.tolist() == [float(sum(configs[i]) ** 2) for i in expected]
 
 
 def test_overflowing_photon_number_names_its_quantity():

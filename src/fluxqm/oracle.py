@@ -5,12 +5,13 @@ matrix elements and diagonalizes it, providing ground truth for every closed
 form in the package.  It deliberately shares no code with the analytic
 modules: the position quadrature X = a + a^dag enters only through its raw
 elements <m|X|m+1> = sqrt(m+1), X^2 through the band-restricted products of
-those elements, and the pentadiagonal sector matrix is kept in LAPACK upper
-band storage and handed to the banded symmetric eigensolver ``dsbevx``
-(through ``scipy.linalg.eig_banded``), which computes only the requested
-levels.  Within a fermion sector the occupation numbers enter only through
-the integers (M, Sigma, W), which is exact because the total angular momentum
-and total spin commute with the cavity operators.
+those elements, and the sector matrix, pentadiagonal at phi != 0,
+tridiagonal at phi = 0 with eta Sigma != 0 and diagonal otherwise, is kept in
+LAPACK upper band storage of just those bands and handed to the banded
+symmetric eigensolver ``dsbevx`` (through ``scipy.linalg.eig_banded``), which
+computes only the requested levels.  Within a fermion sector the occupation
+numbers enter only through the integers (M, Sigma, W), which is exact because
+the total angular momentum and total spin commute with the cavity operators.
 """
 
 from __future__ import annotations
@@ -89,10 +90,13 @@ def _x_bands(cutoff: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
-    """Upper band storage (3, cutoff + 1) of the sector matrix.
+    """Upper band storage (kd + 1, cutoff + 1) of the sector matrix, ab[kd + i - j, j] = h[i, j].
 
-    Row 2 holds the diagonal, row 1 the first superdiagonal from column 1 and
-    row 0 the second superdiagonal from column 2, so ab[2 + i - j, j] = h[i, j].
+    The last row holds the diagonal, the row above it the first superdiagonal
+    from column 1 and, for kd = 2, row 0 the second superdiagonal from column
+    2.  kd is 2 when the X^2 term is nonzero (phi != 0), 1 when only the drive
+    is (phi = 0 with eta Sigma != 0) and 0 otherwise, so the banded
+    eigensolver spends no band reduction on bands that are exactly 0.
     """
     import numpy as np
     if cfg.n_particles != p.n_particles:
@@ -104,7 +108,8 @@ def _assemble(p: ModelParams, cfg: FermionConfig, cutoff: int) -> np.ndarray:
     ab[2] = p.hbar_omega * np.arange(cutoff + 1, dtype=float) + quad * x2_diag + p.g_eff * cfg.w_kinetic
     ab[1, 1:] = -drive * x
     ab[0, 2:] = quad * x2_second
-    return ab
+    kd = 2 if quad else 1 if drive else 0
+    return ab[2 - kd:]
 
 
 def _check_cutoff(cutoff: int, n_levels: int) -> int:

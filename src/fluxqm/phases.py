@@ -10,14 +10,15 @@ orbital cutoff.  This module provides the closed-form critical couplings and
 an exhaustive ground-state search over a bounded orbital window that serves
 as the independent check of those formulas.  The window's configurations are
 enumerated once per (N, m_max) into a cached numpy table of at most
-_MAX_WINDOW_ROWS rows; since at fixed M the energy rises with W, each search
-scans one row per reachable M, its least-W configuration (141 of the 237,336
-rows for N = 5, m_max = 16).
+_MAX_WINDOW_ROWS rows, built in place one orbital position at a time from
+slice copies, with no Python object per entry (112 copies for N = 5,
+m_max = 16); since at fixed M the energy rises with W, each search scans one
+row per reachable M, its least-W configuration (141 of the 237,336 rows for
+N = 5, m_max = 16).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -87,9 +88,10 @@ def _check_window(n_particles: int, m_max: int) -> int:
     """Return m_max as an int; raise ValueError unless the window |m| <= m_max holds n_particles distinct
     orbitals in at most _MAX_WINDOW_ROWS = 4,000,000 configurations, C(2 m_max + 1, N).
 
-    Building the table peaks at 11 to 17 bytes per row for 2 <= N <= 10 (traced with tracemalloc, numpy 2.4),
-    so under 70 MB at the cap.  N = 1, where every row is the only one of its M, peaks at about 125 bytes
-    per row, 500 MB at the cap.  N = 5, m_max = 16 has 237,336 rows; N = 5, m_max = 100 has 2.6 billion.
+    Building the table peaks at 11 to 19 bytes per row for 2 <= N <= 10 near the cap (traced with
+    tracemalloc, numpy 2.4; 17.0 for N = 2, m_max = 706 and 1413, 12.0 for N = 5, m_max = 16 and 27), so
+    under 80 MB.  N = 1, where every row is the only one of its M, peaks at 60 bytes per row (m_max = 99,999
+    and 199,998), 240 MB at the cap.  N = 5, m_max = 16 has 237,336 rows; N = 5, m_max = 100 has 2.6 billion.
     """
     m_max = _check_int(m_max, "m_max")
     width = 2 * m_max + 1
@@ -109,21 +111,39 @@ def _check_window(n_particles: int, m_max: int) -> int:
 def _sector_table(n_particles: int, m_max: int):
     """All distinct-orbital configurations with |m_i| <= m_max, and one row per reachable M.
 
-    ``configs`` is a (C(2 m_max + 1, N), N) integer array with one row per
-    configuration, in lexicographic order.  At fixed M the energy
-    g_eff W - chi M^2 rises with W (g_eff > 0, and float rounding is
-    monotone), so ``rows`` indexes the one configuration of least W of each
-    reachable M, ordered by (|M|, orbital tuple): among exactly degenerate
-    energies the first minimum is the smallest |M| and then the
+    ``configs`` is a (C(2 m_max + 1, N), N) array of the smallest signed
+    integer type that holds m_max, with one row per configuration, in
+    lexicographic order.  It is built in place in numpy, last column first:
+    the k-orbital endings of its first rows come from the (k - 1)-orbital
+    endings above them by one slice copy per leading orbital.  The table is
+    stored column-major, so each copy runs down contiguous columns; numpy
+    stages it through a temporary no larger than the endings copied.
+    At fixed M the energy g_eff W - chi M^2 rises with W (g_eff > 0, and
+    float rounding is monotone), so ``rows`` indexes the one configuration of
+    least W of each reachable M, ordered by (|M|, orbital tuple): among exactly
+    degenerate energies the first minimum is the smallest |M| and then the
     lexicographically smallest orbital list, making searches reproducible bit
     for bit.  ``w`` and ``m2`` hold the rows' W and M^2 as floats.
     """
     import numpy as np
-    combos = itertools.combinations(range(-m_max, m_max + 1), n_particles)
-    count = math.comb(2 * m_max + 1, n_particles)
     dtype = np.min_scalar_type(-m_max - 1)  # smallest signed type that holds -m_max..m_max
-    flat = np.fromiter(itertools.chain.from_iterable(combos), dtype, count * n_particles)
-    configs = flat.reshape(count, n_particles)  # lexicographic, as combinations yields them
+    # Level k, the last k orbitals of the first C(top + k, k) rows, is every k-orbital set of the highest
+    # top + k orbitals in lexicographic order.  Each of its blocks after the first, that of the lowest
+    # leading orbital, lies below level k - 1 and copies its last rows, so nothing is overwritten while read.
+    width = 2 * m_max + 1
+    top = width - n_particles
+    configs = np.empty((math.comb(width, n_particles), n_particles), dtype, order="F")  # contiguous columns
+    configs[:top + 1, -1] = np.arange(n_particles - 1 - m_max, m_max + 1, dtype=dtype)
+    for k in range(2, n_particles + 1):
+        col = n_particles - k
+        above = math.comb(top + k - 1, k - 1)  # rows of level k - 1: all of it follows the lowest orbital
+        configs[:above, col] = col - m_max
+        row = above
+        for v in range(col - m_max + 1, m_max - k + 2):
+            tail = math.comb(m_max - v, k - 1)  # level k - 1's rows that start above v
+            configs[row:row + tail, col] = v
+            configs[row:row + tail, col + 1:] = configs[above - tail:above, col + 1:]
+            row += tail
     # |M| <= N m_max, W <= N m_max^2 and M^2 <= (N m_max)^2: m, w and m^2 share the smallest
     # signed type that holds (N m_max)^2 (int16 for N = 5, m_max = 16)
     m_bound = n_particles * m_max

@@ -48,7 +48,8 @@ def expand_bands(ab):
     return h
 
 
-# spinless sectors, and spin sectors with eta != 0 (the Sigma drive)
+# spinless sectors, and spin sectors with eta != 0 (the Sigma drive); the last two sit at phi = 0, where
+# the sector matrix is diagonal (spinless) or tridiagonal (the Sigma drive alone)
 REFERENCE_SECTORS = [
     (ModelParams(g=0.8, g_eff=1.0, phi=1.1, n_particles=2), FermionConfig([0, 1])),
     (ModelParams(g=2.0, g_eff=0.7, phi=0.8, n_particles=3, hbar_omega=1.25), FermionConfig([0, 1, 2])),
@@ -56,6 +57,8 @@ REFERENCE_SECTORS = [
     (ModelParams(g=1.0, g_eff=0.9, phi=0.6, n_particles=3, eta=0.4), FermionConfig([-1, 0, 1], spins=[1, 1, -1])),
     (ModelParams(g=1.5, g_eff=1.0, phi=1.2, n_particles=2, hbar_omega=0.9, eta=-0.7),
      FermionConfig([1, 2], spins=[1, 1])),
+    (ModelParams(g=1.2, g_eff=0.8, phi=0.0, n_particles=3, hbar_omega=1.1), FermionConfig([-2, 0, 1])),
+    (ModelParams(g=0.9, g_eff=1.1, phi=0.0, n_particles=2, eta=0.6), FermionConfig([0, 1], spins=[1, 1])),
 ]
 
 
@@ -64,8 +67,10 @@ REFERENCE_SECTORS = [
 def test_band_storage_equals_dense_assembly(p, cfg, cutoff):
     # symmetric by construction; every stored element must match the dense build to rounding
     ab = oracle._assemble(p, cfg, cutoff)
-    assert ab.shape == (3, cutoff + 1)
-    np.testing.assert_allclose(expand_bands(ab), dense_sector_matrix(p, cfg, cutoff), rtol=1e-15, atol=0.0)
+    dense = dense_sector_matrix(p, cfg, cutoff)
+    bands = max(k for k in range(3) if k == 0 or np.any(np.diag(dense, k)))  # the dense matrix's superdiagonals
+    assert ab.shape == (bands + 1, cutoff + 1)
+    np.testing.assert_allclose(expand_bands(ab), dense, rtol=1e-15, atol=0.0)
 
 
 @pytest.mark.parametrize("cutoff", [50, 120, 300])

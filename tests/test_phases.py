@@ -225,6 +225,8 @@ def test_search_matches_brute_force():
 @pytest.mark.parametrize("n, m_max", [(1, 0), (1, 3), (3, 1), (4, 3), (5, 4), (6, 3), (1, 128), (2, 127)])
 def test_sector_table_rows_distinct_and_ordered(n, m_max):
     configs, rows = _sector_table(n, m_max)[:2]
+    # the smallest signed type that holds -m_max..m_max, which _check_window's bytes per row assume
+    assert configs.dtype == (np.int8 if m_max <= 127 else np.int16)
     configs = [tuple(row) for row in configs.tolist()]
     assert len(configs) == len(set(configs)) == math.comb(2 * m_max + 1, n)
     assert all(list(row) == sorted(set(row)) and max(map(abs, row)) <= m_max for row in configs)

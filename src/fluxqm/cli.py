@@ -55,7 +55,7 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from . import diracring, gridsolve, kerr, linearmode, oracle, phases, spinorbit, tbring
-from .core import FermionConfig, ModelParams, _check_finite, _check_int, _check_non_negative, _field_binder
+from .core import FermionConfig, ModelParams, _check_int, _field_binder, _finite, _non_negative
 
 SCHEMA_VERSION = 1
 
@@ -310,7 +310,7 @@ def _nonlinear(ps):
         sector = parsed if q is p else kerr.displacement_root(m_total, q, alpha4)
         cells = (sector.m_total, sector.x0, sector.b_eff, sector.beta3, sector.v_eff,
                  kerr.gaussian_frequency(sector) / q.hbar_omega)
-        _check_finite(omega_ratio=cells[-1])  # a subnormal hbar_omega overflows the ratio
+        _finite(cells[-1], "omega_ratio")  # a subnormal hbar_omega overflows the ratio
         levels = kerr.anharmonic_spectrum(sector, n_levels=n_levels) if n_levels else ()
         return (*cells, *map(float, levels))
     return _Point(columns, row, p, ("numpy",) if n_levels else ())
@@ -380,7 +380,7 @@ def _oracle_check(ps):
     hbar_omega = ps.float("hbar_omega", 1.0)
     ps.finish()
     oracle._check_cutoff(cutoff, n_levels)
-    _check_non_negative(tol=tol)
+    _non_negative(tol, "tol")
     orbitals, ratio, phi = _ORACLE_SUITE[case]
     cfg = FermionConfig(orbitals)
     p = ModelParams(g=ratio, g_eff=1.0, phi=phi, n_particles=cfg.n_particles, hbar_omega=hbar_omega)
@@ -461,6 +461,7 @@ def _eval_point(point_of, value):
 
 
 def _format_cell(value):
+    """A cell's CSV text, and the one definition of it; csv writes every cell but a bool so by itself."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -485,8 +486,8 @@ def _write_csv(fh, config, columns, rows, summary):
         fh.write(f"# column {name}: {desc}\n")
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow([name for name, _ in columns])
-    for row in rows:
-        writer.writerow(map(_format_cell, row))
+    # csv writes None as "", a float by repr and any other cell by str, as _format_cell does: only a bool differs
+    writer.writerows(row if bool not in map(type, row) else map(_format_cell, row) for row in rows)
     for key in summary:
         fh.write(f"# summary {key} = {_format_cell(summary[key])}\n")
 
@@ -498,14 +499,19 @@ def _text_non_finite(values: dict):
             values[key] = repr(value)
 
 
-# one flat row as the body of an indent=2 JSON object at depth 2; indent=None keeps the C encoder
-_encode_row = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
+# a list of flat rows, each an object whose cells are indented as at depth 2 of an indent=2 dump; indent=None
+# keeps the C encoder, which also puts that separator between the rows, where the dump breaks its lines
+_encode_rows = json.JSONEncoder(separators=(",\n      ", ": "), allow_nan=False).encode
+_ROW_BREAK = "},\n      {"  # only between rows: an encoded string escapes its newlines
+_INDENTED_ROW_BREAK = "\n    },\n    {\n      "
+_JSON_BATCH = 256  # rows per encoder call: few enough to stream, enough that the loop costs little
 
 
 def _write_json(fh, config, columns, rows, summary):
     """Write ``json.dump({"meta": ..., "rows": rows}, indent=2)`` byte for byte, streaming the rows.
 
-    Each row holds one cell per column; it is encoded alone, as the object of its named cells, and written at once.
+    Each row holds one cell per column.  The rows are encoded _JSON_BATCH at a time, as one list of the objects
+    of their named cells, and each batch is written at once, so no more than one batch is held as text.
     """
     _text_non_finite(summary)
     meta = {
@@ -527,14 +533,15 @@ def _write_json(fh, config, columns, rows, summary):
     fh.write(',\n  "rows": [')
     separator = "\n    {\n      "
     names = [name for name, _ in columns]
-    for row in rows:
-        cells = dict(zip(names, row))
+    for start in range(0, len(rows), _JSON_BATCH):
+        batch = [dict(zip(names, row)) for row in rows[start:start + _JSON_BATCH]]
         try:
-            body = _encode_row(cells)
+            body = _encode_rows(batch)
         except ValueError:  # a non-finite float; rows almost never hold one, so they are scanned only then
-            _text_non_finite(cells)
-            body = _encode_row(cells)
-        fh.write(separator + body[1:-1] + "\n    }")
+            for cells in batch:
+                _text_non_finite(cells)
+            body = _encode_rows(batch)
+        fh.write(separator + body[2:-2].replace(_ROW_BREAK, _INDENTED_ROW_BREAK) + "\n    }")
         separator = ",\n    {\n      "
     fh.write("\n  ]\n}\n" if rows else "]\n}\n")
 

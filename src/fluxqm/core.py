@@ -39,11 +39,15 @@ __all__ = [
 ]
 
 
-def _check_finite(**values: float) -> None:
-    """Raise ValueError naming the first keyword whose value is NaN or infinite."""
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+def _finite(value: float, name: str) -> float:
+    """``value``, raising ValueError naming ``name`` if it is NaN or infinite: the one finiteness check.
+
+    It takes the value and its name as arguments, not a keyword, so a call builds no dict: the closed-form
+    rows make several per point.
+    """
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _square(x: float, name: str) -> float:
@@ -80,39 +84,50 @@ def _check_int(value, name: str, lo: Optional[int] = None, hi: Optional[int] = N
     return n
 
 
+def _positive(value: float, name: str) -> float:
+    """``value``, raising ValueError naming ``name`` unless it is finite (by ``_finite``) and > 0."""
+    if _finite(value, name) > 0:
+        return value
+    raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _non_negative(value: float, name: str) -> float:
+    """``value``, raising ValueError naming ``name`` unless it is finite (by ``_finite``) and >= 0."""
+    if _finite(value, name) >= 0:
+        return value
+    raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int, raising ValueError naming ``name`` unless it is an integer >= 1."""
+    return _check_int(value, name, lo=1)
+
+
 def _check_positive(**values: float) -> None:
-    """Raise ValueError naming the first keyword whose value is not finite, else the first not > 0 (NaN never passes)."""
-    _check_finite(**values)
+    """``_positive`` of several keyword values, after ``_finite`` of each: the first not finite is named before
+    the first not > 0."""
     for name, value in values.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value}")
-
-
-def _check_non_negative(**values: float) -> None:
-    """Raise ValueError naming the first keyword whose value is not finite, else the first not >= 0."""
-    _check_finite(**values)
+        _finite(value, name)
     for name, value in values.items():
-        if not value >= 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-
-
-def _check_counts(**values) -> dict:
-    """Each keyword value as an int, raising ValueError naming the first that is not an integer >= 1."""
-    return {name: _check_int(value, name, lo=1) for name, value in values.items()}
+        _positive(value, name)
 
 
 def _check_fields(p) -> None:
     """Check every field of model ``p`` by the rules of its class, in their order: its ``__post_init__``.
 
-    ``_RULES`` holds (check, names) pairs.  ``check(**values)`` of those fields raises ValueError naming the
-    first bad value, and returns the values to store (an integer field stores its int) or None to keep them.
-    The fields of one rule share a call, so all of them are checked finite before any is checked in range.
+    ``_RULES`` holds (check, names) pairs.  ``check(value, name)`` of one field raises ValueError naming it,
+    or returns the value to store (an integer field stores its int); no call builds a dict.  A rule of several
+    fields checks each by ``_finite`` before any by ``check``, so a non-finite value is named before one out
+    of range.  Its check must refuse a non-finite value itself, as ``_positive`` and ``_non_negative`` do,
+    since ``_field_binder`` calls it alone.
     """
     fields = vars(p)  # a frozen model: stored past its __setattr__
     for check, names in p._RULES:
-        stored = check(**{name: fields[name] for name in names})
-        if stored:
-            fields.update(stored)
+        if len(names) > 1:
+            for name in names:
+                _finite(fields[name], name)
+        for name in names:
+            fields[name] = check(fields[name], name)
 
 
 def _field_binder(p, name):
@@ -127,10 +142,10 @@ def _field_binder(p, name):
     cls, fields = type(p), vars(p)
 
     def bind(value):
-        stored = check(**{name: value})
+        value = check(value, name)
         q = object.__new__(cls)
         vars(q).update(fields)
-        vars(q)[name] = value if stored is None else stored[name]
+        vars(q)[name] = value
         return q
     return bind
 
@@ -203,10 +218,10 @@ class ModelParams:
     eta: float = 0.0
 
     _RULES: ClassVar[tuple] = (  # each field's rule, as _check_fields applies them
-        (_check_positive, ("g", "g_eff", "hbar_omega")),
-        (_check_non_negative, ("phi",)),
-        (_check_finite, ("eta",)),
-        (_check_counts, ("n_particles",)),
+        (_positive, ("g", "g_eff", "hbar_omega")),
+        (_non_negative, ("phi",)),
+        (_finite, ("eta",)),
+        (_count, ("n_particles",)),
     )
 
     def __post_init__(self):

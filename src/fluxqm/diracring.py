@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-from .core import (_check_counts, _check_fields, _check_finite, _check_int, _check_non_negative, _check_positive,
-                   _square)
+from .core import _check_fields, _check_int, _count, _finite, _non_negative, _positive, _square
 from .errors import NoTransitionError
 
 __all__ = [
@@ -34,12 +33,12 @@ __all__ = [
 ]
 
 
-def _check_degeneracy(degeneracy) -> dict:
-    """The branch capacity as an int; raise ValueError unless it is 1, 2 or 4."""
-    degeneracy = _check_int(degeneracy, "degeneracy")
+def _degeneracy(value, name: str) -> int:
+    """The branch capacity ``value`` as an int; raise ValueError naming ``name`` unless it is 1, 2 or 4."""
+    degeneracy = _check_int(value, name)
     if degeneracy not in (1, 2, 4):
-        raise ValueError(f"degeneracy must be 1, 2 or 4, got {degeneracy}")
-    return {"degeneracy": degeneracy}
+        raise ValueError(f"{name} must be 1, 2 or 4, got {degeneracy}")
+    return degeneracy
 
 
 @dataclass(frozen=True)
@@ -59,10 +58,10 @@ class DiracParams:
     d_eff: float = 0.0
 
     _RULES: ClassVar[tuple] = (  # each field's rule, as core._check_fields applies them
-        (_check_positive, ("eps0", "hbar_omega")),
-        (_check_non_negative, ("phi", "d_eff")),
-        (_check_counts, ("n_electrons",)),
-        (_check_degeneracy, ("degeneracy",)),
+        (_positive, ("eps0", "hbar_omega")),
+        (_non_negative, ("phi", "d_eff")),
+        (_count, ("n_electrons",)),
+        (_degeneracy, ("degeneracy",)),
     )
 
     def __post_init__(self):
@@ -82,8 +81,7 @@ class DiracParams:
     def mode_stiffness(self) -> float:
         """Cavity stiffness hbar_omega + 2 D_eff phi^2 that the chirality drive displaces; raises if it overflows."""
         stiffness = self.hbar_omega + 2.0 * self.d_eff * _square(self.phi, "mode_stiffness")
-        _check_finite(mode_stiffness=stiffness)  # an inf stiffness would read chi = lambda^2 / inf = 0.0
-        return stiffness
+        return _finite(stiffness, "mode_stiffness")  # an inf stiffness would read chi = lambda^2 / inf = 0.0
 
 
 def induced_coupling_dirac(p: DiracParams) -> float:
@@ -93,9 +91,7 @@ def induced_coupling_dirac(p: DiracParams) -> float:
     chi = lambda^2 / hbar_omega; a finite stiffness saturates the coupling.
     """
     lam = p.coupling_lambda
-    chi = _square(lam, "chi") / p.mode_stiffness
-    _check_finite(chi=chi)  # eps0 * phi can overflow to inf without raising
-    return chi
+    return _finite(_square(lam, "chi") / p.mode_stiffness, "chi")  # eps0 * phi can overflow to inf without raising
 
 
 def effective_energy(j: int, p: DiracParams, chi: Optional[float] = None) -> float:
@@ -106,14 +102,10 @@ def effective_energy(j: int, p: DiracParams, chi: Optional[float] = None) -> flo
     the parameters themselves.
     """
     _check_int(j, "j", -p.n_electrons, p.n_electrons)
-    if chi is None:
-        chi = induced_coupling_dirac(p)
-    else:
-        _check_finite(chi=chi)
+    chi = induced_coupling_dirac(p) if chi is None else _finite(chi, "chi")
     stiffness = p.branch_stiffness
     energy = stiffness * p.n_electrons**2 + (stiffness - chi) * j * j
-    _check_finite(energy=energy)  # eps0 N^2 / (4 g_d) can overflow
-    return energy
+    return _finite(energy, "energy")  # eps0 N^2 / (4 g_d) can overflow
 
 
 def critical_flux_dirac(p: DiracParams) -> float:
@@ -130,9 +122,7 @@ def critical_flux_dirac(p: DiracParams) -> float:
             f"no transition: diamagnetic stiffness {p.d_eff} saturates the induced "
             f"coupling below the branch stiffness (need 4 g_d eps0 > 2 D_eff)"
         )
-    phi_c = math.sqrt(p.hbar_omega / denom)
-    _check_positive(phi_c=phi_c)
-    return phi_c
+    return _positive(math.sqrt(p.hbar_omega / denom), "phi_c")
 
 
 def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:
@@ -144,9 +134,7 @@ def flux_displacement(j: int, p: DiracParams) -> tuple[float, float]:
     across the transition; <a> is odd and <n> even under j -> -j.
     """
     amp = -p.coupling_lambda * _check_int(j, "j", -p.n_electrons, p.n_electrons) / p.mode_stiffness
-    photon_number = amp * amp
-    _check_finite(photon_number=photon_number)  # |<a>| above about 1.3e154 squares to inf
-    return amp, photon_number
+    return amp, _finite(amp * amp, "photon_number")  # |<a>| above about 1.3e154 squares to inf
 
 
 def _check_j_max(j_max: Optional[int], n_electrons: int) -> int:
@@ -162,9 +150,7 @@ def optimal_chirality(p: DiracParams, chi: Optional[float] = None, j_max: Option
     jump lands deterministically on one of the two degenerate branches.
     """
     j_max = _check_j_max(j_max, p.n_electrons)
-    if chi is None:
-        chi = induced_coupling_dirac(p)
-    _check_finite(chi=chi)
+    chi = induced_coupling_dirac(p) if chi is None else _finite(chi, "chi")
     # effective_energy without its checks, in its operand order, so every energy is bit-identical; E(-m) equals
     # E(m), and the first minimum over m >= 0 sets the tie-break.  Rounding is monotone, so E never falls in m
     # for slope >= 0 and never rises otherwise: bisection finds the first m whose energy equals the last one's.

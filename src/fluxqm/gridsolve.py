@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .core import _check_finite, _check_int, _check_positive
+from .core import _check_int, _finite, _positive
 from .errors import ConvergenceError, GridDomainError
 
 if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
@@ -86,10 +86,11 @@ def _fock_ladder(levels_at: Callable[[int], np.ndarray], n_levels: int, scale: f
 def _check_grid(x_min: float, x_max: float, n_points: int, kinetic_coef: float, n_levels: int) -> int:
     """Return n_points as an int, raising ValueError unless the grid and n_levels pass the module docstring's checks."""
     n_points = _check_int(n_points, "n_points", lo=8)
-    _check_finite(x_min=x_min, x_max=x_max)
+    _finite(x_min, "x_min")
+    _finite(x_max, "x_max")
     if not x_max > x_min:
         raise ValueError(f"x_max must exceed x_min, got x_min={x_min}, x_max={x_max}")
-    _check_positive(kinetic_coef=kinetic_coef)
+    _positive(kinetic_coef, "kinetic_coef")
     _check_int(n_levels, "n_levels", 1, n_points)
     return n_points
 
@@ -161,7 +162,7 @@ def converged_bound_states(
     GridDomainError: the domain, not the grid spacing, is the problem then.
     """
     n_points = _check_grid(x_min, x_max, n_points, kinetic_coef, n_levels)
-    _check_positive(scale=scale)
+    _positive(scale, "scale")
 
     states = None
 

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import ModelParams, _check_finite, _check_int, _check_non_negative, _check_positive, _root_product, _square
+from .core import ModelParams, _check_int, _check_positive, _finite, _non_negative, _root_product, _square
 from .gridsolve import _fock_ladder
 
 if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
@@ -63,10 +63,10 @@ class QuarticSector:
     c_coef: float
 
     def __post_init__(self):
-        _check_non_negative(alpha4=self.alpha4)
+        _non_negative(self.alpha4, "alpha4")
         _check_positive(a_coef=self.a_coef, b_coef=self.b_coef)
         object.__setattr__(self, "m_total", _check_int(self.m_total, "m_total"))
-        _check_finite(c_coef=self.c_coef)
+        _finite(self.c_coef, "c_coef")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}: the closed-form root overflows")
 

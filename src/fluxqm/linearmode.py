@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 
-from .core import FermionConfig, ModelParams, _check_finite, _check_int, _root_product, _square
+from .core import FermionConfig, ModelParams, _check_int, _finite, _root_product, _square
 
 __all__ = [
     "dressed_frequency",
@@ -43,9 +43,7 @@ __all__ = [
 
 def _stiffness(p: ModelParams) -> float:
     """Mode stiffness beta = hbar_omega + 4 g N phi^2 (bare quantum plus diamagnetic term); raises if it overflows."""
-    beta = p.hbar_omega + 4.0 * p.g * p.n_particles * _square(p.phi, "beta")
-    _check_finite(beta=beta)
-    return beta
+    return _finite(p.hbar_omega + 4.0 * p.g * p.n_particles * _square(p.phi, "beta"), "beta")
 
 
 def dressed_frequency(p: ModelParams) -> float:
@@ -56,9 +54,7 @@ def dressed_frequency(p: ModelParams) -> float:
     falls below the smallest normal float (hbar_omega below ~1e-154 at
     phi = 0), the root is taken of each factor.
     """
-    hbar_Omega = _root_product(p.hbar_omega, _stiffness(p))
-    _check_finite(hbar_Omega=hbar_Omega)
-    return hbar_Omega
+    return _finite(_root_product(p.hbar_omega, _stiffness(p)), "hbar_Omega")
 
 
 def induced_coupling(p: ModelParams) -> float:
@@ -71,9 +67,7 @@ def induced_coupling(p: ModelParams) -> float:
 
 def squeeze_parameter(p: ModelParams) -> float:
     """Squeeze parameter r = ln(beta / alpha) / 4 of the cavity ground state, alpha = hw, beta = D."""
-    r = 0.25 * math.log(_stiffness(p) / p.hbar_omega)
-    _check_finite(r=r)
-    return r
+    return _finite(0.25 * math.log(_stiffness(p) / p.hbar_omega), "r")
 
 
 def quadrature_variances(p: ModelParams) -> tuple[float, float]:
@@ -106,8 +100,7 @@ def sector_energy(p: ModelParams, cfg: FermionConfig, n: int = 0) -> float:
         + dressed_frequency(p) * (n + 0.5)
         - 0.5 * p.hbar_omega
     )
-    _check_finite(energy=energy)
-    return energy
+    return _finite(energy, "energy")
 
 
 def mode_displacement(p: ModelParams, m_total: int) -> float:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .core import FermionConfig, ModelParams, _check_int, _check_positive, _square
+from .core import FermionConfig, ModelParams, _check_int, _positive, _square
 
 if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
     import numpy as np
@@ -174,7 +174,7 @@ def compare_spectra(analytic: Sequence[float], levels: Sequence[float], scale: f
     finite and > 0, and the spectra equally long and not empty.
     """
     import numpy as np
-    _check_positive(scale=scale)
+    _positive(scale, "scale")
     a = np.asarray(analytic, dtype=float)
     o = np.asarray(levels, dtype=float)
     if a.shape != o.shape:

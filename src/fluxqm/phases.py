@@ -10,7 +10,7 @@ orbital cutoff.  This module provides the closed-form critical couplings and
 an exhaustive ground-state search over a bounded orbital window that serves
 as the independent check of those formulas.  The window's configurations are
 enumerated once per (N, m_max) into a cached numpy table of at most
-_MAX_WINDOW_ROWS rows, built in place one orbital position at a time from
+_MAX_WINDOW_ROWS rows and _MAX_WINDOW_ENTRIES orbitals, built in place one orbital position at a time from
 slice copies, with no Python object per entry (112 copies for N = 5,
 m_max = 16); since at fixed M the energy rises with W, each search scans one
 row per reachable M, its least-W configuration (141 of the 237,336 rows for
@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import FermionConfig, ModelParams, _check_int, _check_positive, _square
+from .core import FermionConfig, ModelParams, _check_int, _positive, _square
 from .errors import NoTransitionError
 from .linearmode import induced_coupling, mode_displacement, sector_energy
 
@@ -76,22 +76,24 @@ def critical_flux(p: ModelParams) -> float:
             "(the induced coupling saturates below the kinetic stiffness)"
         )
     denom = 4.0 * p.g * p.n_particles * (p.g - p.g_eff)  # underflows to 0 for tiny g
-    phi_c = math.sqrt(p.g_eff * p.hbar_omega / denom) if denom else math.inf
-    _check_positive(phi_c=phi_c)
-    return phi_c
+    return _positive(math.sqrt(p.g_eff * p.hbar_omega / denom) if denom else math.inf, "phi_c")
 
 
 _MAX_WINDOW_ROWS = 4_000_000
+_MAX_WINDOW_ENTRIES = 10 * _MAX_WINDOW_ROWS  # rows times N: every window of at most the row cap for N <= 10
 
 
 def _check_window(n_particles: int, m_max: int) -> int:
     """Return m_max as an int; raise ValueError unless the window |m| <= m_max holds n_particles distinct
-    orbitals in at most _MAX_WINDOW_ROWS = 4,000,000 configurations, C(2 m_max + 1, N).
+    orbitals in at most _MAX_WINDOW_ROWS = 4,000,000 configurations, C(2 m_max + 1, N), and its table of N
+    orbitals per configuration in at most _MAX_WINDOW_ENTRIES = 40,000,000 entries.
 
     Building the table peaks at 11 to 19 bytes per row for 2 <= N <= 10 near the cap (traced with
     tracemalloc, numpy 2.4; 17.0 for N = 2, m_max = 706 and 1413, 12.0 for N = 5, m_max = 16 and 27), so
     under 80 MB.  N = 1, where every row is the only one of its M, peaks at 60 bytes per row (m_max = 99,999
     and 199,998), 240 MB at the cap.  N = 5, m_max = 16 has 237,336 rows; N = 5, m_max = 100 has 2.6 billion.
+    The entry cap leaves every window of N <= 10 that the row cap admits, and stops a large N whose few
+    rows are long: N = 1,000,000 with m_max = 500,000 has 1,000,001 rows, 10^12 entries.
     """
     m_max = _check_int(m_max, "m_max")
     width = 2 * m_max + 1
@@ -104,6 +106,9 @@ def _check_window(n_particles: int, m_max: int) -> int:
         if rows > _MAX_WINDOW_ROWS:
             raise ValueError(f"m_max must keep the window's C(2*m_max+1, {n_particles}) configurations "
                              f"at most {_MAX_WINDOW_ROWS:,}, got {m_max}")
+    if rows * n_particles > _MAX_WINDOW_ENTRIES:
+        raise ValueError(f"m_max must keep the window's C(2*m_max+1, {n_particles}) configurations of "
+                         f"{n_particles} orbitals at most {_MAX_WINDOW_ENTRIES:,} entries, got {m_max}")
     return m_max
 
 

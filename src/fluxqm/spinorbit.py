@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ModelParams, _check_finite, _check_positive, _square
+from .core import ModelParams, _finite, _positive, _square
 from .errors import NoTransitionError
 from .linearmode import _stiffness
 
@@ -46,9 +46,8 @@ class HessianReport:
 
     @property
     def determinant(self) -> float:
-        det = self.mm * self.ss - self.ms * self.ms
-        _check_finite(determinant=det)  # the product can overflow where both eigenvalues are finite
-        return det
+        # the product can overflow where both eigenvalues are finite
+        return _finite(self.mm * self.ss - self.ms * self.ms, "determinant")
 
     @property
     def eigenvalues(self) -> tuple[float, float]:
@@ -110,9 +109,7 @@ def critical_eta(p: ModelParams) -> float:
     if p.g_eff < p.g and radicand <= 0:  # a > 0, so only a negative b closes the window
         raise NoTransitionError(f"no Zeeman-driven instability for g={p.g}, g_eff={p.g_eff}, phi={p.phi}: "
                                 "the orbital channel is already unstable (hessian(p).mm <= 0)")
-    eta_c = math.sqrt(radicand)
-    _check_positive(eta_c=eta_c)
-    return eta_c
+    return _positive(math.sqrt(radicand), "eta_c")
 
 
 def critical_flux_spin(p: ModelParams) -> float:
@@ -129,9 +126,7 @@ def critical_flux_spin(p: ModelParams) -> float:
     if not (excess > 0 if p.g_eff > p.g else excess < 0):  # the signs decide, not a quotient that underflowed
         raise NoTransitionError(f"no flux-driven instability for eta={p.eta}, g={p.g}, g_eff={p.g_eff}: "
                                 "the determinant condition has no real root in phi")
-    phi_c = math.sqrt(excess / b) if b else math.inf
-    _check_positive(phi_c=phi_c)
-    return phi_c
+    return _positive(math.sqrt(excess / b) if b else math.inf, "phi_c")
 
 
 def locking_ratio(p: ModelParams) -> float:

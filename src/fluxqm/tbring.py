@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from .core import _check_finite, _check_int, _check_non_negative, _check_positive, _square
+from .core import _check_int, _check_positive, _finite, _non_negative, _positive, _square
 from .gridsolve import _fock_ladder, converged_bound_states
 
 if TYPE_CHECKING:  # annotations only; the functions that use numpy import it
@@ -112,10 +112,11 @@ class RfSquidParams:
     hbar_omega: float
 
     def __post_init__(self):
-        _check_finite(**vars(self))
+        for name, value in vars(self).items():
+            _finite(value, name)
         if self.eta == 0.0:
             raise ValueError("eta must be nonzero: the phase-variable map degenerates at eta = 0")
-        _check_positive(hbar_omega=self.hbar_omega)
+        _positive(self.hbar_omega, "hbar_omega")
         # hbar_omega / eta^2 and hbar_omega eta^2 / 8 are positive, but each can overflow or underflow to 0
         _check_positive(e_l=self.e_l, e_c=self.e_c)
 
@@ -155,7 +156,7 @@ def _displacement_bands(lam: float, size: int) -> np.ndarray:
     seed uses log-gamma.
     """
     import numpy as np
-    _check_non_negative(lam=lam)
+    _non_negative(lam, "lam")
     if 0.5 * lam * lam > _MAX_HALF_LAM_SQ:
         raise ValueError(f"lam = {lam} too large: the e^(-lam^2/2) seed underflows past lam ~ 37.6")
     out = np.zeros((size, size))
@@ -226,8 +227,9 @@ def sector_spectrum_fock(sector: TBSector, t: float, eta: float, hbar_omega: flo
     ``gridsolve._fock_ladder``, floored at hbar_omega > 0.  The levels are even
     in eta: parity x -> -x maps H(-eta) onto H(eta), so |eta| is solved.
     """
-    _check_finite(t=t, eta=eta)
-    _check_positive(hbar_omega=hbar_omega)
+    _finite(t, "t")
+    _finite(eta, "eta")
+    _positive(hbar_omega, "hbar_omega")
     return _fock_ladder(lambda cutoff: _fock_levels(sector, t, abs(eta), hbar_omega, cutoff), n_levels, hbar_omega,
                         "Fock-basis levels not converged at cutoff {size}")
 
@@ -248,7 +250,9 @@ def sector_spectrum_xrep(sector: TBSector, t: float, eta: float, hbar_omega: flo
 
 def rf_squid_map(sector: TBSector, t: float, eta: float, hbar_omega: float) -> RfSquidParams:
     """Exact junction-circuit parameters of the sector, with phi_ext = delta."""
-    _check_finite(t=t, eta=eta, hbar_omega=hbar_omega)
+    _finite(t, "t")
+    _finite(eta, "eta")
+    _finite(hbar_omega, "hbar_omega")
     return RfSquidParams(e_j=2.0 * t * sector.e_j_amp, phi_ext=sector.delta, eta=eta, hbar_omega=hbar_omega)
 
 

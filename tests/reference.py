@@ -6,7 +6,7 @@ import itertools
 import math
 
 from fluxqm import FermionConfig, induced_coupling
-from fluxqm.core import _check_finite, _check_int, _check_positive, _square
+from fluxqm.core import _check_int, _finite, _positive, _square
 
 
 def balanced_config(n: int) -> FermionConfig:
@@ -54,10 +54,10 @@ def diamagnetic_stiffness(
     if not 0.0 < filling < 1.0:
         raise ValueError(f"filling must lie in (0, 1), got {filling}")
     _check_int(n_sites, "n_sites", lo=2)
-    _check_positive(eps0=eps0)
-    _check_finite(phi=phi)
+    _positive(eps0, "eps0")
+    _finite(phi, "phi")
     d_eff = eps0 * (2.0 / math.pi) * (_square(phi, "d_eff") / n_sites) * math.sin(math.pi * filling)
-    _check_finite(d_eff=d_eff)
+    _finite(d_eff, "d_eff")
     return 2.0 * d_eff if spinful else d_eff
 
 

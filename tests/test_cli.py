@@ -145,6 +145,8 @@ def test_non_finite_parameter_is_usage_error(tmp_path, capsys, args, key):
     (("dirac-scan", "--set", "n_electrons=5", "--set", "j_max=0"), "j_max"),
     # C(201, 5) = 2.6 billion configurations: the enumeration table would need about 13 GB
     (("phase-scan", "--set", "n_particles=5", "--set", "m_max=100"), "m_max"),
+    # C(1,000,001, 1,000,000) = 1,000,001 configurations of a million orbitals: 10^12 table entries
+    (("phase-scan", "--set", "n_particles=1000000", "--set", "m_max=500000"), "m_max"),
 ])
 def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, key):
     no_rows(monkeypatch)

@@ -182,12 +182,23 @@ def test_range_rule_rejects_non_finite_floats(entry, kwargs, name, value):
         entry(**{**kwargs, name: value})
 
 
+def dirac_rules(**values):
+    """DiracParams of the given fields, which its rules check: phi and d_eff share the non-negative one."""
+    return DiracParams(**{"eps0": 1.0, "hbar_omega": 1.0, "n_electrons": 4, **values})
+
+
+def model_rules(**values):
+    """ModelParams of the given fields, which its rules check: g, g_eff and hbar_omega share the positive one."""
+    return ModelParams(**{"g": 1.0, "g_eff": 1.0, "phi": 0.0, "n_particles": 3, **values})
+
+
 @pytest.mark.parametrize("check, values, message", [
     (core._check_positive, dict(w=1.0, x=0.0, y=-1.0), "x must be positive, got 0.0"),
-    (core._check_non_negative, dict(w=0.0, x=-1e-300, y=-1.0), "x must be non-negative, got -1e-300"),
-    # every value is checked finite before any is range-checked
+    (dirac_rules, dict(phi=0.0, d_eff=-1e-300), "d_eff must be non-negative, got -1e-300"),
+    # every value of a check, or of a model's rule, is checked finite before any is range-checked
     (core._check_positive, dict(w=-1.0, x=math.nan), "x must be finite, got nan"),
-    (core._check_non_negative, dict(w=-1.0, x=1.0, y=-math.inf), "y must be finite, got -inf"),
+    (dirac_rules, dict(phi=-1.0, d_eff=-math.inf), "d_eff must be finite, got -inf"),
+    (model_rules, dict(g=-1.0, g_eff=0.0, hbar_omega=math.inf), "hbar_omega must be finite, got inf"),
 ])
 def test_range_helpers_name_the_first_bad_value(check, values, message):
     check(**{key: 1.0 for key in values})

@@ -4,14 +4,17 @@ drawn sectors, the closed-form stability Hessian against a dense eigensolver, th
 chirality argmin against a brute-force minimum at and beside the branch stiffness, the unitarity of the
 truncated displacement operator within its cutoff, the orbital ground-state search against a minimum over
 every configuration of its window, the CLI scan grid against ``numpy.linspace``, and
-the CLI output bytes: the streamed JSON writer against ``json.dumps(indent=2)``, any worker count
+the CLI output bytes: the streamed JSON writer against ``json.dumps(indent=2)``, the CSV writer against
+``_format_cell`` of every cell, any worker count
 against one worker, and a scan that binds each value into its parsed model against points parsed anew."""
 
 import copy
+import csv
 import io
 import json
 import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -397,6 +400,67 @@ def test_streamed_json_equals_an_indented_dump(named_rows, summary, scanned):
     fh = io.StringIO()
     cli._write_json(fh, config, columns, copy.deepcopy(rows), dict(summary))
     assert fh.getvalue() == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+
+@PROPERTY
+@given(named_rows)
+def test_csv_rows_are_their_formatted_cells(named_rows):
+    # the writer leaves a cell to csv wherever csv writes _format_cell's text by itself
+    names, rows = named_rows
+    config = cli.RunConfig("dirac-scan", {"n_electrons": "8"}, None, (), out="", format="csv", jobs=None)
+    columns = [(name, "a column") for name in names]
+    expected = io.StringIO()
+    cli._write_csv(expected, config, columns, [], {})
+    writer = csv.writer(expected, lineterminator="\n")
+    for row in rows:
+        writer.writerow(map(cli._format_cell, row))
+    fh = io.StringIO()
+    cli._write_csv(fh, config, columns, copy.deepcopy(rows), {})
+    assert fh.getvalue() == expected.getvalue()
+
+
+def test_streamed_json_batches_equal_an_indented_dump():
+    # rows over three batches, the later ones holding a non-finite cell and the encoded row separator as text
+    names = ["eta", "determinant", "stable", "status"]
+    rows = [[0.5 * i, float(i) ** 0.5, i % 3 == 0, "ok"] for i in range(600)]
+    assert len(rows) > 2 * cli._JSON_BATCH
+    rows[cli._JSON_BATCH + 1][1] = -math.inf
+    rows[cli._JSON_BATCH + 2][3] = '"},\n      {"'
+    rows[-1][1] = math.nan
+    config = cli.RunConfig("spin-phase", {"n_particles": "5"}, None, (), out="", format="json", jobs=None)
+    columns = [(name, "a column") for name in names]
+    expected = {
+        "meta": {"schema_version": cli.SCHEMA_VERSION, "command": "spin-phase", "params": {"n_particles": "5"},
+                 "scan": None, "columns": [{"name": name, "description": desc} for name, desc in columns],
+                 "summary": {}},
+        "rows": [{name: json_value(cell) for name, cell in zip(names, row)} for row in rows],
+    }
+    fh = io.StringIO()
+    cli._write_json(fh, config, columns, rows, {})
+    assert fh.getvalue() == json.dumps(expected, indent=2, allow_nan=False) + "\n"
+
+
+class _Discard:
+    """A text sink that keeps nothing it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_json_rows_stream_in_batches():
+    # 20,000 spin-phase rows: encoded in one batch they peak at about 22 MB of dicts and text
+    names = ["eta", *(name for name, _ in cli._SPIN_COLUMNS), "status"]
+    rows = [(0.7 * i / 19_999, 0.1 + i, -0.2 - i, 1.3 + i, i < 10_000, 0.6 + i, -0.8 + i, 1 / (1 + i), "ok")
+            for i in range(20_000)]
+    config = cli.RunConfig("spin-phase", {"n_particles": "5"}, "eta", (0.0, 0.7), out="", format="json", jobs=None)
+    columns = [(name, "a column") for name in names]
+    tracemalloc.start()
+    try:
+        cli._write_json(_Discard(), config, columns, rows, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def diagonalising_scans():

@@ -13,7 +13,7 @@ from fluxqm import (
     sector_energy,
 )
 from fluxqm.diracring import DiracParams, critical_flux_dirac
-from fluxqm.phases import _sector_table
+from fluxqm.phases import _MAX_WINDOW_ROWS, _check_window, _sector_table
 from reference import balanced_config, boosted_config, brute_force_ground_state, critical_chi
 
 
@@ -179,6 +179,27 @@ def test_search_rejects_too_small_window():
     p = ModelParams(g=1.0, g_eff=1.0, phi=0.0, n_particles=5)
     with pytest.raises(ValueError):
         ground_state_search(p, m_max=1)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_entry_cap_keeps_every_window_of_the_row_cap_up_to_ten_orbitals(n):
+    # bisect for the widest window whose C(2 m_max + 1, N) rows fit the row cap; no table is built
+    lo, hi = n // 2, 2_000_000  # C(2 lo + 1, N) >= 1 rows fit, C(4,000,001, N) do not
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if math.comb(2 * mid + 1, n) <= _MAX_WINDOW_ROWS else (lo, mid - 1)
+    assert _check_window(n, lo) == lo
+    with pytest.raises(ValueError, match=rf"^m_max must keep the window's C\(2\*m_max\+1, {n}\) configurations "
+                                         r"at most 4,000,000, got"):
+        _check_window(n, lo + 1)
+
+
+def test_entry_cap_refuses_a_window_of_few_long_rows():
+    # 1,000,001 rows of a million orbitals: under the row cap, but a table of 10^12 entries
+    with pytest.raises(ValueError, match=r"^m_max must keep the window's C\(2\*m_max\+1, 1000000\) configurations "
+                                         r"of 1000000 orbitals at most 40,000,000 entries, got 500000$"):
+        _check_window(1_000_000, 500_000)
+    assert _check_window(40, 20) == 20  # C(41, 40) = 41 rows of 40 orbitals
 
 
 def test_search_brackets_critical_flux():

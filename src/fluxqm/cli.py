@@ -5,22 +5,24 @@ Usage:
            [--format csv|json] [--jobs N]
 
 Run configurations are flat, typed key=value assignments; ``--set`` pairs
-override the config file.  A scan is declared with the four keys
-``scan_param``, ``scan_min``, ``scan_max``, ``scan_steps`` and produces one
-output row per grid point, the points of ``numpy.linspace`` computed in plain
-floats.  The run parses its parameters once.  A row is evaluated from its
-point's model and derives from it what depends on it (the ``dirac-scan``
-cutoff ``j_max`` is N by default).  On a closed-form scan of a model field,
-that model is the parsed one with the field set to the scan value and checked
-alone (``core._field_binder``); any other axis, and every row that
-diagonalises, parses its point anew.  The command's parse types the axis: a key it
-reads as an integer is an integer axis, whose grid is rounded to the nearest
-integers and written as integers.  Rows that only evaluate closed forms run
-in the main process whatever ``--jobs`` says; only rows that diagonalise
-(``tbjj``, ``oracle-check``, ``nonlinear`` with ``n_levels > 0``) are
-dispatched to a process pool of at most one worker per row, whose module is
-imported only then.  The layers import numpy and scipy inside the functions
-that use them, so ``spectrum``,
+override the config file.  A model key's name, type and default come from
+its record's field (``ModelParams``, ``DiracParams``); one table,
+``_MODEL_DEFAULTS``, holds the defaults the records leave open.  A scan is
+declared with the four keys ``scan_param``, ``scan_min``, ``scan_max``,
+``scan_steps`` and produces one output row per grid point, the points of
+``numpy.linspace`` computed in plain floats.  The run parses its parameters
+once.  A row is evaluated from its point's model and derives from it what
+depends on it (the ``dirac-scan`` cutoff ``j_max`` is N by default).  On a
+closed-form scan of a model field, that model is the parsed one with the
+field set to the scan value and checked alone (``core._field_binder``); any
+other axis, and every row that diagonalises, parses its point anew.  The
+command's parse types the axis: a key it reads as an integer is an integer
+axis, whose grid is rounded to the nearest integers and written as integers.
+Rows that only evaluate closed forms run in the main process whatever
+``--jobs`` says; only rows that diagonalise (``tbjj``, ``oracle-check``,
+``nonlinear`` with ``n_levels > 0``) are dispatched to a process pool of at
+most one worker per row, whose module is imported only then.  The layers
+import numpy and scipy inside the functions that use them, so ``spectrum``,
 ``spin-phase``, ``dirac-scan`` and ``nonlinear`` without levels never load
 numpy; ``phase-scan`` loads it for its enumeration table and the
 diagonalising rows for their eigensolves.  A point's row is its cells in
@@ -50,7 +52,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
@@ -68,6 +70,9 @@ class UsageError(ValueError):
 
 _REQUIRED = object()  # the default of a ParamSet getter whose key must be present
 
+# the value of an absent model key whose field has no default in some record; any other field's is its record's
+_MODEL_DEFAULTS = {"g": 1.0, "g_eff": 1.0, "phi": 0.0, "eps0": 1.0, "hbar_omega": 1.0}
+
 
 # ---------------------------------------------------------------------------
 # configuration parsing
@@ -76,11 +81,11 @@ _REQUIRED = object()  # the default of a ParamSet getter whose key must be prese
 class ParamSet:
     """Typed access to a flat parameter mapping of user text and at most one scan value.
 
-    A key is required exactly when its getter is given no default.  Tracks which
-    keys were consumed so unknown (likely misspelled) keys can be rejected, and
-    which were read as integers, which makes a scanned key an integer axis; text
-    it cannot read, and missing or unknown keys, raise UsageError.  Ranges,
-    finiteness included, are checked by the layer that takes the value.
+    A key is required exactly when its getter is given no default.  ``model`` reads the keys of a model
+    record from its fields.  Tracks which keys were consumed so unknown (likely misspelled) keys can be
+    rejected, and which were read as integers, which makes a scanned key an integer axis; text it cannot
+    read, and missing or unknown keys, raise UsageError.  Ranges, finiteness included, are checked by the
+    layer that takes the value.
     """
 
     def __init__(self, raw: dict):
@@ -114,6 +119,16 @@ class ParamSet:
     def int_list(self, key, default=_REQUIRED):
         return self._read(key, default, lambda v: tuple(int(tok) for tok in str(v).replace(" ", "").split(",") if tok),
                           "a comma-separated integer list")
+
+    def model(self, cls, **given):
+        """``cls(**given)`` with each other field of the record read in field order, an ``int`` field as an
+        integer and any other as a number; its default is ``_MODEL_DEFAULTS``', else the record's, else none."""
+        for f in fields(cls):
+            if f.name not in given:
+                default = _MODEL_DEFAULTS.get(f.name, f.default)
+                read = self.int if f.type == "int" else self.float
+                given[f.name] = read(f.name, _REQUIRED if default is MISSING else default)
+        return cls(**given)
 
     def finish(self):
         unknown = set(self.raw) - self.used
@@ -161,17 +176,6 @@ def _level_columns(prefix, description, n_levels):
     return [(f"{prefix}{k}", description.format(k=k)) for k in range(n_levels)]
 
 
-def _model_params(ps: ParamSet, n_particles: int, spin: bool = False) -> ModelParams:
-    return ModelParams(
-        g=ps.float("g", 1.0),
-        g_eff=ps.float("g_eff", 1.0),
-        phi=ps.float("phi", 0.0),
-        n_particles=n_particles,
-        hbar_omega=ps.float("hbar_omega", 1.0),
-        eta=ps.float("eta", 0.0) if spin else 0.0,  # read only by commands whose rows can carry spins
-    )
-
-
 class _Point(NamedTuple):
     """One parsed point of a command: what its row writes, and how the run treats it."""
 
@@ -185,7 +189,8 @@ def _spectrum(ps):
     orbitals = ps.int_list("orbitals")
     spins = ps.int_list("spins", None)
     n_levels = ps.int("n_levels", 6)
-    p = _model_params(ps, len(orbitals), spin=spins is not None)
+    # eta is read only where rows can carry spins
+    p = ps.model(ModelParams, n_particles=len(orbitals), **({"eta": 0.0} if spins is None else {}))
     ps.finish()
     _check_int(n_levels, "n_levels", lo=1)
     cfg = FermionConfig(orbitals, spins)
@@ -220,7 +225,7 @@ _PHASE_COLUMNS = (
 def _phase_scan(ps):
     n = ps.int("n_particles")
     m_max = ps.int("m_max", 8)
-    p = _model_params(ps, n)
+    p = ps.model(ModelParams, n_particles=n, eta=0.0)
     ps.finish()
     phases._check_window(n, m_max)  # the search checks each point's own window first
 
@@ -243,7 +248,7 @@ _SPIN_COLUMNS = (
 
 
 def _spin_phase(ps):
-    p = _model_params(ps, ps.int("n_particles"), spin=True)
+    p = ps.model(ModelParams, n_particles=ps.int("n_particles"))
     ps.finish()
 
     def row(p):
@@ -265,14 +270,7 @@ _DIRAC_COLUMNS = (
 
 
 def _dirac_scan(ps):
-    p = diracring.DiracParams(
-        eps0=ps.float("eps0", 1.0),
-        hbar_omega=ps.float("hbar_omega", 1.0),
-        phi=ps.float("phi", 0.0),
-        n_electrons=ps.int("n_electrons"),
-        degeneracy=ps.int("degeneracy", 4),
-        d_eff=ps.float("d_eff", 0.0),
-    )
+    p = ps.model(diracring.DiracParams)
     j_max = ps.int("j_max", None)
     ps.finish()
     diracring._check_j_max(j_max, p.n_electrons)
@@ -292,10 +290,10 @@ def _nonlinear(ps):
     m_total = ps.int("m_total", 0)
     alpha4 = ps.float("alpha4", 0.0)
     n_levels = ps.int("n_levels", 0)
-    p = _model_params(ps, n)
+    p = ps.model(ModelParams, n_particles=n, eta=0.0)
     ps.finish()
     _check_int(n_levels, "n_levels", 0, gridsolve._FOCK_MAX_LEVELS)  # 0: no anharmonic levels
-    parsed = kerr.displacement_root(m_total, p, alpha4)  # a bad alpha4 fails every point
+    kerr.displacement_root(m_total, p, alpha4)  # a bad alpha4 fails every point
     columns = (
         ("m_total", "fermion-sector total angular momentum"),
         ("x0", "quadrature displacement of the sector minimum"),
@@ -306,10 +304,10 @@ def _nonlinear(ps):
         *_level_columns("eps", "anharmonic level {k} of the residual block", n_levels),
     )
 
-    def row(q):  # the sector of the point's own model, which is the parsed one unless a scan bound a field
-        sector = parsed if q is p else kerr.displacement_root(m_total, q, alpha4)
+    def row(p):
+        sector = kerr.displacement_root(m_total, p, alpha4)
         cells = (sector.m_total, sector.x0, sector.b_eff, sector.beta3, sector.v_eff,
-                 kerr.gaussian_frequency(sector) / q.hbar_omega)
+                 kerr.gaussian_frequency(sector) / p.hbar_omega)
         _finite(cells[-1], "omega_ratio")  # a subnormal hbar_omega overflows the ratio
         levels = kerr.anharmonic_spectrum(sector, n_levels=n_levels) if n_levels else ()
         return (*cells, *map(float, levels))

@@ -128,7 +128,8 @@ def _sector_table(n_particles: int, m_max: int):
     least W of each reachable M, ordered by (|M|, orbital tuple): among exactly
     degenerate energies the first minimum is the smallest |M| and then the
     lexicographically smallest orbital list, making searches reproducible bit
-    for bit.  ``w`` and ``m2`` hold the rows' W and M^2 as floats.
+    for bit.  ``w`` and ``m2`` hold the rows' W and M^2 as floats, and
+    ``w_ref`` is the least W of the window.
     """
     import numpy as np
     dtype = np.min_scalar_type(-m_max - 1)  # smallest signed type that holds -m_max..m_max
@@ -164,9 +165,7 @@ def _sector_table(n_particles: int, m_max: int):
     rows = rows[np.lexsort((rows, np.abs(m[rows])))]
     m, w = m[rows], w[rows]
     # kinetic-optimal reference: what "balanced" means for this (N, m_max)
-    w_ref = int(w.min())
-    m_ref = int(np.abs(m[w == w_ref]).min())
-    return configs, rows, w.astype(float), (m * m).astype(float), w_ref, m_ref
+    return configs, rows, w.astype(float), (m * m).astype(float), int(w.min())
 
 
 def ground_state_search(p: ModelParams, m_max: int) -> GroundState:
@@ -177,20 +176,20 @@ def ground_state_search(p: ModelParams, m_max: int) -> GroundState:
     broken toward smaller |M|, then the lexicographically smallest orbital
     list; the two time-reversed branches of a polarized minimum are exactly
     degenerate, so the tie-break selects one deterministically.  The phase
-    label is "balanced" when the winner has the kinetic-optimal (W, |M|) of
-    the window and "polarized" otherwise.
+    label is "balanced" when the winner has the least W of the window and
+    "polarized" otherwise: every least-W set is the N orbitals nearest 0, so
+    all of them share |M|.
     """
     import numpy as np
     m_max = _check_window(p.n_particles, m_max)
-    configs, rows, w, m2, w_ref, m_ref = _sector_table(p.n_particles, m_max)
+    configs, rows, w, m2, w_ref = _sector_table(p.n_particles, m_max)
     chi = induced_coupling(p)
     best = rows[int(np.argmin(p.g_eff * w - chi * m2))]
     cfg = FermionConfig(configs[best])
-    balanced = cfg.w_kinetic == w_ref and abs(cfg.m_total) == m_ref
     return GroundState(
         config=cfg,
         energy=sector_energy(p, cfg, 0),
         displacement_a=mode_displacement(p, cfg.m_total),
-        phase_label="balanced" if balanced else "polarized",
+        phase_label="balanced" if cfg.w_kinetic == w_ref else "polarized",
         boundary_contact=max(abs(m) for m in cfg.orbitals) == m_max,
     )

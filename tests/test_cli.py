@@ -171,6 +171,12 @@ def test_whole_run_config_error_exits_two_before_any_row(tmp_path, capsys, monke
     (("nonlinear", "--set", "n_particles=3", "--set", "n_levels=33"), "n_levels must lie in [0, 32], got 33"),
     (("nonlinear", "--set", "n_particles=3", "--set", "n_levels=-1"), "n_levels must lie in [0, 32], got -1"),
     (("spectrum", "--set", "orbitals=0,1", "--set", "n_levels=0"), "n_levels must be >= 1, got 0"),
+    # a model key's name, type and place in the read order are its record field's
+    (("dirac-scan",), "missing required parameter 'n_electrons'"),
+    (("dirac-scan", "--set", "n_electrons=8", "--set", "degeneracy=abc"),
+     "parameter 'degeneracy' must be an integer, got 'abc'"),
+    (("phase-scan", "--set", "n_particles=x", "--set", "g=y"), "parameter 'n_particles' must be an integer, got 'x'"),
+    (("spin-phase", "--set", "n_particles=3", "--set", "eta=abc"), "parameter 'eta' must be a number, got 'abc'"),
 ])
 def test_unusable_run_exits_two_before_any_row(tmp_path, capsys, monkeypatch, args, message):
     no_rows(monkeypatch)
@@ -717,6 +723,17 @@ def test_oracle_check_flags_unconverged_cutoff(tmp_path, monkeypatch):
     _, header, rows = read_csv(out)
     passed_idx = header.index("passed")
     assert rows and all(r[passed_idx] == "false" for r in rows)
+
+
+def test_oracle_check_fails_the_cases_unconverged_at_the_minimum_cutoff(tmp_path):
+    # at cutoff 50 every analytic error is at most 7e-15, but doubling the cutoff moves cases 11, 15 and 19
+    # by 8.1e-8, 9.4e-6 and 2.5e-6 relative: above the 1e-9 rule and below 1e-4, so convergence alone fails them
+    out = tmp_path / "oracle.csv"
+    assert run_cli("oracle-check", "--set", "cutoff=50", "--out", str(out), "--jobs", "1") == 1
+    _, header, rows = read_csv(out)
+    case, error, passed = (header.index(name) for name in ("case", "max_rel_error", "passed"))
+    assert [int(r[case]) for r in rows if r[passed] == "false"] == [11, 15, 19]
+    assert all(r[-1] == "ok" and float(r[error]) <= 7e-15 for r in rows)
 
 
 def test_oracle_check_rejects_scan(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxqm import ConvergenceError, GridDomainError, gridsolve
+from fluxqm import ConvergenceError, GridDomainError, gridsolve, tbring
 from fluxqm.gridsolve import _refine, converged_bound_states
 
 
@@ -29,6 +29,20 @@ def test_walls_are_checked_on_the_converged_grid_only():
     assert solution.n_points > 96 and solution.max_rel_change < 5e-7
 
 
+def test_dvr_refines_until_levels_move_less_than_its_tolerance(monkeypatch):
+    # 20 levels of ring sector {0} of 6 sites at t = 0.5, eta = 3: the 96 -> 191 doubling moves them by
+    # 2.9e-6 relative, above 5e-7 and below 5e-4, so the rule must take one more doubling
+    solutions = []
+
+    def recorded(*args, **kwargs):
+        solutions.append(converged_bound_states(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(tbring, "converged_bound_states", recorded)
+    tbring.sector_spectrum_xrep(tbring.sector_constants([0], 6), t=0.5, eta=3.0, hbar_omega=1.0, n_levels=20)
+    assert [solution.n_points for solution in solutions] == [381]
+
+
 @pytest.mark.parametrize("solve", [gridsolve.bound_states, converged_bound_states])
 @pytest.mark.parametrize("x_min, x_max, n_points, kinetic_coef, message", [
     (-5.0, 5.0, 7, 0.5, "n_points must be >= 8, got 7"),
@@ -49,8 +63,10 @@ def test_levels_are_checked_with_the_grid(solve, n_levels):
 
 
 def test_too_small_domain_raises():
-    with pytest.raises(GridDomainError, match="wall amplitude"):
-        converged_bound_states(harmonic, -2.0, 2.0, 96, kinetic_coef=0.5, n_levels=3)
+    # the second well's ground state reaches the walls at 1.2e-5 of its peak: above 1e-6, below 1e-3
+    for potential, half_span, kinetic_coef, n_levels in ((harmonic, 2.0, 0.5, 3), (lambda x: x * x, 4.5, 1.0, 1)):
+        with pytest.raises(GridDomainError, match="wall amplitude"):
+            converged_bound_states(potential, -half_span, half_span, 96, kinetic_coef=kinetic_coef, n_levels=n_levels)
 
 
 def test_refinement_limit_raises(monkeypatch):

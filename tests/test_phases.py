@@ -262,7 +262,7 @@ def test_sector_table_rows_distinct_and_ordered(n, m_max):
 def test_sector_table_keeps_first_row_of_each_sector(n, m_max):
     # One row per M sector: the first of least W in lexicographic order.  For (1, 2897) W and M^2
     # reach 2897^2 = 8.4e6; for (2, 127) M^2 = 253^2 = 64,009 overflows the int16 that holds W <= 2 * 127^2.
-    configs, rows, w, m2, _, _ = _sector_table(n, m_max)
+    configs, rows, w, m2, _ = _sector_table(n, m_max)
     configs = configs.tolist()
     first = {}
     for index, row in enumerate(configs):
